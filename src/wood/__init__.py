@@ -15,7 +15,6 @@ from .detect import (
     evaluate,
     evaluate_with_detector,
     histogram_csv_lines,
-    max_softmax_score,
     report_text,
 )
 from .errors import (
@@ -32,20 +31,10 @@ from .geometry import (
     ScoreConfig,
     binary_matrix,
     dynamic_matrix,
-    score_argmin_class,
-    wasserstein_to_onehot,
-    wood_score,
+    scores,
 )
-from .loss import (
-    BatchSlices,
-    BoundDiagnostics,
-    LossValue,
-    bound_diagnostics,
-    grad_ind,
-    grad_ood,
-    wood_loss,
-)
-from .model import Activation, ForwardTrace, MlpModel, backward, forward, init, predict_probs
+from .loss import LossValue, loss_and_grad
+from .model import Activation, ForwardTrace, MlpModel, backward, forward, init
 from .trainer import (
     Checkpoint,
     TrainConfig,
@@ -60,6 +49,7 @@ from .transport import (
     CostMatrix,
     SinkhornConfig,
     TransportResult,
+    as_prob_rows,
     as_prob_vector,
     center_gradient,
     exact_wasserstein,

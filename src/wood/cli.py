@@ -10,7 +10,6 @@ and seed.
 from __future__ import annotations
 
 import argparse
-import os
 import shutil
 import sys
 import time
@@ -36,7 +35,7 @@ from .detect import (
     report_text,
 )
 from .errors import ConfigError, FormatError, InputError, NumericError, WoodError
-from .geometry import EvalPath, ScoreConfig, score_argmin_class, wood_score
+from .geometry import EvalPath, ScoreConfig, scores
 from .model import forward
 from .trainer import (
     TrainConfig,
@@ -78,17 +77,38 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def worker_cap() -> int:
-    """Parallelism cap from WOOD_THREADS (0 = auto). Validated, currently
-    informational: all library math is single-threaded."""
-    raw = os.environ.get("WOOD_THREADS", "0")
+def _positive_int(text: str) -> int:
     try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"WOOD_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ConfigError(f"WOOD_THREADS must be >= 0, got {value}")
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
+
+
+def _int_list(text: str, minimum: int) -> tuple[int, ...]:
+    """Comma-separated integers, each at least ``minimum``; empty items are skipped."""
+    try:
+        values = tuple(int(item) for item in text.split(",") if item)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+    if any(value < minimum for value in values):
+        raise argparse.ArgumentTypeError(f"expected integers >= {minimum}, got {text!r}")
+    return values
+
+
+def _hidden_widths(text: str) -> tuple[int, ...]:
+    return _int_list(text, 1)
+
+
+def _class_counts(text: str) -> tuple[int, ...]:
+    counts = _int_list(text, 2)
+    if not counts:
+        raise argparse.ArgumentTypeError("expected at least one class count")
+    return counts
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -116,7 +136,7 @@ _CONFIG_KEYS = {
     "lr": float,
     "momentum": float,
     "seed": int,
-    "hidden": str,
+    "hidden": _hidden_widths,
     "tnr": float,
 }
 
@@ -131,7 +151,7 @@ def _merge_config(args: argparse.Namespace, file_values: dict[str, str]) -> None
         if getattr(args, key, None) is None and key in file_values:
             try:
                 setattr(args, key, caster(file_values[key]))
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"config key {key}: {exc}") from exc
 
 
@@ -146,6 +166,25 @@ def _score_config(matrix: str, eval_path: str, lam: float) -> ScoreConfig:
         evaluation=path,
         sinkhorn=SinkhornConfig(lam=lam),
     )
+
+
+def _checkpoint_score_config(args, ckpt) -> ScoreConfig:
+    """Score configuration for ``evaluate``/``score``: flags override the
+    configuration the checkpoint was trained with."""
+    if None in (args.matrix, args.eval_path, args.lam):
+        try:
+            saved = ckpt.train_config["score"]
+            trained = {
+                "matrix": CostKind(saved["matrix_kind"]).value,
+                "eval_path": EvalPath(saved["evaluation"]).value,
+                "lam": float(saved["sinkhorn"]["lam"]),
+            }
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{args.checkpoint}: malformed train_config.score: {exc}") from exc
+        for key, value in trained.items():
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+    return _score_config(args.matrix, args.eval_path, args.lam)
 
 
 def _echo_run_config(out_dir: Path, pairs: dict) -> None:
@@ -169,11 +208,6 @@ def _dataset_from_args(path: str, role: Role, n_classes: int | None = None) -> D
     if path.endswith(".csv"):
         return load_dataset_csv(path, role=role, n_classes=n_classes)
     raise ConfigError(f"expected a .csv dataset, got {path}")
-
-
-def _scores_for(model, score_cfg: ScoreConfig, features: np.ndarray) -> np.ndarray:
-    probs = forward(model, features).probs
-    return np.array([wood_score(p, score_cfg) for p in probs])
 
 
 def _cmd_gen_data(args) -> int:
@@ -223,7 +257,7 @@ def _cmd_train(args) -> int:
         "lr": 0.01,
         "momentum": 0.9,
         "seed": 0,
-        "hidden": "128,64",
+        "hidden": (128, 64),
     }
     for key, fallback in defaults.items():
         if getattr(args, key) is None:
@@ -240,12 +274,11 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         score=score_cfg,
     )
-    hidden = tuple(int(h) for h in str(args.hidden).split(",") if h)
 
     ind_set = _dataset_from_args(args.ind, Role.IND)
     ood_set = _dataset_from_args(args.ood, Role.OOD) if args.ood else None
 
-    ckpt, metrics = fit(ind_set, ood_set, cfg, hidden=hidden)
+    ckpt, metrics = fit(ind_set, ood_set, cfg, hidden=args.hidden)
     save_checkpoint(ckpt, out_dir / "checkpoint.json")
     (out_dir / "metrics.csv").write_text(
         "\n".join(metrics_csv_lines(metrics)) + "\n", encoding="ascii"
@@ -266,7 +299,7 @@ def _cmd_train(args) -> int:
             "lr": args.lr,
             "momentum": args.momentum,
             "seed": args.seed,
-            "hidden": args.hidden,
+            "hidden": ",".join(map(str, args.hidden)),
         },
     )
     last = metrics[-1]
@@ -282,7 +315,7 @@ def _cmd_evaluate(args) -> int:
     out_dir = _prepare_out(args)
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
-    score_cfg = _score_config(args.matrix, args.eval_path, args.lam)
+    score_cfg = _checkpoint_score_config(args, ckpt)
 
     ind_set = _dataset_from_args(args.ind, Role.IND, n_classes=ckpt.n_classes)
     ood_set = _dataset_from_args(args.ood, Role.OOD)
@@ -297,8 +330,9 @@ def _cmd_evaluate(args) -> int:
             f"ind labels imply {ind_set.n_classes} classes, checkpoint has {ckpt.n_classes}"
         )
 
-    ind_scores = _scores_for(model, score_cfg, ind_set.features)
-    ood_scores = _scores_for(model, score_cfg, ood_set.features)
+    ind_probs = forward(model, ind_set.features).probs
+    ind_scores, _ = scores(ind_probs, score_cfg)
+    ood_scores, _ = scores(forward(model, ood_set.features).probs, score_cfg)
 
     if args.calib_on_eval:
         report = evaluate(ind_scores, ood_scores, args.tnr)
@@ -316,8 +350,7 @@ def _cmd_evaluate(args) -> int:
         det = calibrate(calib_scores, args.tnr, score_cfg)
         report = evaluate_with_detector(det, eval_scores, ood_scores)
 
-    probs = forward(model, ind_set.features).probs
-    accuracy = float(np.mean(np.argmax(probs, axis=1) == ind_set.labels))
+    accuracy = float(np.mean(np.argmax(ind_probs, axis=1) == ind_set.labels))
 
     text = report_text(report)
     text += f"n_calibration: {n_calib}\n"
@@ -354,19 +387,17 @@ def _cmd_score(args) -> int:
     out_dir = _prepare_out(args)
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
-    score_cfg = _score_config(args.matrix, args.eval_path, args.lam)
+    score_cfg = _checkpoint_score_config(args, ckpt)
     ds = _load_features_csv(args.features)
     if ds.dim != model.input_dim:
         raise ConfigError(
             f"feature dim {ds.dim} does not match checkpoint input dim {model.input_dim}"
         )
-    probs = forward(model, ds.features).probs
+    values, classes = scores(forward(model, ds.features).probs, score_cfg)
     det = Detector(args.epsilon, score_cfg, args.tnr) if args.epsilon is not None else None
 
     lines = ["index,argmin_class,score" + (",decision" if det else "")]
-    for i, p in enumerate(probs):
-        score = wood_score(p, score_cfg)
-        k_star = score_argmin_class(p, score_cfg)
+    for i, (score, k_star) in enumerate(zip(values.tolist(), classes.tolist())):
         row = f"{i},{k_star},{score!r}"
         if det:
             row += f",{int(score > det.epsilon)}"
@@ -383,25 +414,22 @@ def _cmd_bench_score(args) -> int:
             " are O(K) in closed form"
         )
     out_dir = _prepare_out(args)
-    ks = [int(k) for k in args.k.split(",") if k]
-    if not ks or any(k < 2 for k in ks):
-        raise _UsageError(f"--k must list integers >= 2, got {args.k!r}")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     lines = ["K,binary_ms,dynamic_ms,ratio"]
     summary = []
-    for k in ks:
-        f = rng.dirichlet(np.ones(k))
+    for k in args.k:
+        f = rng.dirichlet(np.ones(k))[None, :]
         binary_cfg = _score_config("binary", "sinkhorn", args.lam)
         dynamic_cfg = _score_config("dynamic", "sinkhorn", args.lam)
-        wood_score(f, binary_cfg)  # warmup
-        wood_score(f, dynamic_cfg)
+        scores(f, binary_cfg)  # warmup
+        scores(f, dynamic_cfg)
         started = time.perf_counter()
         for _ in range(args.repeats):
-            wood_score(f, binary_cfg)
+            scores(f, binary_cfg)
         binary_ms = (time.perf_counter() - started) * 1000.0 / args.repeats
         started = time.perf_counter()
         for _ in range(args.repeats):
-            wood_score(f, dynamic_cfg)
+            scores(f, dynamic_cfg)
         dynamic_ms = (time.perf_counter() - started) * 1000.0 / args.repeats
         ratio = binary_ms / dynamic_ms if dynamic_ms > 0 else float("inf")
         lines.append(f"{k},{binary_ms!r},{dynamic_ms!r},{ratio!r}")
@@ -442,7 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--lr", type=_positive_float, default=None)
     train.add_argument("--momentum", type=float, default=None)
     train.add_argument("--seed", type=int, default=None)
-    train.add_argument("--hidden", default=None, help="comma-separated hidden widths")
+    train.add_argument(
+        "--hidden", type=_hidden_widths, default=None, help="comma-separated hidden widths"
+    )
     train.set_defaults(func=_cmd_train)
 
     ev = sub.add_parser("evaluate", help="calibrate and report FNR/AUROC")
@@ -450,9 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--ind", required=True, help="labeled InD test CSV")
     ev.add_argument("--ood", required=True, help="unlabeled OOD test CSV")
     ev.add_argument("--tnr", type=_tnr_value, default=0.95)
-    ev.add_argument("--matrix", choices=["binary", "dynamic"], default="dynamic")
-    ev.add_argument("--eval-path", dest="eval_path", choices=["closed", "sinkhorn"], default="closed")
-    ev.add_argument("--lambda", dest="lam", type=_positive_float, default=50.0)
+    ev.add_argument("--matrix", choices=["binary", "dynamic"], default=None)
+    ev.add_argument("--eval-path", dest="eval_path", choices=["closed", "sinkhorn"], default=None)
+    ev.add_argument("--lambda", dest="lam", type=_positive_float, default=None)
     ev.add_argument("--calib-frac", dest="calib_frac", type=float, default=0.2)
     ev.add_argument(
         "--calib-on-eval",
@@ -467,17 +497,19 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("score", help="per-sample scores for a feature CSV")
     sc.add_argument("--checkpoint", required=True)
     sc.add_argument("--features", required=True)
-    sc.add_argument("--matrix", choices=["binary", "dynamic"], default="dynamic")
-    sc.add_argument("--eval-path", dest="eval_path", choices=["closed", "sinkhorn"], default="closed")
-    sc.add_argument("--lambda", dest="lam", type=_positive_float, default=50.0)
+    sc.add_argument("--matrix", choices=["binary", "dynamic"], default=None)
+    sc.add_argument("--eval-path", dest="eval_path", choices=["closed", "sinkhorn"], default=None)
+    sc.add_argument("--lambda", dest="lam", type=_positive_float, default=None)
     sc.add_argument("--epsilon", type=float, default=None)
     sc.add_argument("--tnr", type=_tnr_value, default=0.95)
     sc.add_argument("--out", required=True)
     sc.set_defaults(func=_cmd_score)
 
     bench = sub.add_parser("bench-score", help="time binary vs dynamic sinkhorn scoring")
-    bench.add_argument("--k", default="10,50,100", help="comma-separated class counts")
-    bench.add_argument("--repeats", type=int, default=5)
+    bench.add_argument(
+        "--k", type=_class_counts, default="10,50,100", help="comma-separated class counts"
+    )
+    bench.add_argument("--repeats", type=_positive_int, default=5)
     bench.add_argument("--eval-path", dest="eval_path", choices=["closed", "sinkhorn"], default="sinkhorn")
     bench.add_argument("--lambda", dest="lam", type=_positive_float, default=50.0)
     bench.add_argument("--seed", type=int, default=0)
@@ -490,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        worker_cap()
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:

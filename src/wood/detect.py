@@ -17,7 +17,6 @@ from scipy.stats import rankdata
 
 from .errors import InputError
 from .geometry import ScoreConfig
-from .transport import as_prob_vector
 
 HISTOGRAM_BINS = 50
 
@@ -150,12 +149,6 @@ def evaluate(ind_scores, ood_scores, tnr_target: float = 0.95) -> EvalReport:
     """Calibrate on the InD scores and score the OOD list against them."""
     det = calibrate(_as_scores(ind_scores, "ind_scores"), tnr_target)
     return evaluate_with_detector(det, ind_scores, ood_scores)
-
-
-def max_softmax_score(f) -> float:
-    """Baseline comparison score ``1 - max(f)``: higher means more OOD."""
-    f = as_prob_vector(f, "f")
-    return 1.0 - float(np.max(f))
 
 
 def report_text(report: EvalReport) -> str:

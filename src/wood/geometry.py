@@ -1,12 +1,14 @@
 """Cost-matrix construction and the transport-based OOD score.
 
 The score of a softmax vector ``f`` is its transport distance to the nearest
-class one-hot. Two cost families are supported: the binary matrix (all
-misclassification costs equal) and the dynamic matrix built from ``f``
-itself, which is label-invariant and needs a single evaluation. Both have
-exact closed forms when the comparison target is one-hot, which is the
-default evaluation path; the Sinkhorn path is retained for gradient
-mechanics and benchmarking.
+class one-hot, and :func:`scores` computes it for a whole batch
+``probs (n, K)`` at once. Two cost families are supported: the binary
+matrix (all misclassification costs equal) and the dynamic matrix built
+from ``f`` itself, which is label-invariant and needs a single evaluation.
+Against a one-hot target the coupling is forced, so both have exact closed
+forms: binary gives ``1 - max f`` (the max-softmax baseline) and dynamic
+gives ``1 - sum(f**2)``. The closed form is the default evaluation path;
+the Sinkhorn path is retained for gradient mechanics and benchmarking.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .transport import (
     CostKind,
     CostMatrix,
     SinkhornConfig,
+    TransportResult,
+    as_prob_rows,
     as_prob_vector,
     one_hot,
     sinkhorn_distance,
@@ -67,72 +71,56 @@ def dynamic_matrix(f, k: int) -> CostMatrix:
     return CostMatrix(entries=entries, kind=CostKind.DYNAMIC)
 
 
-def _sinkhorn_to_onehot(f: np.ndarray, k: int, cfg: ScoreConfig) -> float:
-    if cfg.matrix_kind is CostKind.BINARY:
-        M = binary_matrix(f.shape[0])
-    else:
-        M = dynamic_matrix(f, k)
-    result = sinkhorn_distance(one_hot(k, f.shape[0]), f, M, cfg.sinkhorn)
-    if not result.converged:
-        raise NumericError(
-            f"sinkhorn failed to converge after {result.iterations} iterations"
-            f" (lam={cfg.sinkhorn.lam})"
-        )
-    return result.value
+def scores(probs, cfg: ScoreConfig) -> tuple[np.ndarray, np.ndarray]:
+    """OOD scores of a batch of softmax rows ``probs (n, K)``.
 
-
-def wasserstein_to_onehot(f, k: int, cfg: ScoreConfig) -> float:
-    """Transport distance from softmax output ``f`` to the one-hot of class ``k``.
-
-    On the closed-form path the one-hot marginal forces a unique coupling:
-    binary costs give ``1 - f[k]``; dynamic costs give ``1 - sum(f**2)``,
-    which does not depend on ``k``.
+    Returns ``(values, classes)``: each row's minimum transport distance to
+    a class one-hot, and the class attaining it. Dynamic costs are
+    label-invariant, so one evaluation per row suffices and class 0 is
+    reported by convention; binary costs take the minimum over all K
+    classes, ties going to the lowest index. The simplex is validated once
+    for the whole array.
     """
-    f = as_prob_vector(f, "f")
-    if not 0 <= k < f.shape[0]:
-        raise IndexError(f"class index {k} out of range for K={f.shape[0]}")
+    values, classes, _ = _score_rows(as_prob_rows(probs), cfg)
+    return values, classes
+
+
+def _score_rows(
+    P: np.ndarray, cfg: ScoreConfig
+) -> tuple[np.ndarray, np.ndarray, list[TransportResult] | None]:
+    """Scores of already validated rows, plus each row's transport plan.
+
+    Closed form is pure array math and returns ``None`` for the plans. The
+    Sinkhorn path solves row by row (K solves per row for binary costs, one
+    for dynamic) and returns the ``TransportResult`` of each row's argmin
+    class, so callers can read the dual gradient without solving again.
+    """
+    n, k = P.shape
     if cfg.evaluation is EvalPath.CLOSED_FORM:
         if cfg.matrix_kind is CostKind.BINARY:
-            return 1.0 - float(f[k])
-        return 1.0 - float(f @ f)
-    return _sinkhorn_to_onehot(f, k, cfg)
+            return 1.0 - P.max(axis=1), P.argmax(axis=1), None
+        # A stacked matmul rounds each row exactly as ``f @ f`` does;
+        # einsum and (P * P).sum(1) do not.
+        return 1.0 - (P[:, None, :] @ P[:, :, None])[:, 0, 0], np.zeros(n, dtype=np.intp), None
 
-
-def _binary_sinkhorn_min(f: np.ndarray, cfg: ScoreConfig) -> tuple[float, int]:
-    best_value = np.inf
-    best_k = 0
-    for k in range(f.shape[0]):
-        value = _sinkhorn_to_onehot(f, k, cfg)
-        if value < best_value:
-            best_value = value
-            best_k = k
-    return best_value, best_k
-
-
-def wood_score(f, cfg: ScoreConfig) -> float:
-    """OOD score: minimum transport distance from ``f`` to any class one-hot.
-
-    Dynamic costs are label-invariant, so a single evaluation suffices; the
-    binary family takes the minimum over all K classes (ties broken toward
-    the lowest class index).
-    """
-    f = as_prob_vector(f, "f")
-    if cfg.matrix_kind is CostKind.DYNAMIC:
-        return wasserstein_to_onehot(f, 0, cfg)
-    if cfg.evaluation is EvalPath.CLOSED_FORM:
-        return 1.0 - float(np.max(f))
-    return _binary_sinkhorn_min(f, cfg)[0]
-
-
-def score_argmin_class(f, cfg: ScoreConfig) -> int:
-    """Class index attaining the score minimum (0-based).
-
-    Dynamic costs make every class equivalent, so class 0 is returned by
-    convention. Ties under binary costs resolve to the lowest index.
-    """
-    f = as_prob_vector(f, "f")
-    if cfg.matrix_kind is CostKind.DYNAMIC:
-        return 0
-    if cfg.evaluation is EvalPath.CLOSED_FORM:
-        return int(np.argmax(f))
-    return _binary_sinkhorn_min(f, cfg)[1]
+    binary = binary_matrix(k) if cfg.matrix_kind is CostKind.BINARY else None
+    candidates = range(k) if binary is not None else (0,)
+    values = np.empty(n)
+    classes = np.zeros(n, dtype=np.intp)
+    plans: list[TransportResult] = []
+    for i, f in enumerate(P):
+        best = None
+        for c in candidates:
+            M = binary if binary is not None else dynamic_matrix(f, c)
+            result = sinkhorn_distance(one_hot(c, k), f, M, cfg.sinkhorn)
+            if not result.converged:
+                raise NumericError(
+                    f"sinkhorn failed to converge on row {i} (class {c}) after"
+                    f" {result.iterations} iterations (lam={cfg.sinkhorn.lam})"
+                )
+            if best is None or result.value < best.value:
+                best = result
+                classes[i] = c
+        values[i] = best.value
+        plans.append(best)
+    return values, classes, plans

@@ -1,167 +1,109 @@
-"""Mixed-batch training loss and its gradients w.r.t. softmax outputs.
+"""Mixed-batch training loss and its gradient w.r.t. softmax outputs.
 
-The loss is mean cross-entropy over labeled in-distribution samples minus
-``beta`` times the mean OOD score over auxiliary out-of-distribution
-samples: minimizing it sharpens InD predictions while pushing OOD softmax
-vectors away from every class one-hot. Gradients are explicit; the OOD term
-supports both the closed-form score and the Sinkhorn dual route. All
-gradients w.r.t. softmax outputs are centered before use — the downstream
-softmax Jacobian is invariant to additive constants, and centering makes the
-closed-form and dual-gauge routes directly comparable.
+The loss is mean cross-entropy over labeled in-distribution rows minus
+``beta`` times the mean OOD score over auxiliary out-of-distribution rows:
+minimizing it sharpens InD predictions while pushing OOD softmax vectors
+away from every class one-hot. :func:`loss_and_grad` evaluates it on one
+batch array ``probs (n, K)`` whose first ``len(labels)`` rows are InD.
+The OOD gradient supports both the closed-form score and the Sinkhorn dual
+route, and its rows are centered — the downstream softmax Jacobian is
+invariant to additive constants, and centering makes the closed-form and
+dual-gauge routes directly comparable.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
-from .geometry import EvalPath, ScoreConfig, dynamic_matrix, binary_matrix, score_argmin_class, wood_score
-from .transport import (
-    CostKind,
-    as_prob_vector,
-    center_gradient,
-    one_hot,
-    sinkhorn_distance,
-    sinkhorn_gradient,
-)
+from .errors import DimensionError, InputError
+from .geometry import EvalPath, ScoreConfig, _score_rows
+from .transport import CostKind, as_prob_rows, sinkhorn_gradient
 
 # Probabilities are clamped here before any log or reciprocal.
 PROB_FLOOR = 1e-12
 
 
 @dataclass
-class BatchSlices:
-    """One mixed batch: labeled InD softmax outputs plus unlabeled OOD ones."""
-
-    ind_probs: list[tuple[np.ndarray, int]] = field(default_factory=list)
-    ood_probs: list[np.ndarray] = field(default_factory=list)
-    beta: float = 0.1
-
-    def __post_init__(self):
-        if not self.ind_probs and not self.ood_probs:
-            raise InputError("batch must contain at least one sample")
-        if self.beta < 0:
-            raise InputError(f"beta must be nonnegative, got {self.beta}")
-
-
-@dataclass
 class LossValue:
-    """Loss decomposition: ``total = ce_term - beta * ood_term``."""
+    """Loss decomposition ``total = ce_term - beta * ood_term``, plus the
+    generalization-bound constants of the batch (reported for logging only).
+
+    ``alpha_m`` is the largest cost entry the OOD score evaluations touch:
+    always 1 for binary costs, ``max(1 - min f)`` over the OOD rows for
+    dynamic costs. ``m`` is the smallest clamped softmax entry over the InD
+    rows; an empty InD slice reports the vacuous 1.
+    """
 
     total: float
     ce_term: float
     ood_term: float
-
-
-def wood_loss(batch: BatchSlices, cfg: ScoreConfig) -> LossValue:
-    """Loss over a mixed batch; empty slices contribute zero."""
-    ce_term = 0.0
-    if batch.ind_probs:
-        acc = 0.0
-        for f, label in batch.ind_probs:
-            f = as_prob_vector(f, "ind sample")
-            if not 0 <= label < f.shape[0]:
-                raise IndexError(f"label {label} out of range for K={f.shape[0]}")
-            acc += -math.log(max(float(f[label]), PROB_FLOOR))
-        ce_term = acc / len(batch.ind_probs)
-    ood_term = 0.0
-    if batch.ood_probs:
-        acc = 0.0
-        for f in batch.ood_probs:
-            acc += wood_score(f, cfg)
-        ood_term = acc / len(batch.ood_probs)
-    return LossValue(
-        total=ce_term - batch.beta * ood_term,
-        ce_term=ce_term,
-        ood_term=ood_term,
-    )
-
-
-def grad_ind(f, label: int, n_ind: int) -> np.ndarray:
-    """Gradient of the batch cross-entropy term w.r.t. one softmax output.
-
-    Only the label coordinate is touched: ``-1 / (n_ind * f[label])``.
-    """
-    if n_ind < 1:
-        raise InputError(f"n_ind must be >= 1, got {n_ind}")
-    f = as_prob_vector(f, "f")
-    if not 0 <= label < f.shape[0]:
-        raise IndexError(f"label {label} out of range for K={f.shape[0]}")
-    grad = np.zeros_like(f)
-    grad[label] = -1.0 / (n_ind * max(float(f[label]), PROB_FLOOR))
-    return grad
-
-
-def grad_ood(f, cfg: ScoreConfig, n_ood: int, beta: float) -> np.ndarray:
-    """Gradient of the ``-beta * mean(score)`` term w.r.t. one softmax output.
-
-    Closed-form path: dynamic costs give ``(beta/n_ood) * (2f - 1)``; binary
-    costs give ``(beta/n_ood)`` on the score's argmin class. Sinkhorn path:
-    the dual gradient evaluated at (one-hot of the argmin class, f), scaled
-    by ``-beta/n_ood``. All routes are returned centered (zero mean).
-    """
-    if n_ood < 1:
-        raise InputError(f"n_ood must be >= 1, got {n_ood}")
-    f = as_prob_vector(f, "f")
-    scale = beta / n_ood
-    if cfg.evaluation is EvalPath.CLOSED_FORM:
-        if cfg.matrix_kind is CostKind.DYNAMIC:
-            grad = scale * (2.0 * f - 1.0)
-        else:
-            grad = scale * one_hot(int(np.argmax(f)), f.shape[0])
-        return center_gradient(grad)
-    k_star = score_argmin_class(f, cfg)
-    if cfg.matrix_kind is CostKind.BINARY:
-        M = binary_matrix(f.shape[0])
-    else:
-        M = dynamic_matrix(f, k_star)
-    result = sinkhorn_distance(one_hot(k_star, f.shape[0]), f, M, cfg.sinkhorn)
-    if not result.converged:
-        raise NumericError(
-            f"sinkhorn failed to converge after {result.iterations} iterations"
-            f" (lam={cfg.sinkhorn.lam}); OOD gradient unavailable"
-        )
-    grad = -scale * sinkhorn_gradient(result, cfg.sinkhorn)
-    return center_gradient(grad)
-
-
-@dataclass
-class BoundDiagnostics:
-    """Constants of the generalization bound, reported for logging only."""
-
     alpha_m: float
     m: float
 
 
-def observed_max_cost(batch: BatchSlices, cfg: ScoreConfig) -> float:
-    """Largest cost-matrix entry the batch's score evaluations touch.
+def loss_and_grad(
+    probs, labels, beta: float, cfg: ScoreConfig
+) -> tuple[LossValue, np.ndarray]:
+    """Loss of one mixed batch and its gradient w.r.t. ``probs``.
 
-    Binary costs are always 1. Dynamic matrices are built per OOD sample
-    from its softmax output; their largest entry is ``1 - min(f)``.
+    The first ``len(labels)`` rows are InD with those labels; the rest are
+    OOD. An empty slice contributes zero. InD rows of the gradient touch
+    only the label coordinate, ``-1 / (n_ind * f[label])``. OOD rows are the
+    centered gradient of ``-beta * mean(score)``: closed-form dynamic costs
+    give ``(beta/n_ood) * (2f - 1)``, closed-form binary costs put
+    ``beta/n_ood`` on the argmin class, and the Sinkhorn path reads the dual
+    gradient from the plan the score evaluation already solved.
     """
-    if cfg.matrix_kind is CostKind.BINARY:
-        return 1.0
-    worst = 0.0
-    for f in batch.ood_probs:
-        f = as_prob_vector(f, "ood sample")
-        worst = max(worst, 1.0 - float(np.min(f)))
-    return worst
+    P = as_prob_rows(probs)
+    labels = np.asarray(labels, dtype=np.intp)
+    n, k = P.shape
+    if n == 0:
+        raise InputError("batch must contain at least one sample")
+    if beta < 0:
+        raise InputError(f"beta must be nonnegative, got {beta}")
+    if labels.ndim != 1 or labels.shape[0] > n:
+        raise DimensionError(f"labels of shape {labels.shape} do not fit {n} rows")
+    out_of_range = (labels < 0) | (labels >= k)
+    if np.any(out_of_range):
+        raise IndexError(f"label {labels[np.argmax(out_of_range)]} out of range for K={k}")
 
+    n_ind = labels.shape[0]
+    n_ood = n - n_ind
+    grad = np.zeros_like(P)
+    ce_term, m = 0.0, 1.0
+    if n_ind:
+        rows = np.arange(n_ind)
+        p_label = np.maximum(P[rows, labels], PROB_FLOOR)
+        ce_term = float(np.mean(-np.log(p_label)))
+        grad[rows, labels] = -1.0 / (n_ind * p_label)
+        m = float(np.min(np.maximum(P[:n_ind], PROB_FLOOR)))
 
-def bound_diagnostics(batch: BatchSlices, m_max: float) -> BoundDiagnostics:
-    """Bound constants for one batch.
+    dynamic = cfg.matrix_kind is CostKind.DYNAMIC
+    ood_term = 0.0
+    alpha_m = 0.0 if dynamic else 1.0
+    if n_ood:
+        Q = P[n_ind:]
+        values, classes, plans = _score_rows(Q, cfg)
+        ood_term = float(np.mean(values))
+        scale = beta / n_ood
+        if cfg.evaluation is EvalPath.SINKHORN:
+            g = np.array([-scale * sinkhorn_gradient(plan, cfg.sinkhorn) for plan in plans])
+        elif dynamic:
+            g = scale * (2.0 * Q - 1.0)
+        else:
+            g = np.zeros_like(Q)
+            g[np.arange(n_ood), classes] = scale
+        grad[n_ind:] = g - g.mean(axis=1, keepdims=True)
+        if dynamic:
+            alpha_m = float(np.max(1.0 - Q.min(axis=1)))
 
-    ``m_max`` is the caller-observed maximum cost entry (see
-    :func:`observed_max_cost`). ``m`` is the smallest clamped softmax entry
-    over the InD slice; an empty InD slice reports the vacuous 1.
-    """
-    if not batch.ind_probs:
-        return BoundDiagnostics(alpha_m=m_max, m=1.0)
-    smallest = 1.0
-    for f, _ in batch.ind_probs:
-        f = np.maximum(np.asarray(f, dtype=np.float64), PROB_FLOOR)
-        smallest = min(smallest, float(np.min(f)))
-    return BoundDiagnostics(alpha_m=m_max, m=smallest)
+    loss = LossValue(
+        total=ce_term - beta * ood_term,
+        ce_term=ce_term,
+        ood_term=ood_term,
+        alpha_m=alpha_m,
+        m=m,
+    )
+    return loss, grad

@@ -110,12 +110,6 @@ def forward(model: MlpModel, x) -> ForwardTrace:
     )
 
 
-def predict_probs(model: MlpModel, x) -> np.ndarray:
-    """Softmax outputs only; squeezes a single sample back to 1-D."""
-    probs = forward(model, x).probs
-    return probs[0] if np.asarray(x).ndim == 1 else probs
-
-
 @dataclass
 class ParamGrads:
     """Parameter gradients, summed over the batch rows of the trace."""

@@ -21,16 +21,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, FormatError, NumericError
 from .geometry import ScoreConfig
-from .loss import (
-    BatchSlices,
-    BoundDiagnostics,
-    LossValue,
-    bound_diagnostics,
-    grad_ind,
-    grad_ood,
-    observed_max_cost,
-    wood_loss,
-)
+from .loss import LossValue, loss_and_grad
 from .model import Activation, MlpModel, ParamGrads, backward, forward, init
 
 CHECKPOINT_VERSION = 1
@@ -126,34 +117,17 @@ def train_step(
     cfg: TrainConfig,
     state: MomentumState,
     batch_id=None,
-) -> tuple[LossValue, BoundDiagnostics]:
+) -> LossValue:
     """One forward/backward/update cycle; returns the pre-update loss.
 
-    The model is updated in place. Per-sample output gradients are
-    accumulated left-to-right in batch order.
+    The model is updated in place.
     """
-    n_ind = batch.x_ind.shape[0]
-    n_ood = batch.x_ood.shape[0]
-    if n_ood:
+    if batch.x_ood.shape[0]:
         x = np.vstack([batch.x_ind, batch.x_ood])
     else:
         x = batch.x_ind
     trace = forward(model, x)
-    probs = trace.probs
-
-    slices = BatchSlices(
-        ind_probs=[(probs[i], int(batch.y_ind[i])) for i in range(n_ind)],
-        ood_probs=[probs[n_ind + j] for j in range(n_ood)],
-        beta=cfg.beta,
-    )
-    loss_value = wood_loss(slices, cfg.score)
-    diagnostics = bound_diagnostics(slices, observed_max_cost(slices, cfg.score))
-
-    grad_probs = np.zeros_like(probs)
-    for i in range(n_ind):
-        grad_probs[i] = grad_ind(probs[i], int(batch.y_ind[i]), n_ind)
-    for j in range(n_ood):
-        grad_probs[n_ind + j] = grad_ood(probs[n_ind + j], cfg.score, n_ood, cfg.beta)
+    loss_value, grad_probs = loss_and_grad(trace.probs, batch.y_ind, cfg.beta, cfg.score)
 
     grads = backward(model, trace, grad_probs)
     _check_finite(grads, grad_probs, cfg, batch_id)
@@ -167,7 +141,7 @@ def train_step(
         vb += gb
         w -= cfg.lr * vw
         b -= cfg.lr * vb
-    return loss_value, diagnostics
+    return loss_value
 
 
 @dataclass
@@ -312,6 +286,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     for i, (fan_in, fan_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
         if ckpt.weights[i].shape != (fan_in, fan_out) or ckpt.biases[i].shape != (fan_out,):
             raise FormatError(f"{path}: parameter shapes disagree with layer_dims")
+    if not all(np.all(np.isfinite(p)) for p in (*ckpt.weights, *ckpt.biases)):
+        raise FormatError(f"{path}: non-finite weights or biases")
     return ckpt
 
 
@@ -344,10 +320,10 @@ def fit(
         alpha_m = 0.0
         m_floor = 1.0
         for batch_id, batch in enumerate(make_batches(ind_set, ood_set, cfg, rng)):
-            loss_value, diag = train_step(model, batch, cfg, state, batch_id=(epoch, batch_id))
+            loss_value = train_step(model, batch, cfg, state, batch_id=(epoch, batch_id))
             losses.append(loss_value)
-            alpha_m = max(alpha_m, diag.alpha_m)
-            m_floor = min(m_floor, diag.m)
+            alpha_m = max(alpha_m, loss_value.alpha_m)
+            m_floor = min(m_floor, loss_value.m)
         wall_ms = (time.perf_counter() - started) * 1000.0
         metrics.append(
             EpochMetrics(

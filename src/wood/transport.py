@@ -42,21 +42,40 @@ class CostKind(Enum):
 def as_prob_vector(values, name: str = "distribution") -> np.ndarray:
     """Validate and return a point on the K-simplex as a float64 array.
 
-    Entries must be nonnegative and finite, sum to 1 within ``PROB_SUM_TOL``,
-    and K must be at least 2. Zeros are allowed (one-hot labels).
+    The single-row case of :func:`as_prob_rows`.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise DimensionError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise DimensionError(f"{name} needs K >= 2 classes, got K={arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} contains non-finite entries")
-    if np.any(arr < 0.0):
-        raise InputError(f"{name} contains negative mass")
-    total = float(arr.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise InputError(f"{name} must sum to 1, got {total!r}")
+    return as_prob_rows(arr[None, :], name)[0]
+
+
+def as_prob_rows(values, name: str = "probs") -> np.ndarray:
+    """Validate a batch ``(n, K)`` of simplex points, one per row.
+
+    Entries must be nonnegative and finite, each row must sum to 1 within
+    ``PROB_SUM_TOL``, and K must be at least 2. Zeros are allowed (one-hot
+    labels). The checks run once over the whole array; the error names the
+    first row that fails.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2:
+        raise DimensionError(f"{name} must be 2-D (n, K), got shape {arr.shape}")
+    if arr.shape[1] < 2:
+        raise DimensionError(f"{name} needs K >= 2 classes, got K={arr.shape[1]}")
+    # Array methods rather than np.all/np.any: this also runs once per
+    # Sinkhorn marginal, where the function wrappers' overhead shows.
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise InputError(f"{name} row {int(bad.argmax())} contains non-finite entries")
+    bad = (arr < 0.0).any(axis=1)
+    if bad.any():
+        raise InputError(f"{name} row {int(bad.argmax())} contains negative mass")
+    totals = arr.sum(axis=1)
+    bad = np.abs(totals - 1.0) > PROB_SUM_TOL
+    if bad.any():
+        row = int(bad.argmax())
+        raise InputError(f"{name} row {row} must sum to 1, got {float(totals[row])!r}")
     return arr
 
 
@@ -138,12 +157,12 @@ class SinkhornConfig:
 def _scaling_delta(v_new: np.ndarray, v_old: np.ndarray, support: np.ndarray) -> float:
     # Max-norm change of the column scaling measured relatively (i.e. of
     # log v): the scalings live at scale exp(+-lam * M), so an absolute
-    # test can never be met in floating point at large lam.
+    # test can never be met in floating point at large lam. The caller
+    # silences the 0/0 and x/0 warnings that np.where then discards.
     new = v_new[support]
     old = v_old[support]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(old > 0.0, new / old, np.inf)
-    return float(np.max(np.abs(ratio - 1.0)))
+    ratio = np.where(old > 0.0, new / old, np.inf)
+    return float(np.abs(ratio - 1.0).max())
 
 
 @dataclass
@@ -238,7 +257,7 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """
     out = np.zeros_like(num)
     pos = num > 0.0
-    if np.any(pos & (den == 0.0)):
+    if (pos & (den == 0.0)).any():
         raise NumericError("positive mass divided by zero scaling (kernel underflow)")
     np.divide(num, den, out=out, where=pos)
     return out
@@ -291,17 +310,19 @@ def sinkhorn_scaled(r1, r2, M: CostMatrix, cfg: SinkhornConfig) -> TransportResu
     u = np.zeros_like(r1)
     converged = False
     iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
+    # One errstate around the whole loop: entering it on every sweep was a
+    # large share of a sweep's cost at small K.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for iterations in range(1, cfg.max_iter + 1):
             u = _safe_div(r1, kernel @ v)
             v_new = _safe_div(r2, kernel.T @ u)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v_new))):
-            raise NumericError("sinkhorn scaling overflow in scaled domain")
-        delta = _scaling_delta(v_new, v, support)
-        v = v_new
-        if delta < cfg.tol:
-            converged = True
-            break
+            if not (np.isfinite(u).all() and np.isfinite(v_new).all()):
+                raise NumericError("sinkhorn scaling overflow in scaled domain")
+            delta = _scaling_delta(v_new, v, support)
+            v = v_new
+            if delta < cfg.tol:
+                converged = True
+                break
     u = _safe_div(r1, kernel @ v)
     P = (u[:, None] * kernel) * v[None, :]
     value, plogp_sum = _plan_stats(P, M.entries)

@@ -15,13 +15,8 @@ import pytest
 
 from wood.cli import main as cli_main
 from wood.data import Role, SyntheticKind, SyntheticSpec, load_idx_pair, split, synth
-from wood.detect import calibrate, evaluate, evaluate_with_detector, max_softmax_score
-from wood.geometry import (
-    EvalPath,
-    ScoreConfig,
-    wasserstein_to_onehot,
-    wood_score,
-)
+from wood.detect import calibrate, evaluate, evaluate_with_detector
+from wood.geometry import EvalPath, ScoreConfig, binary_matrix, dynamic_matrix, scores
 from wood.model import forward
 from wood.oracles import fd_gradient, lp_transport, pairwise_auroc
 from wood.trainer import (
@@ -37,6 +32,7 @@ from wood.transport import (
     CostMatrix,
     SinkhornConfig,
     center_gradient,
+    exact_wasserstein,
     one_hot,
     sinkhorn_distance,
     sinkhorn_gradient,
@@ -128,11 +124,15 @@ def test_c03_closed_form_identities():
             k = int(rng.integers(2, 11))
             f = dirichlet(rng, k)
             dyn_expect = 1.0 - float(f @ f)
+            binary = binary_matrix(k)
             for label in range(k):
-                assert wasserstein_to_onehot(f, label, CLOSED_BINARY) == 1.0 - f[label]
-                assert wasserstein_to_onehot(f, label, CLOSED_DYNAMIC) == dyn_expect
-            assert wood_score(f, CLOSED_BINARY) == 1.0 - np.max(f)
-            assert wood_score(f, CLOSED_BINARY) == max_softmax_score(f)
+                assert exact_wasserstein(one_hot(label, k), f, binary) == 1.0 - f[label]
+                exact = exact_wasserstein(one_hot(label, k), f, dynamic_matrix(f, label))
+                assert abs(exact - dyn_expect) <= 1e-12
+            values, classes = scores(f[None, :], CLOSED_BINARY)
+            assert values[0] == 1.0 - np.max(f)
+            assert classes[0] == np.argmax(f)
+            assert scores(f[None, :], CLOSED_DYNAMIC)[0][0] == dyn_expect
 
 
 def test_c04_dynamic_label_invariance():
@@ -141,14 +141,18 @@ def test_c04_dynamic_label_invariance():
         for _ in range(500):
             k = int(rng.integers(2, 11))
             f = dirichlet(rng, k)
-            values = {wasserstein_to_onehot(f, label, CLOSED_DYNAMIC) for label in range(k)}
+            values = {
+                exact_wasserstein(one_hot(label, k), f, dynamic_matrix(f, label))
+                for label in range(k)
+            }
             assert len(values) == 1
-        sinkhorn_cfg = ScoreConfig(
-            CostKind.DYNAMIC, EvalPath.SINKHORN, SinkhornConfig(lam=50.0)
-        )
+        sinkhorn = SinkhornConfig(lam=50.0)
         for _ in range(100):
             f = dirichlet(rng, 10)
-            values = [wasserstein_to_onehot(f, label, sinkhorn_cfg) for label in range(10)]
+            values = [
+                sinkhorn_distance(one_hot(label, 10), f, dynamic_matrix(f, label), sinkhorn).value
+                for label in range(10)
+            ]
             assert max(values) - min(values) <= 1e-6
 
 
@@ -157,11 +161,10 @@ def test_c05_uniform_attains_maximum():
     with criterion(5, "uniform maximizes dynamic score"):
         for k in (2, 5, 10):
             uniform = np.full(k, 1.0 / k)
-            top = wood_score(uniform, CLOSED_DYNAMIC)
+            top = scores(uniform[None, :], CLOSED_DYNAMIC)[0][0]
             assert abs(top - (1.0 - 1.0 / k)) <= 1e-12
-            for _ in range(1000):
-                f = dirichlet(rng, k)
-                assert wood_score(f, CLOSED_DYNAMIC) < top
+            batch = np.array([dirichlet(rng, k) for _ in range(1000)])
+            assert np.all(scores(batch, CLOSED_DYNAMIC)[0] < top)
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +205,9 @@ def run_synthetic_pipeline():
 
     test_probs = forward(model, ind_test.features).probs
     accuracy = float(np.mean(np.argmax(test_probs, axis=1) == ind_test.labels))
-    ind_scores = np.array([wood_score(p, CLOSED_DYNAMIC) for p in test_probs])
-    calib_scores = np.array(
-        [wood_score(p, CLOSED_DYNAMIC) for p in forward(model, ind_calib.features).probs]
-    )
-    ood_scores = np.array(
-        [wood_score(p, CLOSED_DYNAMIC) for p in forward(model, ood_test.features).probs]
-    )
+    ind_scores, _ = scores(test_probs, CLOSED_DYNAMIC)
+    calib_scores, _ = scores(forward(model, ind_calib.features).probs, CLOSED_DYNAMIC)
+    ood_scores, _ = scores(forward(model, ood_test.features).probs, CLOSED_DYNAMIC)
     # Threshold fitted on the held-out calibration slice; TNR/FNR/AUROC
     # evaluated on the untouched test slices.
     detector = calibrate(calib_scores, 0.95, CLOSED_DYNAMIC)
@@ -284,12 +283,8 @@ def test_c07_mnist_fashion_run():
         ckpt, _ = fit(ind_train, ood_train, cfg, hidden=(128, 64))
         model = model_from_checkpoint(ckpt)
 
-        def scores(features):
-            probs = forward(model, features).probs
-            return np.array([wood_score(p, CLOSED_DYNAMIC) for p in probs])
-
-        ind_scores = scores(ind_test.features)
-        ood_scores = scores(ood_test.features)
+        ind_scores, _ = scores(forward(model, ind_test.features).probs, CLOSED_DYNAMIC)
+        ood_scores, _ = scores(forward(model, ood_test.features).probs, CLOSED_DYNAMIC)
         report = evaluate(ind_scores, ood_scores, 0.95)
         elapsed = time.perf_counter() - started
         print(

@@ -1,8 +1,18 @@
 """CLI contract: commands, exit codes, file outputs, determinism."""
 
+import numpy as np
 import pytest
 
 from wood.cli import main
+from wood.data import Role, load_dataset_csv
+from wood.model import forward, init
+from wood.trainer import (
+    TrainConfig,
+    checkpoint_from_model,
+    load_checkpoint,
+    model_from_checkpoint,
+    save_checkpoint,
+)
 
 
 def run_cli(*argv):
@@ -187,13 +197,93 @@ class TestBenchScore:
         assert len(lines) == 3
 
 
-class TestEnvironment:
-    def test_invalid_wood_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WOOD_THREADS", "lots")
-        assert run_cli("gen-data", "--kind", "blobs", "--out", str(tmp_path)) == 2
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench-score", "--repeats", "0"],
+            ["bench-score", "--k", "x"],
+            ["train", "--ind", "ind.csv", "--hidden", "a,b"],
+        ],
+    )
+    def test_one_line_and_exit_1(self, argv, tmp_path, capsys):
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("usage error:")
 
-    def test_valid_wood_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WOOD_THREADS", "2")
-        assert run_cli(
-            "gen-data", "--kind", "blobs", "--n", "5", "--out", str(tmp_path)
-        ) == 0
+
+class TestCheckpointScoreConfig:
+    @pytest.fixture
+    def binary_run(self, tmp_path):
+        ind_csv = gen_blobs(tmp_path / "data", n=20)
+        run_dir = tmp_path / "run"
+        code = run_cli(
+            "train", "--ind", str(ind_csv), "--b-ood", "0", "--b-ind", "20",
+            "--epochs", "2", "--hidden", "4", "--matrix", "binary", "--out", str(run_dir),
+        )
+        assert code == 0
+        return ind_csv, run_dir / "checkpoint.json"
+
+    def probs(self, ind_csv, checkpoint):
+        model = model_from_checkpoint(load_checkpoint(checkpoint))
+        return forward(model, load_dataset_csv(ind_csv, role=Role.IND).features).probs
+
+    def read_scores(self, out):
+        rows = [line.split(",") for line in (out / "scores.csv").read_text().splitlines()[1:]]
+        return np.array([float(row[2]) for row in rows])
+
+    def test_score_defaults_to_trained_config(self, binary_run, tmp_path):
+        ind_csv, checkpoint = binary_run
+        out = tmp_path / "scores"
+        code = run_cli(
+            "score", "--checkpoint", str(checkpoint), "--features", str(ind_csv),
+            "--out", str(out),
+        )
+        assert code == 0
+        probs = self.probs(ind_csv, checkpoint)
+        np.testing.assert_array_equal(self.read_scores(out), 1.0 - probs.max(axis=1))
+
+    def test_flags_override_trained_config(self, binary_run, tmp_path):
+        ind_csv, checkpoint = binary_run
+        out = tmp_path / "scores"
+        code = run_cli(
+            "score", "--checkpoint", str(checkpoint), "--features", str(ind_csv),
+            "--matrix", "dynamic", "--out", str(out),
+        )
+        assert code == 0
+        probs = self.probs(ind_csv, checkpoint)
+        expected = 1.0 - np.array([float(f @ f) for f in probs])
+        np.testing.assert_array_equal(self.read_scores(out), expected)
+
+    def test_evaluate_echoes_trained_config(self, binary_run, tmp_path):
+        ind_csv, checkpoint = binary_run
+        out = tmp_path / "eval"
+        code = run_cli(
+            "evaluate", "--checkpoint", str(checkpoint), "--ind", str(ind_csv),
+            "--ood", str(ind_csv), "--out", str(out),
+        )
+        assert code == 0
+        run_config = (out / "run_config.txt").read_text()
+        assert "matrix=binary" in run_config
+        assert "eval_path=closed" in run_config
+        assert "lam=50.0" in run_config
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weights_are_a_data_error(self, bad, tmp_path, capsys):
+        ind_csv = gen_blobs(tmp_path / "data", n=10)
+        model = init((2, 3, 3), seed=0)
+        model.weights[1][0, 0] = bad
+        ckpt = checkpoint_from_model(model, {"kind": "identity"}, TrainConfig(epochs=1), "d")
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(ckpt, path)
+        code = run_cli(
+            "score", "--checkpoint", str(path), "--features", str(ind_csv),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "non-finite" in err[0]

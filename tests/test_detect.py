@@ -12,11 +12,10 @@ from wood.detect import (
     classify,
     evaluate,
     histogram_csv_lines,
-    max_softmax_score,
     report_text,
 )
 from wood.errors import InputError
-from wood.geometry import EvalPath, ScoreConfig, wood_score
+from wood.geometry import EvalPath, ScoreConfig, scores
 from wood.oracles import pairwise_auroc
 from wood.transport import CostKind, one_hot
 
@@ -157,21 +156,25 @@ class TestEvaluate:
 
 
 class TestMaxSoftmaxScore:
+    # The binary closed-form score is the max-softmax baseline 1 - max(f).
+    CFG = ScoreConfig(CostKind.BINARY, EvalPath.CLOSED_FORM)
+
     def test_one_hot_zero(self):
-        assert max_softmax_score(one_hot(2, 5)) == 0.0
+        assert scores([one_hot(2, 5)], self.CFG)[0][0] == 0.0
 
     def test_uniform(self):
-        assert max_softmax_score(np.full(10, 0.1)) == pytest.approx(0.9)
+        assert scores([np.full(10, 0.1)], self.CFG)[0][0] == pytest.approx(0.9)
 
     def test_example_value(self):
-        assert max_softmax_score([0.5, 0.3, 0.2]) == pytest.approx(0.5)
+        assert scores([[0.5, 0.3, 0.2]], self.CFG)[0][0] == pytest.approx(0.5)
 
     def test_identity_with_binary_closed_score(self, rng):
         # Both are literally 1 - max(f): bitwise equal on every input.
-        cfg = ScoreConfig(CostKind.BINARY, EvalPath.CLOSED_FORM)
         for _ in range(100):
             f = random_simplex(rng, int(rng.integers(2, 12)))
-            assert max_softmax_score(f) == wood_score(f, cfg)
+            values, classes = scores(f[None, :], self.CFG)
+            assert values[0] == 1.0 - np.max(f)
+            assert classes[0] == np.argmax(f)
 
 
 class TestRendering:

@@ -1,20 +1,18 @@
-"""Cost-matrix builders and the transport score, both evaluation paths."""
+"""Cost-matrix builders and the batch transport score, both evaluation paths."""
 
 import numpy as np
 import pytest
 
-from wood.errors import DimensionError
-from wood.geometry import (
-    EvalPath,
-    ScoreConfig,
-    binary_matrix,
-    dynamic_matrix,
-    score_argmin_class,
-    wasserstein_to_onehot,
-    wood_score,
-)
+from wood.errors import DimensionError, InputError, NumericError
+from wood.geometry import EvalPath, ScoreConfig, binary_matrix, dynamic_matrix, scores
 from wood.oracles import lp_transport
-from wood.transport import CostKind, SinkhornConfig, one_hot
+from wood.transport import (
+    CostKind,
+    SinkhornConfig,
+    exact_wasserstein,
+    one_hot,
+    sinkhorn_distance,
+)
 
 from conftest import random_simplex
 
@@ -64,32 +62,48 @@ class TestDynamicMatrix:
             dynamic_matrix([0.5, 0.5], 2)
 
 
+def score_of(f, cfg):
+    """Score value and argmin class of a single softmax row."""
+    values, classes = scores(np.asarray(f, dtype=np.float64)[None, :], cfg)
+    return float(values[0]), int(classes[0])
+
+
+def exact_to_onehot(f, label, kind):
+    """Exact transport distance from ``f`` to the one-hot of ``label``."""
+    k = len(f)
+    M = binary_matrix(k) if kind is CostKind.BINARY else dynamic_matrix(f, label)
+    return exact_wasserstein(one_hot(label, k), f, M)
+
+
 class TestWassersteinToOnehot:
     def test_uniform_dynamic_k10(self):
         f = np.full(10, 0.1)
-        assert wasserstein_to_onehot(f, 3, CLOSED_DYNAMIC) == pytest.approx(0.9, abs=1e-15)
+        assert score_of(f, CLOSED_DYNAMIC)[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_mass_on_label_is_zero(self):
         f = one_hot(1, 3)
-        assert wasserstein_to_onehot(f, 1, CLOSED_BINARY) == 0.0
-        assert wasserstein_to_onehot(f, 1, CLOSED_DYNAMIC) == 0.0
+        assert score_of(f, CLOSED_BINARY) == (0.0, 1)
+        assert score_of(f, CLOSED_DYNAMIC)[0] == 0.0
 
     def test_frozen_example_values(self):
         f = [0.5, 0.3, 0.2]
-        assert wasserstein_to_onehot(f, 0, CLOSED_BINARY) == pytest.approx(0.5)
-        assert wasserstein_to_onehot(f, 0, CLOSED_DYNAMIC) == pytest.approx(0.62)
+        assert score_of(f, CLOSED_BINARY)[0] == pytest.approx(0.5)
+        assert score_of(f, CLOSED_DYNAMIC)[0] == pytest.approx(0.62)
 
     def test_closed_form_matches_lp_oracle(self, rng):
+        # The score is the minimum over classes of the exact distance.
         for _ in range(20):
             k = int(rng.integers(2, 6))
             f = random_simplex(rng, k)
-            label = int(rng.integers(k))
-            cf_binary = wasserstein_to_onehot(f, label, CLOSED_BINARY)
-            lp_binary, _ = lp_transport(one_hot(label, k), f, binary_matrix(k))
-            assert cf_binary == pytest.approx(lp_binary, abs=1e-8)
-            cf_dynamic = wasserstein_to_onehot(f, label, CLOSED_DYNAMIC)
-            lp_dynamic, _ = lp_transport(one_hot(label, k), f, dynamic_matrix(f, label))
-            assert cf_dynamic == pytest.approx(lp_dynamic, abs=1e-8)
+            lp_binary = [lp_transport(one_hot(c, k), f, binary_matrix(k))[0] for c in range(k)]
+            cf_binary, k_star = score_of(f, CLOSED_BINARY)
+            assert cf_binary == pytest.approx(min(lp_binary), abs=1e-8)
+            assert lp_binary[k_star] == pytest.approx(min(lp_binary), abs=1e-8)
+            lp_dynamic = [
+                lp_transport(one_hot(c, k), f, dynamic_matrix(f, c))[0] for c in range(k)
+            ]
+            cf_dynamic, _ = score_of(f, CLOSED_DYNAMIC)
+            assert cf_dynamic == pytest.approx(min(lp_dynamic), abs=1e-8)
 
     def test_closed_form_vs_sinkhorn_band(self, rng):
         # |closed - sinkhorn(lam=100)| <= 2% of max(closed, 0.05)
@@ -99,67 +113,90 @@ class TestWassersteinToOnehot:
             for _ in range(200):
                 k = int(rng.integers(2, 8))
                 f = random_simplex(rng, k)
-                label = int(rng.integers(k))
-                a = wasserstein_to_onehot(f, label, closed)
-                b = wasserstein_to_onehot(f, label, cfg100)
+                a, _ = score_of(f, closed)
+                b, _ = score_of(f, cfg100)
                 assert abs(a - b) <= 0.02 * max(a, 0.05)
 
 
 class TestWoodScore:
     def test_binary_min_is_one_minus_max(self):
         f = [0.5, 0.3, 0.2]
-        assert wood_score(f, CLOSED_BINARY) == pytest.approx(0.5)
-        assert score_argmin_class(f, CLOSED_BINARY) == 0
+        value, k_star = score_of(f, CLOSED_BINARY)
+        assert value == pytest.approx(0.5)
+        assert k_star == 0
 
     def test_one_hot_scores_zero(self):
         f = one_hot(1, 4)
-        assert wood_score(f, CLOSED_BINARY) == 0.0
-        assert wood_score(f, CLOSED_DYNAMIC) == 0.0
+        assert score_of(f, CLOSED_BINARY)[0] == 0.0
+        assert score_of(f, CLOSED_DYNAMIC)[0] == 0.0
 
     def test_uniform_dynamic_k10(self):
-        assert wood_score(np.full(10, 0.1), CLOSED_DYNAMIC) == pytest.approx(0.9)
+        assert score_of(np.full(10, 0.1), CLOSED_DYNAMIC)[0] == pytest.approx(0.9)
 
     def test_argmin_examples(self):
-        assert score_argmin_class([0.2, 0.7, 0.1], CLOSED_BINARY) == 1
-        assert score_argmin_class([1 / 3, 1 / 3, 1 / 3], CLOSED_BINARY) == 0
-        assert score_argmin_class([0.2, 0.7, 0.1], CLOSED_DYNAMIC) == 0
+        assert score_of([0.2, 0.7, 0.1], CLOSED_BINARY)[1] == 1
+        assert score_of([1 / 3, 1 / 3, 1 / 3], CLOSED_BINARY)[1] == 0
+        assert score_of([0.2, 0.7, 0.1], CLOSED_DYNAMIC)[1] == 0
 
     def test_sinkhorn_binary_argmin_matches_closed(self, rng):
-        cfg = sinkhorn_cfg(CostKind.BINARY)
-        for _ in range(10):
-            f = random_simplex(rng, 4)
-            assert score_argmin_class(f, cfg) == score_argmin_class(f, CLOSED_BINARY)
+        P = np.array([random_simplex(rng, 4) for _ in range(10)])
+        _, sinkhorn_classes = scores(P, sinkhorn_cfg(CostKind.BINARY))
+        _, closed_classes = scores(P, CLOSED_BINARY)
+        np.testing.assert_array_equal(sinkhorn_classes, closed_classes)
+
+    def test_batch_validation_names_the_row(self):
+        P = np.array([[0.5, 0.5], [0.7, 0.7], [1.0, 0.0]])
+        with pytest.raises(InputError, match="row 1"):
+            scores(P, CLOSED_DYNAMIC)
+        with pytest.raises(InputError, match="row 0"):
+            scores([[np.nan, 1.0]], CLOSED_BINARY)
+        with pytest.raises(DimensionError):
+            scores([0.5, 0.5], CLOSED_BINARY)
+        with pytest.raises(DimensionError):
+            scores([[1.0]], CLOSED_BINARY)
+
+    def test_sinkhorn_non_convergence_names_the_row(self):
+        cfg = ScoreConfig(
+            CostKind.BINARY, EvalPath.SINKHORN, SinkhornConfig(lam=100.0, max_iter=1)
+        )
+        P = np.array([[1.0, 0.0, 0.0], [0.5, 0.3, 0.2]])
+        with pytest.raises(NumericError, match="row 1"):
+            scores(P, cfg)
+
+    def test_empty_batch(self):
+        values, classes = scores(np.zeros((0, 3)), CLOSED_DYNAMIC)
+        assert values.shape == classes.shape == (0,)
 
 
 class TestPropositions:
     def test_label_invariance_closed_form_bitwise(self, rng):
-        cfg = CLOSED_DYNAMIC
         for _ in range(50):
             k = int(rng.integers(2, 11))
             f = random_simplex(rng, k)
-            values = {wasserstein_to_onehot(f, label, cfg) for label in range(k)}
+            values = {exact_to_onehot(f, label, CostKind.DYNAMIC) for label in range(k)}
             assert len(values) == 1
 
     def test_label_invariance_sinkhorn_spread(self, rng):
-        cfg = sinkhorn_cfg(CostKind.DYNAMIC, lam=50.0)
+        sk = SinkhornConfig(lam=50.0)
         for _ in range(10):
             f = random_simplex(rng, 10)
-            values = [wasserstein_to_onehot(f, label, cfg) for label in range(10)]
+            values = [
+                sinkhorn_distance(one_hot(label, 10), f, dynamic_matrix(f, label), sk).value
+                for label in range(10)
+            ]
             assert max(values) - min(values) <= 1e-6
 
     def test_uniform_attains_strict_maximum(self, rng):
         for k in (2, 5, 10):
-            uniform = np.full(k, 1.0 / k)
-            top = wood_score(uniform, CLOSED_DYNAMIC)
+            top = score_of(np.full(k, 1.0 / k), CLOSED_DYNAMIC)[0]
             assert top == pytest.approx(1.0 - 1.0 / k, abs=1e-12)
-            for _ in range(200):
-                f = random_simplex(rng, k)
-                assert wood_score(f, CLOSED_DYNAMIC) < top
+            values, _ = scores(np.array([random_simplex(rng, k) for _ in range(200)]), CLOSED_DYNAMIC)
+            assert np.all(values < top)
 
     def test_score_ranges(self, rng):
         for _ in range(100):
             k = int(rng.integers(2, 11))
             f = random_simplex(rng, k)
             for cfg in (CLOSED_BINARY, CLOSED_DYNAMIC):
-                s = wood_score(f, cfg)
+                s = score_of(f, cfg)[0]
                 assert 0.0 <= s <= 1.0 - 1.0 / k + 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wood.errors import DimensionError, InputError
-from wood.model import MlpModel, backward, forward, init, predict_probs
+from wood.model import MlpModel, backward, forward, init
 
 
 def zeroed(model):
@@ -65,11 +65,6 @@ class TestForward:
         model = init((2, 3), seed=0)
         with pytest.raises(DimensionError):
             forward(model, np.ones(3))
-
-    def test_predict_probs_squeezes(self):
-        model = init((2, 3), seed=0)
-        assert predict_probs(model, np.ones(2)).shape == (3,)
-        assert predict_probs(model, np.ones((4, 2))).shape == (4, 3)
 
 
 class TestBackward:

@@ -7,7 +7,7 @@ import pytest
 
 from wood.data import SyntheticKind, SyntheticSpec, synth
 from wood.errors import ConfigError, FormatError, NumericError
-from wood.geometry import EvalPath, ScoreConfig, wood_score
+from wood.geometry import EvalPath, ScoreConfig, scores
 from wood.model import ParamGrads, backward, forward, init
 from wood.trainer import (
     Batch,
@@ -84,7 +84,7 @@ class TestTrainStep:
         model = init((2, 8, 2), seed=1)
         before = [w.copy() for w in model.weights]
         batch = next(make_batches(ind, None, cfg, np.random.default_rng(0)))
-        loss_value, _ = train_step(model, batch, cfg, MomentumState(model))
+        loss_value = train_step(model, batch, cfg, MomentumState(model))
         assert math.isfinite(loss_value.total)
         for w, orig in zip(model.weights, before):
             np.testing.assert_array_equal(w, orig)
@@ -99,7 +99,7 @@ class TestTrainStep:
         totals = []
         for _ in range(100):
             batch = next(make_batches(ind, None, cfg, rng))
-            loss_value, _ = train_step(model, batch, cfg, state)
+            loss_value = train_step(model, batch, cfg, state)
             totals.append(loss_value.total)
         assert totals[-1] < totals[0]
         assert all(b <= a + 1e-9 for a, b in zip(totals, totals[1:]))
@@ -191,7 +191,7 @@ class TestFitMetrics:
         def mean_ood_score(ckpt):
             model = model_from_checkpoint(ckpt)
             probs = forward(model, ood.features).probs
-            return float(np.mean([wood_score(p, score_cfg) for p in probs]))
+            return float(np.mean(scores(probs, score_cfg)[0]))
 
         assert mean_ood_score(ckpt_mixed) > mean_ood_score(ckpt_ce) + 0.05
 
