@@ -34,7 +34,7 @@ from .geometry import (
     scores,
 )
 from .loss import LossValue, loss_and_grad
-from .model import Activation, ForwardTrace, MlpModel, backward, forward, init
+from .model import ForwardTrace, MlpModel, backward, forward, init
 from .trainer import (
     Checkpoint,
     TrainConfig,
@@ -50,11 +50,11 @@ from .transport import (
     SinkhornConfig,
     TransportResult,
     as_prob_rows,
-    as_prob_vector,
     center_gradient,
     exact_wasserstein,
     metric_axioms_check,
     one_hot,
+    sinkhorn_batch,
     sinkhorn_distance,
     sinkhorn_gradient,
 )

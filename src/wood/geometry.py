@@ -25,9 +25,7 @@ from .transport import (
     SinkhornConfig,
     TransportResult,
     as_prob_rows,
-    as_prob_vector,
-    one_hot,
-    sinkhorn_distance,
+    sinkhorn_batch,
 )
 
 
@@ -62,7 +60,7 @@ def dynamic_matrix(f, k: int) -> CostMatrix:
     holds ``1 - f``; every other row holds ``f``. Row ``k`` plus any other
     row is the all-ones vector.
     """
-    f = as_prob_vector(f, "f")
+    f = as_prob_rows(np.asarray(f)[None], "f")[0]
     n = f.shape[0]
     if not 0 <= k < n:
         raise IndexError(f"class index {k} out of range for K={n}")
@@ -86,14 +84,16 @@ def scores(probs, cfg: ScoreConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _score_rows(
-    P: np.ndarray, cfg: ScoreConfig
-) -> tuple[np.ndarray, np.ndarray, list[TransportResult] | None]:
+    P: np.ndarray, cfg: ScoreConfig, first_row: int = 0
+) -> tuple[np.ndarray, np.ndarray, TransportResult | None]:
     """Scores of already validated rows, plus each row's transport plan.
 
     Closed form is pure array math and returns ``None`` for the plans. The
-    Sinkhorn path solves row by row (K solves per row for binary costs, one
-    for dynamic) and returns the ``TransportResult`` of each row's argmin
-    class, so callers can read the dual gradient without solving again.
+    Sinkhorn path solves all rows at once: binary costs take one batch per
+    candidate class (K solves per row), dynamic costs one batch. It returns
+    the argmin class's ``TransportResult`` rows, so callers can read the
+    dual gradient without solving again. Errors name rows counting from
+    ``first_row``.
     """
     n, k = P.shape
     if cfg.evaluation is EvalPath.CLOSED_FORM:
@@ -103,24 +103,33 @@ def _score_rows(
         # einsum and (P * P).sum(1) do not.
         return 1.0 - (P[:, None, :] @ P[:, :, None])[:, 0, 0], np.zeros(n, dtype=np.intp), None
 
-    binary = binary_matrix(k) if cfg.matrix_kind is CostKind.BINARY else None
-    candidates = range(k) if binary is not None else (0,)
-    values = np.empty(n)
-    classes = np.zeros(n, dtype=np.intp)
-    plans: list[TransportResult] = []
-    for i, f in enumerate(P):
-        best = None
-        for c in candidates:
-            M = binary if binary is not None else dynamic_matrix(f, c)
-            result = sinkhorn_distance(one_hot(c, k), f, M, cfg.sinkhorn)
-            if not result.converged:
-                raise NumericError(
-                    f"sinkhorn failed to converge on row {i} (class {c}) after"
-                    f" {result.iterations} iterations (lam={cfg.sinkhorn.lam})"
-                )
-            if best is None or result.value < best.value:
-                best = result
-                classes[i] = c
-        values[i] = best.value
-        plans.append(best)
-    return values, classes, plans
+    if cfg.matrix_kind is CostKind.BINARY:
+        costs = np.ones((k, k)) - np.eye(k)
+        candidates = range(k)
+    else:
+        # dynamic_matrix(f, 0) for every row: f on each line, 1 - f on line 0.
+        costs = np.repeat(P[:, None, :], k, axis=1)
+        costs[:, 0, :] = 1.0 - P
+        candidates = (0,)
+    results = []
+    for c in candidates:
+        onehots = np.zeros_like(P)
+        onehots[:, c] = 1.0
+        results.append(sinkhorn_batch(onehots, P, costs, cfg.sinkhorn))
+    converged = np.array([r.converged for r in results])
+    if not converged.all():
+        i = int(np.argmin(converged.all(axis=0)))
+        c = int(np.argmin(converged[:, i]))
+        raise NumericError(
+            f"sinkhorn failed to converge on row {first_row + i} (class {candidates[c]})"
+            f" after {results[c].iterations[i]} iterations (lam={cfg.sinkhorn.lam})"
+        )
+    if len(results) == 1:
+        return results[0].value, np.zeros(n, dtype=np.intp), results[0]
+    # argmin takes the lowest class on ties, as a strict-less scan would.
+    classes = np.argmin([r.value for r in results], axis=0)
+    picked = {
+        name: np.array([getattr(r, name) for r in results])[classes, np.arange(n)]
+        for name in vars(results[0])
+    }
+    return picked["value"], classes, TransportResult(**picked)

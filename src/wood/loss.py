@@ -85,11 +85,11 @@ def loss_and_grad(
     alpha_m = 0.0 if dynamic else 1.0
     if n_ood:
         Q = P[n_ind:]
-        values, classes, plans = _score_rows(Q, cfg)
+        values, classes, plans = _score_rows(Q, cfg, first_row=n_ind)
         ood_term = float(np.mean(values))
         scale = beta / n_ood
         if cfg.evaluation is EvalPath.SINKHORN:
-            g = np.array([-scale * sinkhorn_gradient(plan, cfg.sinkhorn) for plan in plans])
+            g = -scale * sinkhorn_gradient(plans, cfg.sinkhorn)
         elif dynamic:
             g = scale * (2.0 * Q - 1.0)
         else:

@@ -11,15 +11,10 @@ gradients safe to backpropagate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionError, InputError
-
-
-class Activation(Enum):
-    RELU = "relu"
 
 
 @dataclass
@@ -29,7 +24,6 @@ class MlpModel:
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: Activation = Activation.RELU
 
     @property
     def input_dim(self) -> int:

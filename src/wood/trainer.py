@@ -22,9 +22,12 @@ from .data import Dataset
 from .errors import ConfigError, FormatError, NumericError
 from .geometry import ScoreConfig
 from .loss import LossValue, loss_and_grad
-from .model import Activation, MlpModel, ParamGrads, backward, forward, init
+from .model import MlpModel, ParamGrads, backward, forward, init
 
 CHECKPOINT_VERSION = 1
+
+# The only hidden-layer activation the model implements.
+ACTIVATION = "relu"
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,10 @@ def train_step(
     else:
         x = batch.x_ind
     trace = forward(model, x)
-    loss_value, grad_probs = loss_and_grad(trace.probs, batch.y_ind, cfg.beta, cfg.score)
+    try:
+        loss_value, grad_probs = loss_and_grad(trace.probs, batch.y_ind, cfg.beta, cfg.score)
+    except NumericError as exc:
+        raise NumericError(f"{exc} (batch={batch_id})") from exc
 
     grads = backward(model, trace, grad_probs)
     _check_finite(grads, grad_probs, cfg, batch_id)
@@ -222,7 +228,7 @@ def checkpoint_from_model(
         layer_dims=model.layer_dims,
         weights=[w.copy() for w in model.weights],
         biases=[b.copy() for b in model.biases],
-        activation=model.activation.value,
+        activation=ACTIVATION,
         normalization=dict(normalization),
         n_classes=model.n_classes,
         train_config=_train_config_dict(cfg),
@@ -235,7 +241,6 @@ def model_from_checkpoint(ckpt: Checkpoint) -> MlpModel:
         layer_dims=tuple(ckpt.layer_dims),
         weights=[np.array(w, dtype=np.float64) for w in ckpt.weights],
         biases=[np.array(b, dtype=np.float64) for b in ckpt.biases],
-        activation=Activation(ckpt.activation),
     )
 
 
@@ -283,6 +288,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint field: {exc}") from exc
+    if ckpt.activation != ACTIVATION:
+        raise FormatError(f"{path}: unsupported activation {ckpt.activation!r}")
     for i, (fan_in, fan_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
         if ckpt.weights[i].shape != (fan_in, fan_out) or ckpt.biases[i].shape != (fan_out,):
             raise FormatError(f"{path}: parameter shapes disagree with layer_dims")

@@ -1,9 +1,9 @@
 """Discrete optimal transport between probability vectors.
 
-Provides the exact transportation-LP distance, the entropically regularized
-Sinkhorn-Knopp iteration (scaled and log-domain), and extraction of the
-distance gradient with respect to the second marginal from the converged
-column scaling.
+Provides the exact transportation-LP distance, one batched solver for the
+entropically regularized Sinkhorn-Knopp iteration (scaled, with a per-problem
+log-domain fallback), and extraction of the distance gradient with respect to
+the second marginal from the converged column scaling.
 
 Orientation convention used throughout the library: for
 ``W(r1, r2) = min <P, M>`` the coupling ``P`` has row sums ``r1`` and column
@@ -39,17 +39,6 @@ class CostKind(Enum):
     DYNAMIC = "dynamic"
 
 
-def as_prob_vector(values, name: str = "distribution") -> np.ndarray:
-    """Validate and return a point on the K-simplex as a float64 array.
-
-    The single-row case of :func:`as_prob_rows`.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {arr.shape}")
-    return as_prob_rows(arr[None, :], name)[0]
-
-
 def as_prob_rows(values, name: str = "probs") -> np.ndarray:
     """Validate a batch ``(n, K)`` of simplex points, one per row.
 
@@ -63,20 +52,20 @@ def as_prob_rows(values, name: str = "probs") -> np.ndarray:
         raise DimensionError(f"{name} must be 2-D (n, K), got shape {arr.shape}")
     if arr.shape[1] < 2:
         raise DimensionError(f"{name} needs K >= 2 classes, got K={arr.shape[1]}")
-    # Array methods rather than np.all/np.any: this also runs once per
-    # Sinkhorn marginal, where the function wrappers' overhead shows.
+    # One pass settles valid input (a NaN fails both tests); the row checks
+    # below only find the row to name. Array methods rather than np.all:
+    # this runs on both marginals of every Sinkhorn batch.
+    totals = arr.sum(axis=1)
+    if (arr >= 0.0).all() and (np.abs(totals - 1.0) <= PROB_SUM_TOL).all():
+        return arr
     bad = ~np.isfinite(arr).all(axis=1)
     if bad.any():
         raise InputError(f"{name} row {int(bad.argmax())} contains non-finite entries")
     bad = (arr < 0.0).any(axis=1)
     if bad.any():
         raise InputError(f"{name} row {int(bad.argmax())} contains negative mass")
-    totals = arr.sum(axis=1)
-    bad = np.abs(totals - 1.0) > PROB_SUM_TOL
-    if bad.any():
-        row = int(bad.argmax())
-        raise InputError(f"{name} row {row} must sum to 1, got {float(totals[row])!r}")
-    return arr
+    row = int((np.abs(totals - 1.0) > PROB_SUM_TOL).argmax())
+    raise InputError(f"{name} row {row} must sum to 1, got {float(totals[row])!r}")
 
 
 def one_hot(k: int, n_classes: int) -> np.ndarray:
@@ -123,10 +112,6 @@ class CostMatrix:
     def k(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def max_entry(self) -> float:
-        return float(np.max(self.entries))
-
 
 @dataclass(frozen=True)
 class SinkhornConfig:
@@ -154,49 +139,31 @@ class SinkhornConfig:
             raise InputError(f"tol must be positive, got {self.tol}")
 
 
-def _scaling_delta(v_new: np.ndarray, v_old: np.ndarray, support: np.ndarray) -> float:
-    # Max-norm change of the column scaling measured relatively (i.e. of
-    # log v): the scalings live at scale exp(+-lam * M), so an absolute
-    # test can never be met in floating point at large lam. The caller
-    # silences the 0/0 and x/0 warnings that np.where then discards.
-    new = v_new[support]
-    old = v_old[support]
-    ratio = np.where(old > 0.0, new / old, np.inf)
-    return float(np.abs(ratio - 1.0).max())
-
-
 @dataclass
 class TransportResult:
-    """Outcome of a Sinkhorn run.
+    """Outcome of Sinkhorn runs, one entry per problem.
 
-    ``value`` is the transport term ``<P, M>`` (the reported distance
-    estimate; the entropy term is excluded). ``reg_value`` is the full
-    regularized objective ``<P, M> - h(P)/lam``, which is what the dual
-    gradient differentiates. ``u``/``v`` are the row/column scalings,
-    nonnegative, strictly positive on the support of the marginals. Runs
-    that went through the log domain also carry ``log_u``/``log_v`` (the
-    exact log-scalings; ``u``/``v`` are their exponentials saturated to
-    stay finite), and the gradient is extracted from ``log_v`` directly.
+    From :func:`sinkhorn_batch` every field is an array over the B problems
+    (``log_v`` is ``(B, K)``); :meth:`row` gives one problem's scalars and
+    ``(K,)`` vector. ``value`` is the transport term ``<P, M>`` (the
+    reported distance estimate; the entropy term is excluded).
+    ``reg_value`` is the full regularized objective ``<P, M> - h(P)/lam``,
+    which is what the dual gradient differentiates. ``log_v`` is the log of
+    the column scaling ``v``, -inf off the support of ``r2``; problems
+    solved in the log domain carry the iterate itself, which may lie beyond
+    the float range of ``v``. ``domain`` is ``"scaled"`` or ``"log"``.
     """
 
-    value: float
-    u: np.ndarray
-    v: np.ndarray
-    iterations: int
-    converged: bool
-    reg_value: float
-    domain: str  # "scaled" or "log"
-    log_u: np.ndarray | None = None
-    log_v: np.ndarray | None = None
+    value: np.ndarray
+    log_v: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    reg_value: np.ndarray
+    domain: np.ndarray
 
-
-def _check_pair(r1: np.ndarray, r2: np.ndarray, M: CostMatrix) -> None:
-    if r1.shape[0] != r2.shape[0]:
-        raise DimensionError(
-            f"marginals disagree on K: {r1.shape[0]} vs {r2.shape[0]}"
-        )
-    if M.k != r1.shape[0]:
-        raise DimensionError(f"cost matrix is {M.k}x{M.k} but K={r1.shape[0]}")
+    def row(self, i: int) -> TransportResult:
+        """The ``i``-th problem of a batch result."""
+        return TransportResult(**{name: values[i] for name, values in vars(self).items()})
 
 
 def _one_hot_index(r: np.ndarray) -> int | None:
@@ -221,9 +188,10 @@ def exact_wasserstein(r1, r2, M: CostMatrix, cap: int = LP_CAP_DEFAULT) -> float
     general case solves the transportation LP and is capped at ``cap``
     classes (CapacityError beyond).
     """
-    r1 = as_prob_vector(r1, "r1")
-    r2 = as_prob_vector(r2, "r2")
-    _check_pair(r1, r2, M)
+    r1 = as_prob_rows(np.asarray(r1)[None], "r1")[0]
+    r2 = as_prob_rows(np.asarray(r2)[None], "r2")[0]
+    if not r1.shape == r2.shape == (M.k,):
+        raise DimensionError(f"marginals of K={r1.size} and {r2.size} vs a {M.k}x{M.k} cost matrix")
 
     i = _one_hot_index(r1)
     if i is not None:
@@ -249,185 +217,201 @@ def exact_wasserstein(r1, r2, M: CostMatrix, cap: int = LP_CAP_DEFAULT) -> float
     return float(res.fun)
 
 
-def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Elementwise num/den with the convention 0/0 = 0.
+def _plan_values(plan: np.ndarray, costs: np.ndarray, lam: float):
+    # Transport term and regularized objective of each (K, K) plan. Every
+    # sum runs over one problem's contiguous row, so it rounds exactly as a
+    # sum over that plan alone.
+    n = plan.shape[0]
+    value = (plan * costs).reshape(n, -1).sum(axis=1)
+    plogp = np.where(plan > 0.0, plan * np.log(plan), 0.0).reshape(n, -1).sum(axis=1)
+    return value, value + plogp / lam
 
-    Positive mass over a zero denominator means the kernel underflowed and
-    the scaled iteration cannot proceed.
+
+def _iterate(sweep, fixed: list, state: list, cfg: SinkhornConfig):
+    """Run ``sweep(*fixed, *state, tol) -> (state, done, bad)`` on every
+    problem until it converges (``done``), fails (``bad``) or reaches
+    ``cfg.max_iter``; return the final states, iteration counts and flags.
+
+    The working arrays hold only the problems still iterating and are
+    compacted when one finishes: a sweep does no per-problem bookkeeping.
+    A ``fixed`` array with a leading dimension of 1 is shared by all.
     """
-    out = np.zeros_like(num)
-    pos = num > 0.0
-    if (pos & (den == 0.0)).any():
-        raise NumericError("positive mass divided by zero scaling (kernel underflow)")
-    np.divide(num, den, out=out, where=pos)
-    return out
+    n = state[0].shape[0]
+    final = [np.empty_like(s) for s in state]
+    iterations = np.zeros(n, dtype=np.intp)
+    converged = np.zeros(n, dtype=bool)
+    failed = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    it = 0
+    while active.size:
+        it += 1
+        state, done, bad = sweep(*fixed, *state, cfg.tol)
+        finished = done | bad | (it == cfg.max_iter)
+        if finished.any():
+            rows = active[finished]
+            for out, s in zip(final, state):
+                out[rows] = s[finished]
+            iterations[rows] = it
+            converged[rows] = done[finished]
+            failed[rows] = bad[finished]
+            keep = ~finished
+            active = active[keep]
+            if active.size:
+                fixed = [a if a.shape[0] == 1 else a[keep] for a in fixed]
+                state = [s[keep] for s in state]
+    return final, iterations, converged, failed
 
 
-def _finish(
-    value: float,
-    plogp_sum: float,
-    u: np.ndarray,
-    v: np.ndarray,
-    iterations: int,
-    converged: bool,
-    lam: float,
-    domain: str,
-) -> TransportResult:
-    if not np.isfinite(value):
-        raise NumericError(f"transport value is non-finite in {domain} domain")
+def _scaled_sweep(kernel, r1, r2, pos1, pos2, fill, v, tol):
+    # Positive mass over an underflowed (zero) denominator shows as an
+    # infinite scaling, so one finiteness test catches under- and overflow.
+    # Stacked matvecs round each problem exactly as ``kernel @ v`` and,
+    # through a transposed view, ``kernel.T @ u`` do.
+    u = np.divide(r1, (kernel @ v[:, :, None])[:, :, 0], out=np.zeros(r1.shape), where=pos1)
+    kt = kernel.transpose(0, 2, 1)
+    v_new = np.divide(r2, (kt @ u[:, :, None])[:, :, 0], out=np.zeros(r2.shape), where=pos2)
+    bad = ~(np.isfinite(u).all(axis=1) & np.isfinite(v_new).all(axis=1))
+    # Max-norm change of the column scaling measured relatively (i.e. of
+    # log v): the scalings live at scale exp(+-lam * M), so an absolute test
+    # can never be met in floating point at large lam. ``fill`` is the ratio
+    # taken for a zero scaling: inf on the support, 1 off it.
+    ratio = np.divide(v_new, v, out=fill.copy(), where=v > 0.0)
+    done = (np.abs(ratio - 1.0).max(axis=1) < tol) & ~bad
+    return [v_new], done, bad
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    # Over the last axis, where a reduction rounds the same for any batch.
+    m = a.max(axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return np.log(np.exp(a - m).sum(axis=-1)) + m[..., 0]
+
+
+def _log_sweep(log_k, log_kt, log_r1, log_r2, support, log_u, log_v, tol):
+    # Each column log-scaling is shifted to zero mean on its support
+    # (compensated on the row side), pinning the otherwise free gauge so the
+    # scalings hover around unit scale. Convergence is the max-norm change
+    # of the column log-scaling over the support, the scale-natural
+    # counterpart of the scaled-domain test on ``v`` itself.
+    log_u = log_r1 - _logsumexp(log_k + log_v[:, None, :])
+    new = log_r2 - _logsumexp(log_kt + log_u[:, None, :])
+    shift = (np.where(support, new, 0.0).sum(axis=1) / support.sum(axis=1))[:, None]
+    new -= shift
+    log_u += shift
+    bad = ~(np.isfinite(new) | ~support).all(axis=1)
+    done = (np.where(support, np.abs(new - log_v), 0.0).max(axis=1) < tol) & ~bad
+    return [log_u, new], done, bad
+
+
+def _log_domain(R1, R2, costs, cfg: SinkhornConfig, rows: np.ndarray) -> TransportResult:
+    """The log-domain iteration for the problems ``rows`` of a batch, which
+    the scaled one could not solve."""
+    log_k = -cfg.lam * costs
+    # A contiguous transpose keeps the column update's reduction on the
+    # last axis as well.
+    log_kt = np.ascontiguousarray(log_k.transpose(0, 2, 1))
+    support = R2 > 0.0
+    fixed = [log_k, log_kt, np.log(R1), np.log(R2), support]
+    start = [np.full_like(R1, -np.inf), np.where(support, 0.0, -np.inf)]
+    (log_u, log_v), iterations, converged, failed = _iterate(_log_sweep, fixed, start, cfg)
+    # Couplings are probabilities, so this exp cannot overflow.
+    value, reg_value = _plan_values(
+        np.exp(log_u[:, :, None] + log_k + log_v[:, None, :]), costs, cfg.lam
+    )
+    failed |= ~np.isfinite(value)
+    if failed.any():
+        raise NumericError(f"sinkhorn diverged in log domain on problem {rows[failed.argmax()]}")
     return TransportResult(
         value=value,
-        u=u,
-        v=v,
+        log_v=log_v,
         iterations=iterations,
         converged=converged,
-        reg_value=value + plogp_sum / lam,
-        domain=domain,
+        reg_value=reg_value,
+        domain=np.full(R1.shape[0], "log"),
     )
 
 
-def _plan_stats(P: np.ndarray, costs: np.ndarray) -> tuple[float, float]:
-    value = float(np.sum(P * costs))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(P > 0.0, P * np.log(P), 0.0)
-    return value, float(np.sum(plogp))
+def sinkhorn_batch(r1, r2, C, cfg: SinkhornConfig) -> TransportResult:
+    """Entropically regularized transport distances of B problems at once.
 
-
-def sinkhorn_scaled(r1, r2, M: CostMatrix, cfg: SinkhornConfig) -> TransportResult:
-    """Sinkhorn iteration on raw scaling vectors.
-
-    Raises NumericError if scalings overflow or the kernel underflows;
-    callers that allow it should fall back to :func:`sinkhorn_log`.
+    Problem ``b`` transports ``r1[b]`` to ``r2[b]`` (both ``(B, K)``) under
+    the cost ``C``: one ``(K, K)`` matrix shared by all problems, or one per
+    problem ``(B, K, K)``. Every problem runs the scaled iteration and keeps
+    its own iteration count and convergence flag; problems are never
+    coupled, so each row of the result equals a B=1 call bitwise. Problems
+    whose scalings over/underflow are re-solved together in the log domain
+    (``domain`` reads ``"log"``), or raise NumericError naming the first of
+    them when ``cfg.log_domain`` is false. Non-convergence within
+    ``max_iter`` is reported by ``converged``, not raised.
     """
-    r1 = as_prob_vector(r1, "r1")
-    r2 = as_prob_vector(r2, "r2")
-    _check_pair(r1, r2, M)
+    R1 = as_prob_rows(r1, "r1")
+    R2 = as_prob_rows(r2, "r2")
+    if R1.shape != R2.shape:
+        raise DimensionError(f"marginals disagree: {R1.shape} vs {R2.shape}")
+    n, k = R1.shape
+    C = np.asarray(C, dtype=np.float64)
+    if C.shape not in ((k, k), (n, k, k)):
+        raise DimensionError(f"cost of shape {C.shape} does not fit {n} problems with K={k}")
+    if not (np.isfinite(C).all() and (C >= 0.0).all()):
+        raise InputError("cost matrix entries must be finite and nonnegative")
+    C = C.reshape(-1, k, k)  # (1, K, K) when shared by the batch
 
-    with np.errstate(over="ignore", under="ignore"):
-        kernel = np.exp(-cfg.lam * M.entries)
-    support = r2 > 0.0
-    v = np.where(support, 1.0, 0.0)
-    u = np.zeros_like(r1)
-    converged = False
-    iterations = 0
-    # One errstate around the whole loop: entering it on every sweep was a
-    # large share of a sweep's cost at small K.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for iterations in range(1, cfg.max_iter + 1):
-            u = _safe_div(r1, kernel @ v)
-            v_new = _safe_div(r2, kernel.T @ u)
-            if not (np.isfinite(u).all() and np.isfinite(v_new).all()):
-                raise NumericError("sinkhorn scaling overflow in scaled domain")
-            delta = _scaling_delta(v_new, v, support)
-            v = v_new
-            if delta < cfg.tol:
-                converged = True
-                break
-    u = _safe_div(r1, kernel @ v)
-    P = (u[:, None] * kernel) * v[None, :]
-    value, plogp_sum = _plan_stats(P, M.entries)
-    return _finish(value, plogp_sum, u, v, iterations, converged, cfg.lam, "scaled")
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-    return out
-
-
-# Saturation bound so exp(log-scaling) stays finite for reporting.
-_EXP_CAP = 709.0
-
-
-def sinkhorn_log(r1, r2, M: CostMatrix, cfg: SinkhornConfig) -> TransportResult:
-    """Log-domain Sinkhorn with per-sweep gauge normalization.
-
-    The column log-scaling is shifted to zero mean on its support each
-    sweep (compensated on the row side), pinning the otherwise free gauge
-    so the scalings hover around unit scale. Convergence is the max-norm
-    change of the column log-scaling over the support, the scale-natural
-    counterpart of the scaled-domain test on ``v`` itself.
-    """
-    r1 = as_prob_vector(r1, "r1")
-    r2 = as_prob_vector(r2, "r2")
-    _check_pair(r1, r2, M)
-
-    log_kernel = -cfg.lam * M.entries
-    with np.errstate(divide="ignore"):
-        log_r1 = np.log(r1)
-        log_r2 = np.log(r2)
-    support = r2 > 0.0
-    if not np.any(support):
-        raise NumericError("column marginal has empty support")
-    log_v = np.where(support, 0.0, -np.inf)
-    log_u = np.full_like(r1, -np.inf)
-    prev = log_v[support]
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        log_u = log_r1 - _logsumexp(log_kernel + log_v[None, :], axis=1)
-        log_v = log_r2 - _logsumexp(log_kernel + log_u[:, None], axis=0)
-        shift = float(np.mean(log_v[support]))
-        log_v = log_v - shift
-        log_u = log_u + shift
-        if not np.all(np.isfinite(log_v[support])):
-            raise NumericError("log-scaling diverged in log domain")
-        delta = float(np.max(np.abs(log_v[support] - prev)))
-        prev = log_v[support]
-        if delta < cfg.tol:
-            converged = True
-            break
-    with np.errstate(over="ignore", under="ignore"):
-        # Couplings are probabilities, so this exp cannot overflow.
-        P = np.exp(log_u[:, None] + log_kernel + log_v[None, :])
-        u = np.exp(np.minimum(log_u, _EXP_CAP))
-        v = np.exp(np.minimum(log_v, _EXP_CAP))
-    value, plogp_sum = _plan_stats(P, M.entries)
-    result = _finish(value, plogp_sum, u, v, iterations, converged, cfg.lam, "log")
-    result.log_u = log_u
-    result.log_v = log_v
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        kernel = np.exp(-cfg.lam * C)
+        pos1, pos2 = R1 > 0.0, R2 > 0.0
+        fixed = [kernel, R1, R2, pos1, pos2, np.where(pos2, np.inf, 1.0)]
+        start = [np.where(pos2, 1.0, 0.0)]
+        (V,), iterations, converged, failed = _iterate(_scaled_sweep, fixed, start, cfg)
+        U = np.divide(R1, (kernel @ V[:, :, None])[:, :, 0], out=np.zeros(R1.shape), where=pos1)
+        value, reg_value = _plan_values((U[:, :, None] * kernel) * V[:, None, :], C, cfg.lam)
+        result = TransportResult(
+            value=value,
+            log_v=np.log(V),
+            iterations=iterations,
+            converged=converged,
+            reg_value=reg_value,
+            domain=np.full(n, "scaled"),
+        )
+        # A non-finite final scaling makes the value non-finite too.
+        failed |= ~np.isfinite(value)
+        if failed.any():
+            rows = np.flatnonzero(failed)
+            if not cfg.log_domain:
+                raise NumericError(
+                    f"sinkhorn scaling over/underflow in scaled domain on problem {rows[0]}"
+                )
+            redo = _log_domain(R1[rows], R2[rows], C if len(C) == 1 else C[rows], cfg, rows)
+            for name, values in vars(redo).items():
+                getattr(result, name)[rows] = values
     return result
 
 
 def sinkhorn_distance(r1, r2, M: CostMatrix, cfg: SinkhornConfig | None = None) -> TransportResult:
     """Entropically regularized transport distance between ``r1`` and ``r2``.
 
-    Runs the scaled iteration first and retries in the log domain when the
-    scaled iteration over/underflows (if ``cfg.log_domain`` permits).
-    Non-convergence within ``max_iter`` is reported via the ``converged``
-    flag, not an exception.
+    The one-problem case of :func:`sinkhorn_batch`, returned as scalars and
+    ``(K,)`` vectors.
     """
     if cfg is None:
         cfg = SinkhornConfig()
-    try:
-        return sinkhorn_scaled(r1, r2, M, cfg)
-    except NumericError:
-        if not cfg.log_domain:
-            raise
-        return sinkhorn_log(r1, r2, M, cfg)
+    return sinkhorn_batch(np.asarray(r1)[None], np.asarray(r2)[None], M.entries, cfg).row(0)
 
 
 def sinkhorn_gradient(result: TransportResult, cfg: SinkhornConfig) -> np.ndarray:
     """Gradient of the regularized distance w.r.t. the second marginal.
 
-    Recovered from the converged column scaling as ``(log v* + 1/2) / lam``.
-    The gradient is defined only up to an additive constant (dual gauge);
-    compare gradients after :func:`center_gradient`.
+    Read per problem from the converged column scaling as
+    ``(log v* + 1/2) / lam``, with ``v*`` floored at ``LOG_FLOOR``; the
+    shape follows ``result.log_v``. The gradient is defined only up to an
+    additive constant (dual gauge); compare gradients after
+    :func:`center_gradient`.
     """
-    if not result.converged:
+    if not np.all(result.converged):
         raise NumericError(
-            f"sinkhorn did not converge within {result.iterations} iterations;"
+            f"sinkhorn did not converge within {np.max(result.iterations)} iterations;"
             " gradient unavailable"
         )
-    if result.log_v is not None:
-        log_v = np.maximum(result.log_v, np.log(LOG_FLOOR))
-        return (log_v + 0.5) / cfg.lam
-    v = np.asarray(result.v, dtype=np.float64)
-    if np.any(v <= 0.0):
-        raise NumericError("nonpositive column scaling in scaled domain")
-    return (np.log(np.maximum(v, LOG_FLOOR)) + 0.5) / cfg.lam
+    return (np.maximum(result.log_v, np.log(LOG_FLOOR)) + 0.5) / cfg.lam
 
 
 def center_gradient(grad: np.ndarray) -> np.ndarray:

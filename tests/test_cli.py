@@ -287,3 +287,19 @@ class TestCheckpointValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "non-finite" in err[0]
+
+    def test_unknown_activation_is_a_data_error(self, tmp_path, capsys):
+        ind_csv = gen_blobs(tmp_path / "data", n=10)
+        model = init((2, 3, 3), seed=0)
+        ckpt = checkpoint_from_model(model, {"kind": "identity"}, TrainConfig(epochs=1), "d")
+        ckpt.activation = "tanh"
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(ckpt, path)
+        code = run_cli(
+            "score", "--checkpoint", str(path), "--features", str(ind_csv),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "unsupported activation 'tanh'" in err[0]

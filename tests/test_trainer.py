@@ -24,7 +24,7 @@ from wood.trainer import (
     save_checkpoint,
     train_step,
 )
-from wood.transport import CostKind
+from wood.transport import CostKind, SinkhornConfig
 
 PROB_FLOOR = 1e-12
 
@@ -110,6 +110,16 @@ class TestTrainStep:
         grad_probs = np.array([[np.nan, 0.0]])
         with pytest.raises(NumericError, match="batch=7"):
             _check_finite(grads, grad_probs, cfg, batch_id=7)
+
+
+    def test_sinkhorn_failure_names_batch_and_row(self):
+        ind, ood = blobs(n_per_class=10), ring(n=10)
+        score = ScoreConfig(
+            CostKind.BINARY, EvalPath.SINKHORN, SinkhornConfig(lam=50.0, max_iter=1)
+        )
+        cfg = TrainConfig(epochs=1, b_ind=5, b_ood=3, score=score)
+        with pytest.raises(NumericError, match=r"row 5 \(class 0\).*batch=\(0, 0\)"):
+            fit(ind, ood, cfg, hidden=(4,))
 
 
 class TestFitEqualsPlainCrossEntropyTrainer:

@@ -12,15 +12,15 @@ from wood.transport import (
     CostKind,
     CostMatrix,
     SinkhornConfig,
-    as_prob_vector,
+    _log_domain,
+    as_prob_rows,
     center_gradient,
     exact_wasserstein,
     metric_axioms_check,
     one_hot,
+    sinkhorn_batch,
     sinkhorn_distance,
     sinkhorn_gradient,
-    sinkhorn_log,
-    sinkhorn_scaled,
 )
 
 from conftest import random_simplex
@@ -31,30 +31,32 @@ def random_cost(rng, k):
 
 
 class TestProbVector:
+    """Simplex validation of probability vectors, one per row."""
+
     def test_accepts_valid(self):
-        arr = as_prob_vector([0.25, 0.25, 0.5])
+        arr = as_prob_rows([[0.25, 0.25, 0.5]])
         assert arr.dtype == np.float64
 
     def test_rejects_negative(self):
         with pytest.raises(InputError):
-            as_prob_vector([1.1, -0.1])
+            as_prob_rows([[1.1, -0.1]])
 
     def test_rejects_bad_sum(self):
         with pytest.raises(InputError):
-            as_prob_vector([0.5, 0.6])
+            as_prob_rows([[0.5, 0.6]])
 
     def test_rejects_scalar_and_short(self):
         with pytest.raises(DimensionError):
-            as_prob_vector([1.0])
+            as_prob_rows([[1.0]])
         with pytest.raises(DimensionError):
-            as_prob_vector([[0.5, 0.5]])
+            as_prob_rows([0.5, 0.5])
 
     def test_rejects_nan(self):
         with pytest.raises(InputError):
-            as_prob_vector([np.nan, 1.0])
+            as_prob_rows([[np.nan, 1.0]])
 
     def test_allows_one_hot_zeros(self):
-        as_prob_vector([0.0, 1.0, 0.0])
+        as_prob_rows([[0.0, 1.0, 0.0]])
 
 
 class TestCostMatrix:
@@ -172,14 +174,14 @@ class TestSinkhornDistance:
     def test_overflow_falls_back_to_log_domain(self, rng):
         # exp(-3000 * M) underflows to zero rows in the scaled kernel.
         k = 3
-        m = CostMatrix(rng.uniform(0.5, 1.0, (k, k)), CostKind.DYNAMIC)
-        r1 = random_simplex(rng, k)
-        r2 = random_simplex(rng, k)
+        costs = rng.uniform(0.5, 1.0, (4, k, k))
+        r1 = np.array([random_simplex(rng, k) for _ in range(4)])
+        r2 = np.array([random_simplex(rng, k) for _ in range(4)])
         cfg = SinkhornConfig(lam=3000.0, max_iter=5000)
-        res = sinkhorn_distance(r1, r2, m, cfg)
-        assert res.domain == "log"
+        res = sinkhorn_batch(r1, r2, costs, cfg)
+        assert list(res.domain) == ["log"] * 4
         with pytest.raises(NumericError):
-            sinkhorn_distance(r1, r2, m, SinkhornConfig(lam=3000.0, log_domain=False))
+            sinkhorn_batch(r1, r2, costs, SinkhornConfig(lam=3000.0, log_domain=False))
 
     def test_scaled_and_log_agree(self, rng):
         for _ in range(25):
@@ -188,10 +190,11 @@ class TestSinkhornDistance:
             r1 = random_simplex(rng, k)
             r2 = random_simplex(rng, k)
             cfg = SinkhornConfig(lam=float(rng.choice([1.0, 10.0, 50.0])), max_iter=20000)
-            a = sinkhorn_scaled(r1, r2, m, cfg)
-            b = sinkhorn_log(r1, r2, m, cfg)
-            if a.converged and b.converged:
-                assert abs(a.value - b.value) <= 1e-8
+            a = sinkhorn_batch(r1[None], r2[None], m.entries, cfg)
+            b = _log_domain(r1[None], r2[None], m.entries[None], cfg, np.arange(1))
+            assert a.domain[0] == "scaled"
+            if a.converged[0] and b.converged[0]:
+                assert abs(a.value[0] - b.value[0]) <= 1e-8
 
     def test_value_nonnegative(self, rng):
         for _ in range(20):
@@ -203,6 +206,100 @@ class TestSinkhornDistance:
                 SinkhornConfig(lam=5.0),
             )
             assert res.value >= 0.0
+
+
+@st.composite
+def transport_batches(draw, max_n=6):
+    """A batch ``(r1, r2, C)`` of one-hot-to-softmax problems, as the score
+    solves them: binary costs shared by the batch, or dynamic costs, one
+    matrix per problem, built from that problem's softmax row."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from([CostKind.BINARY, CostKind.DYNAMIC]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    r2 = rng.dirichlet(np.full(k, alpha), size=n)
+    labels = rng.integers(0, k, size=n)
+    r1 = np.eye(k)[labels]
+    if kind is CostKind.BINARY:
+        costs = np.ones((k, k)) - np.eye(k)
+    else:
+        costs = np.repeat(r2[:, None, :], k, axis=1)
+        costs[np.arange(n), labels, :] = 1.0 - r2
+    return r1, r2, costs
+
+
+def problem(r1, r2, costs, i):
+    """Problem ``i`` of a batch as a batch of one."""
+    return r1[i : i + 1], r2[i : i + 1], costs if costs.ndim == 2 else costs[i : i + 1]
+
+
+class TestSinkhornBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(batch=transport_batches(), lam=st.sampled_from([1.0, 10.0, 50.0, 3000.0]))
+    def test_rows_equal_single_problem_calls(self, batch, lam):
+        cfg = SinkhornConfig(lam=lam, max_iter=5000)
+        res = sinkhorn_batch(*batch, cfg)
+        for i in range(batch[0].shape[0]):
+            alone = sinkhorn_batch(*problem(*batch, i), cfg)
+            for name, values in vars(res).items():
+                np.testing.assert_array_equal(values[i], getattr(alone, name)[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(batch=transport_batches(), seed=st.integers(0, 2**32 - 1))
+    def test_mixed_batch_falls_back_per_problem(self, batch, seed):
+        # At lam=3000 a one-hot-to-softmax problem underflows in the scaled
+        # domain unless the softmax row is that one-hot; problems whose
+        # costs are shrunk 100-fold do not underflow either.
+        r1, r2, costs = batch
+        n = r1.shape[0]
+        easy = np.random.default_rng(seed).random(n) < 0.5
+        r2 = np.where(easy[:, None] & (costs.ndim == 2), r1, r2)
+        if costs.ndim == 3:
+            costs = np.where(easy[:, None, None], 0.01 * costs, costs)
+        cfg = SinkhornConfig(lam=3000.0, max_iter=5000)
+        res = sinkhorn_batch(r1, r2, costs, cfg)
+        interior = (r2 > 0.0).sum(axis=1) > 1
+        hard = ~easy & interior
+        assert list(res.domain[hard]) == ["log"] * int(hard.sum())
+        assert list(res.domain[easy]) == ["scaled"] * int(easy.sum())
+        for i in np.flatnonzero(hard):
+            alone = sinkhorn_batch(*problem(r1, r2, costs, i), cfg)
+            assert alone.domain[0] == "log"
+            assert abs(res.value[i] - alone.value[0]) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(batch=transport_batches(), seed=st.integers(0, 2**32 - 1))
+    def test_non_convergence_flagged_per_problem(self, batch, seed):
+        # A softmax row equal to the one-hot converges in the first sweep;
+        # an interior row cannot.
+        r1, r2, costs = batch
+        easy = np.random.default_rng(seed).random(r1.shape[0]) < 0.5
+        r2 = np.where(easy[:, None], r1, r2)
+        res = sinkhorn_batch(r1, r2, costs, SinkhornConfig(lam=50.0, max_iter=1))
+        interior = (r2 > 0.0).sum(axis=1) > 1
+        np.testing.assert_array_equal(res.converged[easy], True)
+        np.testing.assert_array_equal(res.converged[interior], False)
+        np.testing.assert_array_equal(res.iterations, 1)
+
+    def test_b1_is_sinkhorn_distance(self, rng):
+        m = random_cost(rng, 4)
+        r1, r2 = random_simplex(rng, 4), random_simplex(rng, 4)
+        cfg = SinkhornConfig(lam=10.0)
+        one = sinkhorn_distance(r1, r2, m, cfg)
+        res = sinkhorn_batch(r1[None], r2[None], m.entries, cfg)
+        assert one.value == res.value[0] and one.iterations == res.iterations[0]
+        np.testing.assert_array_equal(sinkhorn_gradient(one, cfg), sinkhorn_gradient(res, cfg)[0])
+
+    def test_rejects_mismatched_shapes(self):
+        r = np.full((2, 3), 1.0 / 3)
+        cfg = SinkhornConfig()
+        with pytest.raises(DimensionError):
+            sinkhorn_batch(r, r[:1], np.zeros((3, 3)), cfg)
+        with pytest.raises(DimensionError):
+            sinkhorn_batch(r, r, np.zeros((3, 3, 3)), cfg)
+        with pytest.raises(InputError):
+            sinkhorn_batch(r, r, -np.ones((3, 3)), cfg)
 
 
 class TestSinkhornGradient:
