@@ -46,13 +46,10 @@ from .trainer import (
 )
 from .transport import (
     CostKind,
-    CostMatrix,
     SinkhornConfig,
     TransportResult,
     as_prob_rows,
     center_gradient,
-    exact_wasserstein,
-    metric_axioms_check,
     one_hot,
     sinkhorn_batch,
     sinkhorn_distance,

@@ -10,6 +10,7 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import shutil
 import sys
 import time
@@ -70,21 +71,36 @@ def _tnr_value(text: str) -> float:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
     return value
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+        value = None
+    if value is None or value < minimum:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _int_list(text: str, minimum: int) -> tuple[int, ...]:
@@ -135,7 +151,7 @@ _CONFIG_KEYS = {
     "epochs": int,
     "lr": float,
     "momentum": float,
-    "seed": int,
+    "seed": _seed,
     "hidden": _hidden_widths,
     "tnr": float,
 }
@@ -407,6 +423,22 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
+def _median_call_ms(calls, repeats: int) -> list[float]:
+    """Median wall time in ms of each of ``calls`` over ``repeats`` rounds.
+
+    Every call is timed on its own, so one scheduler stall cannot decide a
+    median, and the calls take turns within a round, so a change of machine
+    speed between rounds slows all of them alike.
+    """
+    times = np.empty((repeats, len(calls)))
+    for i in range(repeats):
+        for j, call in enumerate(calls):
+            started = time.perf_counter()
+            call()
+            times[i, j] = time.perf_counter() - started
+    return [float(t) * 1000.0 for t in np.median(times, axis=0)]
+
+
 def _cmd_bench_score(args) -> int:
     if args.eval_path == "closed":
         raise _UsageError(
@@ -423,14 +455,9 @@ def _cmd_bench_score(args) -> int:
         dynamic_cfg = _score_config("dynamic", "sinkhorn", args.lam)
         scores(f, binary_cfg)  # warmup
         scores(f, dynamic_cfg)
-        started = time.perf_counter()
-        for _ in range(args.repeats):
-            scores(f, binary_cfg)
-        binary_ms = (time.perf_counter() - started) * 1000.0 / args.repeats
-        started = time.perf_counter()
-        for _ in range(args.repeats):
-            scores(f, dynamic_cfg)
-        dynamic_ms = (time.perf_counter() - started) * 1000.0 / args.repeats
+        binary_ms, dynamic_ms = _median_call_ms(
+            [lambda: scores(f, binary_cfg), lambda: scores(f, dynamic_cfg)], args.repeats
+        )
         ratio = binary_ms / dynamic_ms if dynamic_ms > 0 else float("inf")
         lines.append(f"{k},{binary_ms!r},{dynamic_ms!r},{ratio!r}")
         summary.append((k, binary_ms, dynamic_ms, ratio))
@@ -451,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dim", type=int, default=2)
     gen.add_argument("--sep", type=_positive_float, default=4.0)
     gen.add_argument("--noise", type=_positive_float, default=0.5)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen_data)
 
@@ -469,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--epochs", type=int, default=None)
     train.add_argument("--lr", type=_positive_float, default=None)
     train.add_argument("--momentum", type=float, default=None)
-    train.add_argument("--seed", type=int, default=None)
+    train.add_argument("--seed", type=_seed, default=None)
     train.add_argument(
         "--hidden", type=_hidden_widths, default=None, help="comma-separated hidden widths"
     )
@@ -483,14 +510,14 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--matrix", choices=["binary", "dynamic"], default=None)
     ev.add_argument("--eval-path", dest="eval_path", choices=["closed", "sinkhorn"], default=None)
     ev.add_argument("--lambda", dest="lam", type=_positive_float, default=None)
-    ev.add_argument("--calib-frac", dest="calib_frac", type=float, default=0.2)
+    ev.add_argument("--calib-frac", dest="calib_frac", type=_finite_float, default=0.2)
     ev.add_argument(
         "--calib-on-eval",
         dest="calib_on_eval",
         action="store_true",
         help="calibrate on the full evaluated InD set (no held-out slice)",
     )
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--seed", type=_seed, default=0)
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=_cmd_evaluate)
 
@@ -512,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=_positive_int, default=5)
     bench.add_argument("--eval-path", dest="eval_path", choices=["closed", "sinkhorn"], default="sinkhorn")
     bench.add_argument("--lambda", dest="lam", type=_positive_float, default=50.0)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_seed, default=0)
     bench.add_argument("--out", required=True)
     bench.set_defaults(func=_cmd_bench_score)
 

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DimensionError, NumericError
 from .transport import (
     CostKind,
-    CostMatrix,
     SinkhornConfig,
     TransportResult,
     as_prob_rows,
@@ -45,16 +44,15 @@ class ScoreConfig:
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
 
 
-def binary_matrix(n_classes: int) -> CostMatrix:
-    """Unit cost for any class change, zero for staying put."""
+def binary_matrix(n_classes: int) -> np.ndarray:
+    """``(K, K)`` costs: unit cost for any class change, zero for staying put."""
     if n_classes < 2:
         raise DimensionError(f"binary matrix needs K >= 2, got {n_classes}")
-    entries = np.ones((n_classes, n_classes)) - np.eye(n_classes)
-    return CostMatrix(entries=entries, kind=CostKind.BINARY)
+    return np.ones((n_classes, n_classes)) - np.eye(n_classes)
 
 
-def dynamic_matrix(f, k: int) -> CostMatrix:
-    """Cost matrix of elementwise distances between ``f`` and the one-hot ``k``.
+def dynamic_matrix(f, k: int) -> np.ndarray:
+    """``(K, K)`` costs of elementwise distances between ``f`` and the one-hot ``k``.
 
     Row ``k`` (the one-hot side under the library's row-marginal convention)
     holds ``1 - f``; every other row holds ``f``. Row ``k`` plus any other
@@ -64,9 +62,9 @@ def dynamic_matrix(f, k: int) -> CostMatrix:
     n = f.shape[0]
     if not 0 <= k < n:
         raise IndexError(f"class index {k} out of range for K={n}")
-    entries = np.tile(f, (n, 1))
-    entries[k, :] = 1.0 - f
-    return CostMatrix(entries=entries, kind=CostKind.DYNAMIC)
+    costs = np.tile(f, (n, 1))
+    costs[k, :] = 1.0 - f
+    return costs
 
 
 def scores(probs, cfg: ScoreConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +102,7 @@ def _score_rows(
         return 1.0 - (P[:, None, :] @ P[:, :, None])[:, 0, 0], np.zeros(n, dtype=np.intp), None
 
     if cfg.matrix_kind is CostKind.BINARY:
-        costs = np.ones((k, k)) - np.eye(k)
+        costs = binary_matrix(k)
         candidates = range(k)
     else:
         # dynamic_matrix(f, 0) for every row: f on each line, 1 - f on line 0.

@@ -2,17 +2,18 @@
 
 These deliberately share no computation with the production paths: the
 transport solver is a classic transportation-simplex (northwest corner plus
-dual-improvement pivots), the AUROC is an explicit double loop, and the
-gradient oracle is central finite differences along simplex-tangent
-directions. Obviousness is favored over speed; hard caps keep runtimes in
-seconds. Not for production use.
+dual-improvement pivots), a one-hot marginal gets its forced coupling in
+closed form, the AUROC is an explicit double loop, and the gradient oracle
+is central finite differences along simplex-tangent directions.
+Obviousness is favored over speed; hard caps keep runtimes in seconds. Not
+for production use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, InputError, NumericError
+from .errors import CapacityError, DimensionError, InputError, NumericError
 
 LP_CAP = 16
 
@@ -124,10 +125,10 @@ def lp_transport(r1, r2, M, cap: int = LP_CAP):
     """
     r1 = _check_marginal(r1, "r1")
     r2 = _check_marginal(r2, "r2")
-    costs = np.asarray(M.entries if hasattr(M, "entries") else M, dtype=np.float64)
+    costs = np.asarray(M, dtype=np.float64)
     k = r1.size
     if r2.size != k or costs.shape != (k, k):
-        raise InputError("marginals and cost matrix disagree on K")
+        raise DimensionError("marginals and cost matrix disagree on K")
     if k > cap:
         raise CapacityError(f"oracle limited to K <= {cap}, got K={k}")
 
@@ -167,6 +168,27 @@ def lp_transport(r1, r2, M, cap: int = LP_CAP):
         coupling[i, j] = max(q, 0.0)
     value = float(np.sum(coupling * costs))
     return value, coupling
+
+
+def forced_transport(label: int, f, M) -> float:
+    """Exact distance from the one-hot of ``label`` (row side) to ``f``.
+
+    A one-hot marginal admits a single coupling, row ``label`` equal to
+    ``f``, so the distance is ``f @ M[label]``. Costs with the binary
+    structure (zero diagonal, unit off-diagonal) give ``1 - f[label]``
+    instead, which is exact on the simplex and avoids the roundoff of
+    summing K-1 terms.
+    """
+    f = _check_marginal(f, "f")
+    costs = np.asarray(M, dtype=np.float64)
+    k = f.size
+    if costs.shape != (k, k):
+        raise DimensionError("marginal and cost matrix disagree on K")
+    if not 0 <= label < k:
+        raise IndexError(f"class index {label} out of range for K={k}")
+    if np.array_equal(costs, np.ones((k, k)) - np.eye(k)):
+        return 1.0 - float(f[label])
+    return float(f @ costs[label])
 
 
 def fd_gradient(fn, point, step: float = 1e-5) -> np.ndarray:

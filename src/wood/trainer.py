@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -49,12 +50,12 @@ class TrainConfig:
         if self.b_ood < 0:
             raise ConfigError(f"b_ood must be >= 0, got {self.b_ood}")
         # lr == 0 is allowed as a diagnostic no-op update.
-        if self.lr < 0:
-            raise ConfigError(f"lr must be nonnegative, got {self.lr}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and nonnegative, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be nonnegative, got {self.beta}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ConfigError(f"beta must be finite and nonnegative, got {self.beta}")
 
 
 @dataclass
@@ -114,6 +115,7 @@ def _check_finite(grads: ParamGrads, grad_probs: np.ndarray, cfg: TrainConfig, b
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_step(
     model: MlpModel,
     batch: Batch,
@@ -123,13 +125,22 @@ def train_step(
 ) -> LossValue:
     """One forward/backward/update cycle; returns the pre-update loss.
 
-    The model is updated in place.
+    The model is updated in place. A diverged model (non-finite softmax
+    outputs or gradients) raises NumericError naming the batch and sample;
+    the step checks finiteness itself, so NumPy's overflow warnings are
+    silenced rather than printed.
     """
     if batch.x_ood.shape[0]:
         x = np.vstack([batch.x_ind, batch.x_ood])
     else:
         x = batch.x_ind
     trace = forward(model, x)
+    bad = ~np.isfinite(trace.probs).all(axis=1)
+    if bad.any():
+        raise NumericError(
+            "model diverged: non-finite softmax output"
+            f" (lr={cfg.lr}, batch={batch_id}, sample={int(bad.argmax())})"
+        )
     try:
         loss_value, grad_probs = loss_and_grad(trace.probs, batch.y_ind, cfg.beta, cfg.score)
     except NumericError as exc:

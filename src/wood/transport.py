@@ -1,9 +1,10 @@
 """Discrete optimal transport between probability vectors.
 
-Provides the exact transportation-LP distance, one batched solver for the
-entropically regularized Sinkhorn-Knopp iteration (scaled, with a per-problem
-log-domain fallback), and extraction of the distance gradient with respect to
-the second marginal from the converged column scaling.
+Provides one batched solver for the entropically regularized Sinkhorn-Knopp
+iteration (scaled, with a per-problem log-domain fallback) and extraction of
+the distance gradient with respect to the second marginal from the converged
+column scaling. The exact transportation LP lives in :mod:`wood.oracles`,
+for tests only.
 
 Orientation convention used throughout the library: for
 ``W(r1, r2) = min <P, M>`` the coupling ``P`` has row sums ``r1`` and column
@@ -18,18 +19,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .errors import CapacityError, DimensionError, InputError, NumericError
+from .errors import DimensionError, InputError, NumericError
 
 # Absolute tolerance on sum(p) == 1 for probability vectors.
 PROB_SUM_TOL = 1e-9
 
 # Floor applied to scaling entries before taking logs in the gradient.
 LOG_FLOOR = 1e-300
-
-# Largest K for which the exact LP path is allowed.
-LP_CAP_DEFAULT = 16
 
 
 class CostKind(Enum):
@@ -75,42 +72,6 @@ def one_hot(k: int, n_classes: int) -> np.ndarray:
     e = np.zeros(n_classes, dtype=np.float64)
     e[k] = 1.0
     return e
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """K x K nonnegative matrix of unit transport costs.
-
-    ``kind`` records the structural family; BINARY matrices are checked
-    exactly (zero diagonal, unit off-diagonal). DYNAMIC matrices carry no
-    metric guarantees.
-    """
-
-    entries: np.ndarray
-    kind: CostKind
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
-        object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionError(f"cost matrix must be square, got {entries.shape}")
-        if entries.shape[0] < 2:
-            raise DimensionError("cost matrix needs K >= 2")
-        if not np.all(np.isfinite(entries)):
-            raise InputError("cost matrix contains non-finite entries")
-        if np.any(entries < 0.0):
-            raise InputError("cost matrix contains negative costs")
-        if self.kind is CostKind.BINARY:
-            k = entries.shape[0]
-            expected = np.ones((k, k)) - np.eye(k)
-            if not np.array_equal(entries, expected):
-                raise InputError(
-                    "binary cost matrix must have zero diagonal and unit off-diagonal"
-                )
-
-    @property
-    def k(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -164,57 +125,6 @@ class TransportResult:
     def row(self, i: int) -> TransportResult:
         """The ``i``-th problem of a batch result."""
         return TransportResult(**{name: values[i] for name, values in vars(self).items()})
-
-
-def _one_hot_index(r: np.ndarray) -> int | None:
-    nz = np.flatnonzero(r)
-    return int(nz[0]) if nz.size == 1 else None
-
-
-def _singleton_value(r: np.ndarray, costs: np.ndarray, kind: CostKind, k: int) -> float:
-    # With a one-hot marginal the coupling is forced, so the distance is a
-    # plain inner product against one line of the cost matrix. For binary
-    # costs we use 1 - r[k], which is exact on the simplex and avoids the
-    # roundoff of summing K-1 terms.
-    if kind is CostKind.BINARY:
-        return 1.0 - float(r[k])
-    return float(r @ costs)
-
-
-def exact_wasserstein(r1, r2, M: CostMatrix, cap: int = LP_CAP_DEFAULT) -> float:
-    """Exact transport distance ``min <P, M>`` over couplings of (r1, r2).
-
-    One-hot marginals short-circuit to the unique feasible coupling; the
-    general case solves the transportation LP and is capped at ``cap``
-    classes (CapacityError beyond).
-    """
-    r1 = as_prob_rows(np.asarray(r1)[None], "r1")[0]
-    r2 = as_prob_rows(np.asarray(r2)[None], "r2")[0]
-    if not r1.shape == r2.shape == (M.k,):
-        raise DimensionError(f"marginals of K={r1.size} and {r2.size} vs a {M.k}x{M.k} cost matrix")
-
-    i = _one_hot_index(r1)
-    if i is not None:
-        return _singleton_value(r2, M.entries[i, :], M.kind, i)
-    j = _one_hot_index(r2)
-    if j is not None:
-        return _singleton_value(r1, M.entries[:, j], M.kind, j)
-
-    k = r1.shape[0]
-    if k > cap:
-        raise CapacityError(f"exact LP limited to K <= {cap}, got K={k}")
-
-    # Flatten P row-major; equality rows: K row sums then K column sums.
-    a_eq = np.zeros((2 * k, k * k))
-    for i in range(k):
-        a_eq[i, i * k : (i + 1) * k] = 1.0
-    for j in range(k):
-        a_eq[k + j, j::k] = 1.0
-    b_eq = np.concatenate([r1, r2])
-    res = linprog(M.entries.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise NumericError(f"transport LP failed: {res.message}")
-    return float(res.fun)
 
 
 def _plan_values(plan: np.ndarray, costs: np.ndarray, lam: float):
@@ -386,15 +296,16 @@ def sinkhorn_batch(r1, r2, C, cfg: SinkhornConfig) -> TransportResult:
     return result
 
 
-def sinkhorn_distance(r1, r2, M: CostMatrix, cfg: SinkhornConfig | None = None) -> TransportResult:
-    """Entropically regularized transport distance between ``r1`` and ``r2``.
+def sinkhorn_distance(r1, r2, C, cfg: SinkhornConfig | None = None) -> TransportResult:
+    """Entropically regularized transport distance between ``r1`` and ``r2``
+    under the ``(K, K)`` cost ``C``.
 
     The one-problem case of :func:`sinkhorn_batch`, returned as scalars and
     ``(K,)`` vectors.
     """
     if cfg is None:
         cfg = SinkhornConfig()
-    return sinkhorn_batch(np.asarray(r1)[None], np.asarray(r2)[None], M.entries, cfg).row(0)
+    return sinkhorn_batch(np.asarray(r1)[None], np.asarray(r2)[None], C, cfg).row(0)
 
 
 def sinkhorn_gradient(result: TransportResult, cfg: SinkhornConfig) -> np.ndarray:
@@ -418,43 +329,3 @@ def center_gradient(grad: np.ndarray) -> np.ndarray:
     """Project out the additive dual-gauge constant (zero-mean gradient)."""
     grad = np.asarray(grad, dtype=np.float64)
     return grad - grad.mean()
-
-
-@dataclass
-class MetricAxiomsReport:
-    """Outcome of sampling-based metric-axiom checks."""
-
-    n_triples: int
-    violations: list[str]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def metric_axioms_check(
-    samples: list[tuple], M: CostMatrix, tol: float = 1e-9
-) -> MetricAxiomsReport:
-    """Check symmetry, triangle inequality and identity on sampled triples.
-
-    Only BINARY cost matrices qualify (the dynamic family is not a metric).
-    Report-only: violations are collected, never raised.
-    """
-    if M.kind is not CostKind.BINARY:
-        raise InputError("metric axioms are only guaranteed for binary cost matrices")
-    violations: list[str] = []
-    for idx, (r1, r2, r3) in enumerate(samples):
-        w12 = exact_wasserstein(r1, r2, M)
-        w21 = exact_wasserstein(r2, r1, M)
-        w13 = exact_wasserstein(r1, r3, M)
-        w23 = exact_wasserstein(r2, r3, M)
-        w11 = exact_wasserstein(r1, r1, M)
-        if abs(w12 - w21) > tol:
-            violations.append(f"triple {idx}: symmetry |{w12} - {w21}| > {tol}")
-        if w13 > w12 + w23 + tol:
-            violations.append(f"triple {idx}: triangle {w13} > {w12} + {w23}")
-        if w11 > tol:
-            violations.append(f"triple {idx}: W(r,r) = {w11} > {tol}")
-        if w12 <= tol and np.max(np.abs(np.asarray(r1) - np.asarray(r2))) > 1e-6:
-            violations.append(f"triple {idx}: W=0 for distinct distributions")
-    return MetricAxiomsReport(n_triples=len(samples), violations=violations)

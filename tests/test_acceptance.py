@@ -18,7 +18,7 @@ from wood.data import Role, SyntheticKind, SyntheticSpec, load_idx_pair, split, 
 from wood.detect import calibrate, evaluate, evaluate_with_detector
 from wood.geometry import EvalPath, ScoreConfig, binary_matrix, dynamic_matrix, scores
 from wood.model import forward
-from wood.oracles import fd_gradient, lp_transport, pairwise_auroc
+from wood.oracles import fd_gradient, forced_transport, lp_transport, pairwise_auroc
 from wood.trainer import (
     TrainConfig,
     fit,
@@ -29,10 +29,8 @@ from wood.trainer import (
 )
 from wood.transport import (
     CostKind,
-    CostMatrix,
     SinkhornConfig,
     center_gradient,
-    exact_wasserstein,
     one_hot,
     sinkhorn_distance,
     sinkhorn_gradient,
@@ -65,7 +63,7 @@ def test_c01_transport_correctness():
     with criterion(1, "transport correctness"):
         for _ in range(200):
             k = int(rng.integers(2, 6))
-            m = CostMatrix(rng.uniform(0.0, 1.0, (k, k)), CostKind.DYNAMIC)
+            m = rng.uniform(0.0, 1.0, (k, k))
             r1 = dirichlet(rng, k)
             r2 = dirichlet(rng, k)
             exact, _ = lp_transport(r1, r2, m)
@@ -89,7 +87,7 @@ def test_c02_gradient_fidelity():
         cfg = SinkhornConfig(lam=10.0, max_iter=20000, tol=1e-13)
         for _ in range(50):
             k = int(rng.choice([2, 3, 5]))
-            m = CostMatrix(rng.uniform(0.0, 1.0, (k, k)), CostKind.DYNAMIC)
+            m = rng.uniform(0.0, 1.0, (k, k))
             r1 = dirichlet(rng, k, floor=0.02)
             r2 = dirichlet(rng, k, floor=0.02)
             result = sinkhorn_distance(r1, r2, m, cfg)
@@ -126,8 +124,8 @@ def test_c03_closed_form_identities():
             dyn_expect = 1.0 - float(f @ f)
             binary = binary_matrix(k)
             for label in range(k):
-                assert exact_wasserstein(one_hot(label, k), f, binary) == 1.0 - f[label]
-                exact = exact_wasserstein(one_hot(label, k), f, dynamic_matrix(f, label))
+                assert forced_transport(label, f, binary) == 1.0 - f[label]
+                exact = forced_transport(label, f, dynamic_matrix(f, label))
                 assert abs(exact - dyn_expect) <= 1e-12
             values, classes = scores(f[None, :], CLOSED_BINARY)
             assert values[0] == 1.0 - np.max(f)
@@ -141,10 +139,7 @@ def test_c04_dynamic_label_invariance():
         for _ in range(500):
             k = int(rng.integers(2, 11))
             f = dirichlet(rng, k)
-            values = {
-                exact_wasserstein(one_hot(label, k), f, dynamic_matrix(f, label))
-                for label in range(k)
-            }
+            values = {forced_transport(label, f, dynamic_matrix(f, label)) for label in range(k)}
             assert len(values) == 1
         sinkhorn = SinkhornConfig(lam=50.0)
         for _ in range(100):

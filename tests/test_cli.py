@@ -1,8 +1,19 @@
 """CLI contract: commands, exit codes, file outputs, determinism."""
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import wood
 from wood.cli import main
 from wood.data import Role, load_dataset_csv
 from wood.model import forward, init
@@ -197,6 +208,9 @@ class TestBenchScore:
         assert len(lines) == 3
 
 
+EVALUATE = ["evaluate", "--checkpoint", "c.json", "--ind", "i.csv", "--ood", "o.csv"]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -204,6 +218,17 @@ class TestUsageErrors:
             ["bench-score", "--repeats", "0"],
             ["bench-score", "--k", "x"],
             ["train", "--ind", "ind.csv", "--hidden", "a,b"],
+            ["gen-data", "--kind", "blobs", "--seed", "-1"],
+            ["train", "--ind", "ind.csv", "--seed", "-1"],
+            [*EVALUATE, "--seed", "-1"],
+            ["bench-score", "--seed", "-1"],
+            [*EVALUATE, "--calib-frac", "nan"],
+            ["train", "--ind", "ind.csv", "--lr", "inf"],
+            ["train", "--ind", "ind.csv", "--lr", "nan"],
+            ["train", "--ind", "ind.csv", "--lambda", "inf"],
+            ["score", "--checkpoint", "c.json", "--features", "f.csv", "--lambda", "nan"],
+            ["gen-data", "--kind", "blobs", "--sep", "inf"],
+            ["gen-data", "--kind", "ring", "--noise", "nan"],
         ],
     )
     def test_one_line_and_exit_1(self, argv, tmp_path, capsys):
@@ -303,3 +328,100 @@ class TestCheckpointValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "unsupported activation 'tanh'" in err[0]
+
+
+# Each optional flag of each subcommand with a small valid value. The fuzz
+# test draws flag values only from these plus 0, -1, nan, inf and text, so
+# no draw asks for much work or memory.
+FUZZ_FLAGS = {
+    "gen-data": {
+        "--kind": "blobs", "--k": "3", "--n": "5", "--dim": "2",
+        "--sep": "4.0", "--noise": "0.5", "--seed": "1",
+    },
+    "train": {
+        "--beta": "0.1", "--b-ind": "8", "--b-ood": "3", "--matrix": "binary",
+        "--eval-path": "sinkhorn", "--lambda": "10", "--epochs": "1", "--lr": "0.01",
+        "--momentum": "0.5", "--seed": "1", "--hidden": "3",
+    },
+    "evaluate": {
+        "--tnr": "0.9", "--matrix": "binary", "--eval-path": "sinkhorn", "--lambda": "10",
+        "--calib-frac": "0.3", "--seed": "1",
+    },
+    "score": {
+        "--matrix": "binary", "--eval-path": "sinkhorn", "--lambda": "10",
+        "--epsilon": "0.2", "--tnr": "0.9",
+    },
+    "bench-score": {
+        "--k": "3", "--repeats": "1", "--eval-path": "sinkhorn", "--lambda": "10",
+        "--seed": "1",
+    },
+}
+# Float flags whose size costs no work also draw a huge finite value.
+FUZZ_HUGE = {
+    "--lr", "--beta", "--lambda", "--sep", "--noise", "--momentum", "--epsilon",
+    "--calib-frac", "--tnr",
+}
+EXIT_PREFIXES = {1: ("usage error:",), 2: ("data error:", "error:"), 3: ("numeric error:",)}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    ind_csv = gen_blobs(base / "ind", n=5)
+    ood_csv = gen_ring(base / "ood", n=10)
+    code = run_cli(
+        "train", "--ind", str(ind_csv), "--ood", str(ood_csv), "--epochs", "1",
+        "--hidden", "3", "--out", str(base / "run"),
+    )
+    assert code == 0
+    checkpoint = str(base / "run" / "checkpoint.json")
+    files = {
+        "gen-data": [],
+        "train": ["--ind", str(ind_csv), "--ood", str(ood_csv)],
+        "evaluate": ["--checkpoint", checkpoint, "--ind", str(ind_csv), "--ood", str(ood_csv)],
+        "score": ["--checkpoint", checkpoint, "--features", str(ood_csv)],
+        "bench-score": [],
+    }
+    return base, files
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command]
+    for flag, valid in FUZZ_FLAGS[command].items():
+        if draw(st.booleans()):
+            values = [valid, "0", "-1", "nan", "inf", "x"]
+            if flag in FUZZ_HUGE:
+                values.append("1e300")
+            argv += [flag, draw(st.sampled_from(values))]
+    if command == "evaluate" and draw(st.booleans()):
+        argv.append("--calib-on-eval")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=fuzz_argv())
+def test_fuzzed_argv_one_line_and_documented_exit(fuzz_files, argv):
+    base, files = fuzz_files
+    out = tempfile.mkdtemp(dir=base)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*argv, *files[argv[0]], "--out", out])
+    assert code in (0, 1, 2, 3)
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(EXIT_PREFIXES[code]), lines
+
+
+def test_import_loads_no_scipy():
+    # NumPy is the only runtime dependency; a fresh interpreter shows what
+    # importing the CLI pulls in.
+    src = str(Path(wood.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, wood.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

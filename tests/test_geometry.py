@@ -5,14 +5,8 @@ import pytest
 
 from wood.errors import DimensionError, InputError, NumericError
 from wood.geometry import EvalPath, ScoreConfig, binary_matrix, dynamic_matrix, scores
-from wood.oracles import lp_transport
-from wood.transport import (
-    CostKind,
-    SinkhornConfig,
-    exact_wasserstein,
-    one_hot,
-    sinkhorn_distance,
-)
+from wood.oracles import forced_transport, lp_transport
+from wood.transport import CostKind, SinkhornConfig, one_hot, sinkhorn_distance
 
 from conftest import random_simplex
 
@@ -26,10 +20,10 @@ def sinkhorn_cfg(kind, lam=50.0):
 
 class TestBinaryMatrix:
     def test_k2(self):
-        np.testing.assert_array_equal(binary_matrix(2).entries, [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(binary_matrix(2), [[0, 1], [1, 0]])
 
     def test_k3_structure(self):
-        m = binary_matrix(3).entries
+        m = binary_matrix(3)
         assert np.all(np.diag(m) == 0)
         assert np.sum(m) == 6
 
@@ -41,18 +35,18 @@ class TestBinaryMatrix:
 class TestDynamicMatrix:
     def test_uniform_k2(self):
         m = dynamic_matrix([0.5, 0.5], 0)
-        np.testing.assert_array_equal(m.entries, [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_array_equal(m, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_one_hot_columns(self):
         # f = e_0, k = 0: first column (0,1,1), the others (1,0,0).
-        m = dynamic_matrix([1.0, 0.0, 0.0], 0).entries
+        m = dynamic_matrix([1.0, 0.0, 0.0], 0)
         np.testing.assert_array_equal(m[:, 0], [0, 1, 1])
         np.testing.assert_array_equal(m[:, 1], [1, 0, 0])
         np.testing.assert_array_equal(m[:, 2], [1, 0, 0])
 
     def test_labeled_row_and_other_rows_sum_to_one(self, rng):
         f = random_simplex(rng, 4)
-        m = dynamic_matrix(f, 2).entries
+        m = dynamic_matrix(f, 2)
         for row in range(4):
             if row != 2:
                 np.testing.assert_allclose(m[2] + m[row], np.ones(4), atol=1e-15)
@@ -72,7 +66,7 @@ def exact_to_onehot(f, label, kind):
     """Exact transport distance from ``f`` to the one-hot of ``label``."""
     k = len(f)
     M = binary_matrix(k) if kind is CostKind.BINARY else dynamic_matrix(f, label)
-    return exact_wasserstein(one_hot(label, k), f, M)
+    return forced_transport(label, f, M)
 
 
 class TestWassersteinToOnehot:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wood.errors import CapacityError, InputError
-from wood.oracles import fd_gradient, lp_transport, pairwise_auroc
+from wood.geometry import binary_matrix, dynamic_matrix
+from wood.oracles import fd_gradient, forced_transport, lp_transport, pairwise_auroc
 
 from conftest import random_simplex
 
@@ -31,6 +32,11 @@ class TestLpTransport:
         expected[2, :] = f
         np.testing.assert_allclose(coupling, expected, atol=1e-8)
         assert value == pytest.approx(float(f @ m[2, :]), abs=1e-8)
+        # The forced-coupling helper agrees, for any costs and both kinds.
+        for costs in (m, binary_matrix(k), dynamic_matrix(f, 2)):
+            assert forced_transport(2, f, costs) == pytest.approx(
+                lp_transport(y, f, costs)[0], abs=1e-8
+            )
 
     def test_k2_binary_is_half_l1(self, rng):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -1,6 +1,8 @@
 """Batch construction, training mechanics, and checkpoint persistence."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +113,21 @@ class TestTrainStep:
         with pytest.raises(NumericError, match="batch=7"):
             _check_finite(grads, grad_probs, cfg, batch_id=7)
 
+    def test_diverged_model_is_a_numeric_error(self):
+        # A finite but huge step overflows the next forward pass; the step
+        # reports it itself, without letting NumPy warnings through.
+        ind, ood = blobs(n_per_class=10), ring(n=10)
+        cfg = TrainConfig(epochs=2, b_ind=5, b_ood=3, lr=1e300)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError) as info:
+                fit(ind, ood, cfg, hidden=(4,))
+        assert caught == []
+        assert re.fullmatch(
+            r"model diverged: non-finite softmax output"
+            r" \(lr=1e\+300, batch=\(0, 1\), sample=\d+\)",
+            str(info.value),
+        )
 
     def test_sinkhorn_failure_names_batch_and_row(self):
         ind, ood = blobs(n_per_class=10), ring(n=10)
@@ -275,3 +292,8 @@ class TestTrainConfigValidation:
             TrainConfig(epochs=1, momentum=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=1, lr=-0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                TrainConfig(epochs=1, lr=bad)
+            with pytest.raises(ConfigError):
+                TrainConfig(epochs=1, beta=bad)

@@ -1,4 +1,4 @@
-"""Transport-layer tests: exact LP distances, Sinkhorn, dual gradients."""
+"""Transport-layer tests: exact distances (via the oracles), Sinkhorn, dual gradients."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 
 from wood.errors import CapacityError, DimensionError, InputError, NumericError
 from wood.geometry import binary_matrix
-from wood.oracles import fd_gradient, lp_transport
+from wood.oracles import fd_gradient, forced_transport, lp_transport
 from wood.transport import (
     CostKind,
-    CostMatrix,
     SinkhornConfig,
     _log_domain,
     as_prob_rows,
     center_gradient,
-    exact_wasserstein,
-    metric_axioms_check,
     one_hot,
     sinkhorn_batch,
     sinkhorn_distance,
@@ -27,7 +24,7 @@ from conftest import random_simplex
 
 
 def random_cost(rng, k):
-    return CostMatrix(rng.uniform(0.0, 1.0, (k, k)), CostKind.DYNAMIC)
+    return rng.uniform(0.0, 1.0, (k, k))
 
 
 class TestProbVector:
@@ -60,66 +57,49 @@ class TestProbVector:
 
 
 class TestCostMatrix:
-    def test_binary_structure_enforced(self):
-        with pytest.raises(InputError):
-            CostMatrix(np.array([[0.0, 0.5], [1.0, 0.0]]), CostKind.BINARY)
+    """Cost validation at the solver boundary."""
+
+    r = np.array([[0.5, 0.5]])
 
     def test_rejects_negative_costs(self):
         with pytest.raises(InputError):
-            CostMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]), CostKind.DYNAMIC)
+            sinkhorn_batch(self.r, self.r, [[0.0, -1.0], [1.0, 0.0]], SinkhornConfig())
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
-            CostMatrix(np.zeros((2, 3)), CostKind.DYNAMIC)
+            sinkhorn_batch(self.r, self.r, np.zeros((2, 3)), SinkhornConfig())
 
 
 class TestExactWasserstein:
+    """The exact distance, as the oracles compute it."""
+
     def test_identical_one_hots_zero(self):
         m = binary_matrix(3)
         e1 = one_hot(0, 3)
-        assert exact_wasserstein(e1, e1, m) == 0.0
+        assert forced_transport(0, e1, m) == 0.0
 
     def test_singleton_coupling_value(self):
-        # One-hot second marginal forces the coupling; binary cost charges
-        # every unit of mass that must leave the labeled class.
+        # A one-hot marginal forces the coupling; binary cost charges every
+        # unit of mass that must leave the labeled class.
         m = binary_matrix(3)
-        value = exact_wasserstein([0.5, 0.3, 0.2], one_hot(0, 3), m)
+        value = forced_transport(0, [0.5, 0.3, 0.2], m)
         assert value == pytest.approx(0.5, abs=1e-15)
-
-    def test_k2_general_case(self):
-        # Enumerating couplings of ((0.5,0.5),(0.3,0.7)) under binary cost by
-        # hand gives 0.2: ship 0.2 across, keep the rest in place.
-        m = binary_matrix(2)
-        value = exact_wasserstein([0.5, 0.5], [0.3, 0.7], m)
-        assert value == pytest.approx(0.2, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            exact_wasserstein([0.5, 0.5], [0.3, 0.3, 0.4], binary_matrix(2))
+            lp_transport([0.5, 0.5], [0.3, 0.3, 0.4], binary_matrix(2))
 
     def test_capacity_cap(self):
         k = 17
         m = binary_matrix(k)
         r = np.full(k, 1.0 / k)
         with pytest.raises(CapacityError):
-            exact_wasserstein(r, np.roll(r, 1) * 0 + r, m)
-
-    def test_matches_simplex_oracle(self, rng):
-        # Production LP (scipy) against the hand-rolled transportation
-        # simplex on random instances.
-        for _ in range(40):
-            k = int(rng.integers(2, 7))
-            m = random_cost(rng, k)
-            r1 = random_simplex(rng, k)
-            r2 = random_simplex(rng, k)
-            lp_value = exact_wasserstein(r1, r2, m)
-            oracle_value, _ = lp_transport(r1, r2, m)
-            assert lp_value == pytest.approx(oracle_value, abs=1e-7)
+            lp_transport(r, np.roll(r, 1) * 0 + r, m)
 
 
 class TestSinkhornDistance:
     def test_same_one_hot_is_zero(self, rng):
-        m = CostMatrix(rng.uniform(0.2, 1.0, (3, 3)) * (1 - np.eye(3)), CostKind.DYNAMIC)
+        m = rng.uniform(0.2, 1.0, (3, 3)) * (1 - np.eye(3))
         e2 = one_hot(1, 3)
         res = sinkhorn_distance(e2, e2, m, SinkhornConfig(lam=10.0))
         assert res.converged
@@ -148,7 +128,7 @@ class TestSinkhornDistance:
             r1 = random_simplex(rng, k)
             res = sinkhorn_distance(r1, one_hot(2, k), m, SinkhornConfig(lam=lam))
             assert res.converged
-            assert res.value == pytest.approx(float(r1 @ m.entries[:, 2]), abs=1e-10)
+            assert res.value == pytest.approx(float(r1 @ m[:, 2]), abs=1e-10)
 
     def test_monotone_in_lam(self, rng):
         for _ in range(10):
@@ -156,7 +136,7 @@ class TestSinkhornDistance:
             m = random_cost(rng, k)
             r1 = random_simplex(rng, k)
             r2 = random_simplex(rng, k)
-            exact = exact_wasserstein(r1, r2, m)
+            exact, _ = lp_transport(r1, r2, m)
             errs = []
             for lam in (1.0, 10.0, 100.0):
                 res = sinkhorn_distance(r1, r2, m, SinkhornConfig(lam=lam, max_iter=20000))
@@ -190,8 +170,8 @@ class TestSinkhornDistance:
             r1 = random_simplex(rng, k)
             r2 = random_simplex(rng, k)
             cfg = SinkhornConfig(lam=float(rng.choice([1.0, 10.0, 50.0])), max_iter=20000)
-            a = sinkhorn_batch(r1[None], r2[None], m.entries, cfg)
-            b = _log_domain(r1[None], r2[None], m.entries[None], cfg, np.arange(1))
+            a = sinkhorn_batch(r1[None], r2[None], m, cfg)
+            b = _log_domain(r1[None], r2[None], m[None], cfg, np.arange(1))
             assert a.domain[0] == "scaled"
             if a.converged[0] and b.converged[0]:
                 assert abs(a.value[0] - b.value[0]) <= 1e-8
@@ -287,7 +267,7 @@ class TestSinkhornBatch:
         r1, r2 = random_simplex(rng, 4), random_simplex(rng, 4)
         cfg = SinkhornConfig(lam=10.0)
         one = sinkhorn_distance(r1, r2, m, cfg)
-        res = sinkhorn_batch(r1[None], r2[None], m.entries, cfg)
+        res = sinkhorn_batch(r1[None], r2[None], m, cfg)
         assert one.value == res.value[0] and one.iterations == res.iterations[0]
         np.testing.assert_array_equal(sinkhorn_gradient(one, cfg), sinkhorn_gradient(res, cfg)[0])
 
@@ -342,6 +322,25 @@ class TestSinkhornGradient:
             sinkhorn_gradient(res, cfg)
 
 
+def metric_violations(triples, m, tol=1e-9):
+    """Symmetry, triangle inequality and identity of the exact distance on
+    sampled triples; returns the violations found."""
+    violations = []
+    for idx, (r1, r2, r3) in enumerate(triples):
+        w12, w21, w13, w23, w11 = (
+            lp_transport(a, b, m)[0] for a, b in ((r1, r2), (r2, r1), (r1, r3), (r2, r3), (r1, r1))
+        )
+        if abs(w12 - w21) > tol:
+            violations.append(f"triple {idx}: symmetry |{w12} - {w21}| > {tol}")
+        if w13 > w12 + w23 + tol:
+            violations.append(f"triple {idx}: triangle {w13} > {w12} + {w23}")
+        if w11 > tol:
+            violations.append(f"triple {idx}: W(r,r) = {w11} > {tol}")
+        if w12 <= tol and np.max(np.abs(np.asarray(r1) - np.asarray(r2))) > 1e-6:
+            violations.append(f"triple {idx}: W=0 for distinct distributions")
+    return violations
+
+
 class TestMetricAxioms:
     def test_binary_matrix_satisfies_axioms(self, rng):
         m = binary_matrix(4)
@@ -349,19 +348,13 @@ class TestMetricAxioms:
             (random_simplex(rng, 4), random_simplex(rng, 4), random_simplex(rng, 4))
             for _ in range(100)
         ]
-        report = metric_axioms_check(triples, m)
-        assert report.passed, report.violations
+        violations = metric_violations(triples, m)
+        assert not violations, violations
 
     def test_self_distance_zero(self, rng):
         m = binary_matrix(3)
         r = random_simplex(rng, 3)
-        report = metric_axioms_check([(r, r, random_simplex(rng, 3))], m)
-        assert report.passed
-
-    def test_dynamic_matrix_rejected(self, rng):
-        m = CostMatrix(rng.uniform(0, 1, (3, 3)), CostKind.DYNAMIC)
-        with pytest.raises(InputError):
-            metric_axioms_check([], m)
+        assert not metric_violations([(r, r, random_simplex(rng, 3))], m)
 
 
 @settings(max_examples=25, deadline=None)
@@ -373,7 +366,7 @@ def test_binary_distance_symmetry_property(weights1, weights2):
     r1 = np.array(weights1) / np.sum(weights1)
     r2 = np.array(weights2) / np.sum(weights2)
     m = binary_matrix(3)
-    w12 = exact_wasserstein(r1, r2, m)
-    w21 = exact_wasserstein(r2, r1, m)
+    w12, _ = lp_transport(r1, r2, m)
+    w21, _ = lp_transport(r2, r1, m)
     assert w12 >= -1e-12
     assert w12 == pytest.approx(w21, abs=1e-9)
