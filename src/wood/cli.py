@@ -39,6 +39,7 @@ from .errors import ConfigError, FormatError, InputError, NumericError, WoodErro
 from .geometry import EvalPath, ScoreConfig, scores
 from .model import forward
 from .trainer import (
+    DEFAULT_HIDDEN,
     TrainConfig,
     fit,
     load_checkpoint,
@@ -127,8 +128,40 @@ def _class_counts(text: str) -> tuple[int, ...]:
     return counts
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _add_score_flags(parser, matrix=None, eval_path=None, lam=None) -> None:
+    """``--matrix``, ``--eval-path`` and ``--lambda``; unset, ``evaluate`` and
+    ``score`` take them from the checkpoint's training configuration."""
+    parser.add_argument("--matrix", choices=[k.value for k in CostKind], default=matrix)
+    parser.add_argument(
+        "--eval-path", dest="eval_path", choices=[p.value for p in EvalPath], default=eval_path
+    )
+    parser.add_argument("--lambda", dest="lam", type=_positive_float, default=lam)
+
+
+def _add_train_settings(parser):
+    """Declare the settings of ``train``; a config file sets them by dest name."""
+    parser.add_argument("--beta", type=float, default=TrainConfig.beta)
+    parser.add_argument("--b-ind", dest="b_ind", type=int, default=TrainConfig.b_ind)
+    parser.add_argument("--b-ood", dest="b_ood", type=int, default=TrainConfig.b_ood)
+    _add_score_flags(
+        parser, ScoreConfig.matrix_kind.value, ScoreConfig.evaluation.value, SinkhornConfig.lam
+    )
+    parser.add_argument("--epochs", type=int, default=50)
+    parser.add_argument("--lr", type=_positive_float, default=TrainConfig.lr)
+    parser.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    parser.add_argument("--seed", type=_seed, default=TrainConfig.seed)
+    parser.add_argument(
+        "--hidden", type=_hidden_widths, default=DEFAULT_HIDDEN, help="comma-separated hidden widths"
+    )
+    return parser
+
+
+def _read_config_file(path: str) -> dict:
+    """The ``key=value`` lines of a config file, each value converted by the
+    ``train`` flag whose dest is ``key``."""
+    settings = _add_train_settings(_Parser(add_help=False))
+    flags = {action.dest: action.option_strings[0] for action in settings._actions}
+    values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -136,52 +169,18 @@ def _read_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+            key, _, text = (part.strip() for part in stripped.partition("="))
+            if key not in flags:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                values[key] = getattr(settings.parse_args([f"{flags[key]}={text}"]), key)
+            except _UsageError as exc:
+                raise ConfigError(f"config key {key}: {exc}") from None
     return values
 
 
-_CONFIG_KEYS = {
-    "beta": float,
-    "b_ind": int,
-    "b_ood": int,
-    "matrix": str,
-    "eval_path": str,
-    "lam": float,
-    "epochs": int,
-    "lr": float,
-    "momentum": float,
-    "seed": _seed,
-    "hidden": _hidden_widths,
-    "tnr": float,
-}
-
-
-def _merge_config(args: argparse.Namespace, file_values: dict[str, str]) -> None:
-    # flags > config file > defaults: parser defaults are None sentinels for
-    # the keys a config file may provide.
-    unknown = set(file_values) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, caster in _CONFIG_KEYS.items():
-        if getattr(args, key, None) is None and key in file_values:
-            try:
-                setattr(args, key, caster(file_values[key]))
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigError(f"config key {key}: {exc}") from exc
-
-
 def _score_config(matrix: str, eval_path: str, lam: float) -> ScoreConfig:
-    try:
-        kind = CostKind(matrix)
-        path = EvalPath(eval_path)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    return ScoreConfig(
-        matrix_kind=kind,
-        evaluation=path,
-        sinkhorn=SinkhornConfig(lam=lam),
-    )
+    return ScoreConfig(CostKind(matrix), EvalPath(eval_path), SinkhornConfig(lam=lam))
 
 
 def _checkpoint_score_config(args, ckpt) -> ScoreConfig:
@@ -203,8 +202,13 @@ def _checkpoint_score_config(args, ckpt) -> ScoreConfig:
     return _score_config(args.matrix, args.eval_path, args.lam)
 
 
-def _echo_run_config(out_dir: Path, pairs: dict) -> None:
-    lines = [f"{key}={value}" for key, value in pairs.items()]
+def _echo_run_config(out_dir: Path, args) -> None:
+    """Write the resolved settings as ``run_config.txt``, one ``dest=value`` line each."""
+    lines = [
+        f"{key}={','.join(map(str, value)) if isinstance(value, tuple) else value}"
+        for key, value in vars(args).items()
+        if key not in ("out", "config", "func")
+    ]
     (out_dir / "run_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -216,14 +220,23 @@ def _prepare_out(args) -> Path:
     return out_dir
 
 
-def _load_features_csv(path: str) -> Dataset:
-    return load_dataset_csv(path, role=Role.OOD)
-
-
 def _dataset_from_args(path: str, role: Role, n_classes: int | None = None) -> Dataset:
     if path.endswith(".csv"):
         return load_dataset_csv(path, role=role, n_classes=n_classes)
     raise ConfigError(f"expected a .csv dataset, got {path}")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _softmax_rows(model, ds: Dataset, path: str) -> np.ndarray:
+    """The model's softmax rows for ``ds``. A diverged model overflows to
+    non-finite rows, which are a numeric error naming the first one."""
+    probs = forward(model, ds.features).probs
+    bad = ~np.isfinite(probs).all(axis=1)
+    if bad.any():
+        raise NumericError(
+            f"model diverged: non-finite softmax output for row {int(bad.argmax())} of {path}"
+        )
+    return probs
 
 
 def _cmd_gen_data(args) -> int:
@@ -241,45 +254,12 @@ def _cmd_gen_data(args) -> int:
     ds = synth(spec)
     name = "ind.csv" if ds.role is Role.IND else "ood.csv"
     save_dataset_csv(ds, out_dir / name)
-    _echo_run_config(
-        out_dir,
-        {
-            "command": "gen-data",
-            "kind": args.kind,
-            "k": args.k,
-            "n": args.n,
-            "dim": args.dim,
-            "sep": args.sep,
-            "noise": args.noise,
-            "seed": args.seed,
-        },
-    )
+    _echo_run_config(out_dir, args)
     print(f"wrote {out_dir / name}: {ds.n} rows, dim={ds.dim}, role={ds.role.value}")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    out_dir = _prepare_out(args)
-    if args.config:
-        _merge_config(args, _read_config_file(args.config))
-    defaults = {
-        "beta": 0.1,
-        "b_ind": 50,
-        "b_ood": 10,
-        "matrix": "dynamic",
-        "eval_path": "closed",
-        "lam": 50.0,
-        "epochs": 50,
-        "lr": 0.01,
-        "momentum": 0.9,
-        "seed": 0,
-        "hidden": (128, 64),
-    }
-    for key, fallback in defaults.items():
-        if getattr(args, key) is None:
-            setattr(args, key, fallback)
-
-    score_cfg = _score_config(args.matrix, args.eval_path, args.lam)
     cfg = TrainConfig(
         epochs=args.epochs,
         beta=args.beta,
@@ -288,36 +268,18 @@ def _cmd_train(args) -> int:
         lr=args.lr,
         momentum=args.momentum,
         seed=args.seed,
-        score=score_cfg,
+        score=_score_config(args.matrix, args.eval_path, args.lam),
     )
-
     ind_set = _dataset_from_args(args.ind, Role.IND)
     ood_set = _dataset_from_args(args.ood, Role.OOD) if args.ood else None
+    out_dir = _prepare_out(args)
 
     ckpt, metrics = fit(ind_set, ood_set, cfg, hidden=args.hidden)
     save_checkpoint(ckpt, out_dir / "checkpoint.json")
     (out_dir / "metrics.csv").write_text(
         "\n".join(metrics_csv_lines(metrics)) + "\n", encoding="ascii"
     )
-    _echo_run_config(
-        out_dir,
-        {
-            "command": "train",
-            "ind": args.ind,
-            "ood": args.ood,
-            "beta": args.beta,
-            "b_ind": args.b_ind,
-            "b_ood": args.b_ood,
-            "matrix": args.matrix,
-            "eval_path": args.eval_path,
-            "lam": args.lam,
-            "epochs": args.epochs,
-            "lr": args.lr,
-            "momentum": args.momentum,
-            "seed": args.seed,
-            "hidden": ",".join(map(str, args.hidden)),
-        },
-    )
+    _echo_run_config(out_dir, args)
     last = metrics[-1]
     print(
         f"trained {ckpt.layer_dims} for {cfg.epochs} epochs:"
@@ -346,9 +308,9 @@ def _cmd_evaluate(args) -> int:
             f"ind labels imply {ind_set.n_classes} classes, checkpoint has {ckpt.n_classes}"
         )
 
-    ind_probs = forward(model, ind_set.features).probs
+    ind_probs = _softmax_rows(model, ind_set, args.ind)
     ind_scores, _ = scores(ind_probs, score_cfg)
-    ood_scores, _ = scores(forward(model, ood_set.features).probs, score_cfg)
+    ood_scores, _ = scores(_softmax_rows(model, ood_set, args.ood), score_cfg)
 
     if args.calib_on_eval:
         report = evaluate(ind_scores, ood_scores, args.tnr)
@@ -357,7 +319,7 @@ def _cmd_evaluate(args) -> int:
         # Hold out a calibration slice of the InD test scores so the
         # threshold is never fitted on the evaluated samples.
         n_calib = max(1, int(round(args.calib_frac * ind_scores.size)))
-        rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+        rng = np.random.default_rng(args.seed)
         perm = rng.permutation(ind_scores.size)
         calib_scores = ind_scores[perm[:n_calib]]
         eval_scores = ind_scores[perm[n_calib:]]
@@ -378,22 +340,7 @@ def _cmd_evaluate(args) -> int:
     (out_dir / "hist_ood.csv").write_text(
         "\n".join(histogram_csv_lines(report, "ood")) + "\n", encoding="ascii"
     )
-    _echo_run_config(
-        out_dir,
-        {
-            "command": "evaluate",
-            "checkpoint": args.checkpoint,
-            "ind": args.ind,
-            "ood": args.ood,
-            "tnr": args.tnr,
-            "matrix": args.matrix,
-            "eval_path": args.eval_path,
-            "lam": args.lam,
-            "calib_frac": args.calib_frac,
-            "calib_on_eval": args.calib_on_eval,
-            "seed": args.seed,
-        },
-    )
+    _echo_run_config(out_dir, args)
     print(text, end="")
     print(f"wrote {out_dir / 'report.txt'}")
     return EXIT_OK
@@ -404,12 +351,12 @@ def _cmd_score(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
     score_cfg = _checkpoint_score_config(args, ckpt)
-    ds = _load_features_csv(args.features)
+    ds = _dataset_from_args(args.features, Role.OOD)
     if ds.dim != model.input_dim:
         raise ConfigError(
             f"feature dim {ds.dim} does not match checkpoint input dim {model.input_dim}"
         )
-    values, classes = scores(forward(model, ds.features).probs, score_cfg)
+    values, classes = scores(_softmax_rows(model, ds, args.features), score_cfg)
     det = Detector(args.epsilon, score_cfg, args.tnr) if args.epsilon is not None else None
 
     lines = ["index,argmin_class,score" + (",decision" if det else "")]
@@ -446,7 +393,7 @@ def _cmd_bench_score(args) -> int:
             " are O(K) in closed form"
         )
     out_dir = _prepare_out(args)
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(args.seed)
     lines = ["K,binary_ms,dynamic_ms,ratio"]
     summary = []
     for k in args.k:
@@ -467,7 +414,9 @@ def _cmd_bench_score(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser(train_defaults: dict) -> argparse.ArgumentParser:
+    """The CLI parser; ``train_defaults`` (converted config-file values)
+    replace the declared defaults of ``train``'s settings."""
     parser = _Parser(prog="wood", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -487,29 +436,15 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--ood", default=None, help="unlabeled OOD training CSV")
     train.add_argument("--out", required=True)
     train.add_argument("--config", default=None, help="key=value config file")
-    train.add_argument("--beta", type=float, default=None)
-    train.add_argument("--b-ind", dest="b_ind", type=int, default=None)
-    train.add_argument("--b-ood", dest="b_ood", type=int, default=None)
-    train.add_argument("--matrix", choices=["binary", "dynamic"], default=None)
-    train.add_argument("--eval-path", dest="eval_path", choices=["closed", "sinkhorn"], default=None)
-    train.add_argument("--lambda", dest="lam", type=_positive_float, default=None)
-    train.add_argument("--epochs", type=int, default=None)
-    train.add_argument("--lr", type=_positive_float, default=None)
-    train.add_argument("--momentum", type=float, default=None)
-    train.add_argument("--seed", type=_seed, default=None)
-    train.add_argument(
-        "--hidden", type=_hidden_widths, default=None, help="comma-separated hidden widths"
-    )
-    train.set_defaults(func=_cmd_train)
+    _add_train_settings(train)
+    train.set_defaults(func=_cmd_train, **train_defaults)
 
     ev = sub.add_parser("evaluate", help="calibrate and report FNR/AUROC")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--ind", required=True, help="labeled InD test CSV")
     ev.add_argument("--ood", required=True, help="unlabeled OOD test CSV")
     ev.add_argument("--tnr", type=_tnr_value, default=0.95)
-    ev.add_argument("--matrix", choices=["binary", "dynamic"], default=None)
-    ev.add_argument("--eval-path", dest="eval_path", choices=["closed", "sinkhorn"], default=None)
-    ev.add_argument("--lambda", dest="lam", type=_positive_float, default=None)
+    _add_score_flags(ev)
     ev.add_argument("--calib-frac", dest="calib_frac", type=_finite_float, default=0.2)
     ev.add_argument(
         "--calib-on-eval",
@@ -524,9 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("score", help="per-sample scores for a feature CSV")
     sc.add_argument("--checkpoint", required=True)
     sc.add_argument("--features", required=True)
-    sc.add_argument("--matrix", choices=["binary", "dynamic"], default=None)
-    sc.add_argument("--eval-path", dest="eval_path", choices=["closed", "sinkhorn"], default=None)
-    sc.add_argument("--lambda", dest="lam", type=_positive_float, default=None)
+    _add_score_flags(sc)
     sc.add_argument("--epsilon", type=float, default=None)
     sc.add_argument("--tnr", type=_tnr_value, default=0.95)
     sc.add_argument("--out", required=True)
@@ -547,9 +480,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser({}).parse_args(argv)
+        if getattr(args, "config", None):
+            # flags > config file > defaults: the file's values become the
+            # defaults, and the command line is parsed again over them.
+            args = _build_parser(_read_config_file(args.config)).parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,9 @@ CHECKPOINT_VERSION = 1
 
 # The only hidden-layer activation the model implements.
 ACTIVATION = "relu"
+
+# Hidden-layer widths when none are given.
+DEFAULT_HIDDEN = (128, 64)
 
 
 @dataclass(frozen=True)
@@ -126,9 +130,9 @@ def train_step(
     """One forward/backward/update cycle; returns the pre-update loss.
 
     The model is updated in place. A diverged model (non-finite softmax
-    outputs or gradients) raises NumericError naming the batch and sample;
-    the step checks finiteness itself, so NumPy's overflow warnings are
-    silenced rather than printed.
+    outputs, gradients or updated parameters) raises NumericError naming
+    the batch; the step checks finiteness itself, so NumPy's overflow
+    warnings are silenced rather than printed.
     """
     if batch.x_ood.shape[0]:
         x = np.vstack([batch.x_ind, batch.x_ood])
@@ -158,6 +162,10 @@ def train_step(
         vb += gb
         w -= cfg.lr * vw
         b -= cfg.lr * vb
+    if not all(np.isfinite(p).all() for p in (*model.weights, *model.biases)):
+        raise NumericError(
+            f"model diverged: non-finite parameter after the update (lr={cfg.lr}, batch={batch_id})"
+        )
     return loss_value
 
 
@@ -195,25 +203,9 @@ def metrics_csv_lines(metrics: list[EpochMetrics]) -> list[str]:
     return lines
 
 
-def _score_config_dict(score: ScoreConfig) -> dict:
-    return {
-        "matrix_kind": score.matrix_kind.value,
-        "evaluation": score.evaluation.value,
-        "sinkhorn": asdict(score.sinkhorn),
-    }
-
-
-def _train_config_dict(cfg: TrainConfig) -> dict:
-    return {
-        "epochs": cfg.epochs,
-        "beta": cfg.beta,
-        "b_ind": cfg.b_ind,
-        "b_ood": cfg.b_ood,
-        "lr": cfg.lr,
-        "momentum": cfg.momentum,
-        "seed": cfg.seed,
-        "score": _score_config_dict(cfg.score),
-    }
+def _json_fields(pairs) -> dict:
+    # asdict keeps enum members; the checkpoint stores their values.
+    return {key: value.value if isinstance(value, Enum) else value for key, value in pairs}
 
 
 @dataclass
@@ -242,7 +234,7 @@ def checkpoint_from_model(
         activation=ACTIVATION,
         normalization=dict(normalization),
         n_classes=model.n_classes,
-        train_config=_train_config_dict(cfg),
+        train_config=asdict(cfg, dict_factory=_json_fields),
         rng_digest=rng_digest,
     )
 
@@ -318,7 +310,7 @@ def fit(
     ind_set: Dataset,
     ood_set: Dataset | None,
     cfg: TrainConfig,
-    hidden: tuple[int, ...] = (128, 64),
+    hidden: tuple[int, ...] = DEFAULT_HIDDEN,
 ) -> tuple[Checkpoint, list[EpochMetrics]]:
     """Train a fresh MLP on the datasets; returns checkpoint and epoch log.
 

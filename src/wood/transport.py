@@ -92,12 +92,12 @@ class SinkhornConfig:
     log_domain: bool = True
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise InputError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise InputError(f"lam must be finite and positive, got {self.lam}")
         if self.max_iter < 1:
             raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.tol > 0:
-            raise InputError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise InputError(f"tol must be finite and positive, got {self.tol}")
 
 
 @dataclass

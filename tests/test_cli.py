@@ -2,10 +2,12 @@
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from wood.cli import main
 from wood.data import Role, load_dataset_csv
 from wood.model import forward, init
 from wood.trainer import (
+    DEFAULT_HIDDEN,
     TrainConfig,
     checkpoint_from_model,
     load_checkpoint,
@@ -151,6 +154,17 @@ class TestTrainEvaluateScore:
             outs.append((out / "scores.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_score_rejects_non_csv_features(self, artifacts, tmp_path, capsys):
+        ind_csv, _, run_dir = artifacts
+        features = tmp_path / "ind.txt"
+        features.write_text(ind_csv.read_text())
+        code = run_cli(
+            "score", "--checkpoint", str(run_dir / "checkpoint.json"),
+            "--features", str(features), "--out", str(tmp_path / "scores"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: expected a .csv dataset, got {features}\n"
+
     def test_missing_checkpoint_is_data_error(self, tmp_path, artifacts):
         ind_csv, ood_csv, _ = artifacts
         code = run_cli(
@@ -188,6 +202,36 @@ class TestConfigFile:
             "--config", str(cfg), "--out", str(tmp_path / "r"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["lam=inf", "lr=0", "matrix=foo", "tnr=0.5"])
+    def test_bad_config_line_is_a_data_error(self, line, tmp_path, capsys):
+        ind_csv = gen_blobs(tmp_path / "d", n=20)
+        capsys.readouterr()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"epochs=1\n{line}\n")
+        out = tmp_path / "r"
+        code = run_cli(
+            "train", "--ind", str(ind_csv), "--b-ood", "0", "--config", str(cfg), "--out", str(out)
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("data error:")
+        assert line.partition("=")[0] in err[0]
+        # Settings are validated before anything is written.
+        assert not out.exists()
+
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        ind_csv = gen_blobs(tmp_path / "d", n=5)
+        ood_csv = gen_ring(tmp_path / "d2", n=10)
+        out = tmp_path / "run"
+        code = run_cli("train", "--ind", str(ind_csv), "--ood", str(ood_csv), "--out", str(out))
+        assert code == 0
+        saved = json.loads((out / "checkpoint.json").read_text())
+        model = init((2, *DEFAULT_HIDDEN, 3), seed=0)
+        library = checkpoint_from_model(model, {}, TrainConfig(epochs=50), "d")
+        assert saved["train_config"] == library.train_config
+        assert saved["layer_dims"] == list(model.layer_dims)
 
 
 class TestBenchScore:
@@ -313,6 +357,31 @@ class TestCheckpointValidation:
         assert len(err) == 1
         assert "non-finite" in err[0]
 
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_diverged_model_is_a_numeric_error(self, command, tmp_path, capsys):
+        # Finite but huge weights, as a diverging last training step leaves
+        # them: the forward pass overflows to non-finite softmax rows.
+        ind_csv = gen_blobs(tmp_path / "data", n=10)
+        model = init((2, 3, 3), seed=0)
+        model.weights[0] *= 1e306
+        model.weights[1] *= 1e306
+        ckpt = checkpoint_from_model(model, {"kind": "identity"}, TrainConfig(epochs=1), "d")
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(ckpt, path)
+        inputs = {
+            "score": ["--features", str(ind_csv)],
+            "evaluate": ["--ind", str(ind_csv), "--ood", str(ind_csv)],
+        }[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(command, "--checkpoint", str(path), *inputs, "--out", str(tmp_path / "o"))
+        assert caught == []
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"numeric error: model diverged: non-finite softmax output for row 0 of {ind_csv}"
+        ]
+
     def test_unknown_activation_is_a_data_error(self, tmp_path, capsys):
         ind_csv = gen_blobs(tmp_path / "data", n=10)
         model = init((2, 3, 3), seed=0)
@@ -400,19 +469,57 @@ def fuzz_argv(draw):
     return argv
 
 
+def _run_captured(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
 @settings(max_examples=200, deadline=None)
 @given(argv=fuzz_argv())
 def test_fuzzed_argv_one_line_and_documented_exit(fuzz_files, argv):
     base, files = fuzz_files
     out = tempfile.mkdtemp(dir=base)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([*argv, *files[argv[0]], "--out", out])
+    code, lines = _run_captured([*argv, *files[argv[0]], "--out", out])
     assert code in (0, 1, 2, 3)
-    lines = err.getvalue().splitlines()
     if code:
         assert len(lines) == 1, lines
         assert lines[0].startswith(EXIT_PREFIXES[code]), lines
+
+
+# A config file sets train's settings by the flags' dest names.
+CONFIG_KEYS = {flag: flag[2:].replace("-", "_") for flag in FUZZ_FLAGS["train"]} | {
+    "--lambda": "lam"
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    flag=st.sampled_from(sorted(FUZZ_FLAGS["train"])),
+    value=st.sampled_from(["valid", "0", "-1", "nan", "inf", "x", "1e300"]),
+)
+def test_config_line_accepts_what_the_flag_accepts(fuzz_files, flag, value):
+    base, files = fuzz_files
+    if value == "valid":
+        value = FUZZ_FLAGS["train"][flag]
+    others = [token for f, v in FUZZ_FLAGS["train"].items() if f != flag for token in (f, v)]
+    run_dir = Path(tempfile.mkdtemp(dir=base))
+    config = run_dir / "run.cfg"
+    config.write_text(f"{CONFIG_KEYS[flag]}={value}\n")
+    common = ["train", *files["train"], *others]
+    by_flag = _run_captured([*common, flag, value, "--out", str(run_dir / "flag")])
+    by_config = _run_captured([*common, "--config", str(config), "--out", str(run_dir / "cfg")])
+    if by_flag[0] == 1:
+        code, err = by_config
+        assert code == 2
+        assert len(by_flag[1]) == 1 and by_flag[1][0].startswith("usage error:")
+        assert len(err) == 1 and err[0].startswith(f"data error: config key {CONFIG_KEYS[flag]}:")
+    else:
+        assert by_config == by_flag
+    if by_flag[0] == 0:
+        flag_ckpt = (run_dir / "flag" / "checkpoint.json").read_bytes()
+        assert (run_dir / "cfg" / "checkpoint.json").read_bytes() == flag_ckpt
 
 
 def test_import_loads_no_scipy():

@@ -129,6 +129,24 @@ class TestTrainStep:
             str(info.value),
         )
 
+    def test_non_finite_update_is_a_numeric_error(self):
+        # Inputs of size 100 give gradients large enough that lr * velocity
+        # overflows to inf in the update itself, before any forward pass sees it.
+        rng = np.random.default_rng(0)
+        batch = Batch(
+            x_ind=rng.normal(size=(6, 2)) * 100, y_ind=np.arange(6) % 3, x_ood=np.zeros((0, 2))
+        )
+        model = init((2, 4, 3), seed=0)
+        cfg = TrainConfig(epochs=1, lr=1e308)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError) as info:
+                train_step(model, batch, cfg, MomentumState(model), batch_id=(0, 4))
+        assert caught == []
+        assert str(info.value) == (
+            "model diverged: non-finite parameter after the update (lr=1e+308, batch=(0, 4))"
+        )
+
     def test_sinkhorn_failure_names_batch_and_row(self):
         ind, ood = blobs(n_per_class=10), ring(n=10)
         score = ScoreConfig(

@@ -97,6 +97,19 @@ class TestExactWasserstein:
             lp_transport(r, np.roll(r, 1) * 0 + r, m)
 
 
+class TestSinkhornConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lam": 0.0}, {"lam": -1.0}, {"lam": np.nan}, {"lam": np.inf},
+            {"tol": 0.0}, {"tol": np.nan}, {"tol": np.inf}, {"max_iter": 0},
+        ],
+    )
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(InputError):
+            SinkhornConfig(**kwargs)
+
+
 class TestSinkhornDistance:
     def test_same_one_hot_is_zero(self, rng):
         m = rng.uniform(0.2, 1.0, (3, 3)) * (1 - np.eye(3))
