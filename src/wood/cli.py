@@ -10,6 +10,7 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import shutil
 import sys
@@ -24,6 +25,7 @@ from .data import (
     SyntheticKind,
     SyntheticSpec,
     load_dataset_csv,
+    read_text,
     save_dataset_csv,
     synth,
 )
@@ -162,20 +164,19 @@ def _read_config_file(path: str) -> dict:
     settings = _add_train_settings(_Parser(add_help=False))
     flags = {action.dest: action.option_strings[0] for action in settings._actions}
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, text = (part.strip() for part in stripped.partition("="))
-            if key not in flags:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = getattr(settings.parse_args([f"{flags[key]}={text}"]), key)
-            except _UsageError as exc:
-                raise ConfigError(f"config key {key}: {exc}") from None
+    for lineno, line in enumerate(read_text(path, "utf-8", ConfigError).split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, text = (part.strip() for part in stripped.partition("="))
+        if key not in flags:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = getattr(settings.parse_args([f"{flags[key]}={text}"]), key)
+        except _UsageError as exc:
+            raise ConfigError(f"config key {key}: {exc}") from None
     return values
 
 
@@ -213,6 +214,8 @@ def _echo_run_config(out_dir: Path, args) -> None:
 
 
 def _prepare_out(args) -> Path:
+    """Create ``--out``. Commands call it once their inputs have loaded and
+    validated, so a run that fails on its inputs writes nothing."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if getattr(args, "config", None):
@@ -240,7 +243,6 @@ def _softmax_rows(model, ds: Dataset, path: str) -> np.ndarray:
 
 
 def _cmd_gen_data(args) -> int:
-    out_dir = _prepare_out(args)
     kind = SyntheticKind(args.kind)
     spec = SyntheticSpec(
         kind=kind,
@@ -252,6 +254,7 @@ def _cmd_gen_data(args) -> int:
         seed=args.seed,
     )
     ds = synth(spec)
+    out_dir = _prepare_out(args)
     name = "ind.csv" if ds.role is Role.IND else "ood.csv"
     save_dataset_csv(ds, out_dir / name)
     _echo_run_config(out_dir, args)
@@ -290,7 +293,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    out_dir = _prepare_out(args)
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
     score_cfg = _checkpoint_score_config(args, ckpt)
@@ -333,6 +335,7 @@ def _cmd_evaluate(args) -> int:
     text = report_text(report)
     text += f"n_calibration: {n_calib}\n"
     text += f"ind_accuracy: {accuracy!r}\n"
+    out_dir = _prepare_out(args)
     (out_dir / "report.txt").write_text(text, encoding="ascii")
     (out_dir / "hist_ind.csv").write_text(
         "\n".join(histogram_csv_lines(report, "ind")) + "\n", encoding="ascii"
@@ -347,7 +350,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    out_dir = _prepare_out(args)
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
     score_cfg = _checkpoint_score_config(args, ckpt)
@@ -365,6 +367,7 @@ def _cmd_score(args) -> int:
         if det:
             row += f",{int(score > det.epsilon)}"
         lines.append(row)
+    out_dir = _prepare_out(args)
     (out_dir / "scores.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     print(f"wrote {out_dir / 'scores.csv'} ({ds.n} rows)")
     return EXIT_OK
@@ -375,14 +378,22 @@ def _median_call_ms(calls, repeats: int) -> list[float]:
 
     Every call is timed on its own, so one scheduler stall cannot decide a
     median, and the calls take turns within a round, so a change of machine
-    speed between rounds slows all of them alike.
+    speed between rounds slows all of them alike. The garbage collector is
+    off while they run, as in ``timeit``, so a collection of garbage that
+    other code left behind is not charged to a call.
     """
     times = np.empty((repeats, len(calls)))
-    for i in range(repeats):
-        for j, call in enumerate(calls):
-            started = time.perf_counter()
-            call()
-            times[i, j] = time.perf_counter() - started
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i in range(repeats):
+            for j, call in enumerate(calls):
+                started = time.perf_counter()
+                call()
+                times[i, j] = time.perf_counter() - started
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return [float(t) * 1000.0 for t in np.median(times, axis=0)]
 
 
@@ -392,7 +403,6 @@ def _cmd_bench_score(args) -> int:
             "bench-score only measures the sinkhorn path; both matrix kinds"
             " are O(K) in closed form"
         )
-    out_dir = _prepare_out(args)
     rng = np.random.default_rng(args.seed)
     lines = ["K,binary_ms,dynamic_ms,ratio"]
     summary = []
@@ -408,6 +418,7 @@ def _cmd_bench_score(args) -> int:
         ratio = binary_ms / dynamic_ms if dynamic_ms > 0 else float("inf")
         lines.append(f"{k},{binary_ms!r},{dynamic_ms!r},{ratio!r}")
         summary.append((k, binary_ms, dynamic_ms, ratio))
+    out_dir = _prepare_out(args)
     (out_dir / "bench.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     for k, bms, dms, ratio in summary:
         print(f"K={k:4d} binary={bms:10.4f}ms dynamic={dms:10.4f}ms ratio={ratio:8.2f}")

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import gzip
 import struct
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InputError
+from .errors import ConfigError, FormatError, InputError, WoodError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -355,34 +356,86 @@ def save_dataset_csv(ds: Dataset, path: str | Path) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def read_text(path: str | Path, encoding: str, error: type[WoodError] = FormatError) -> str:
+    """The text of ``path``, read with universal newlines as a text-mode
+    file reads it. A byte that is not ``encoding`` raises ``error`` naming
+    the path and the byte's offset."""
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise error(f"{path}: byte 0x{byte:02x} at offset {exc.start} is not {encoding}") from None
+
+
 def load_dataset_csv(path: str | Path, role: Role, n_classes: int | None = None) -> Dataset:
-    """Load a dataset CSV written by :func:`save_dataset_csv`."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise FormatError(f"{path}: empty CSV")
-        columns = header.split(",")
-        has_label = columns[-1] == "label"
-        dim = len(columns) - (1 if has_label else 0)
-        features = []
-        labels = []
-        for lineno, line in enumerate(fh, start=2):
-            cells = line.strip().split(",")
-            if len(cells) != len(columns):
-                raise FormatError(f"{path}:{lineno}: expected {len(columns)} cells")
-            try:
-                features.append([float(c) for c in cells[:dim]])
-                if has_label:
-                    labels.append(int(cells[dim]))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    if not features:
-        raise FormatError(f"{path}: no data rows")
-    label_arr = np.array(labels, dtype=np.int64) if (has_label and role is Role.IND) else None
+    """Load a dataset CSV written by :func:`save_dataset_csv`.
+
+    The file is ASCII text: a header ``f0,...,f{d-1}`` with an optional last
+    column ``label``, then one row per line, with no blank lines. Feature
+    cells are what ``float()`` accepts and labels what ``int()`` accepts. A
+    bad row raises ``FormatError`` naming ``path:line``.
+    """
+    text = read_text(path, "ascii")
+    header, _, body = text.partition("\n")
+    header = header.strip()
+    if not header:
+        raise FormatError(f"{path}: empty CSV")
+    columns = header.split(",")
+    has_label = columns[-1] == "label"
+    dim = len(columns) - (1 if has_label else 0)
+    lines = body.split("\n")
+    if lines[-1] == "":  # the newline that ends the last row starts no row
+        lines.pop()
+    parsed = _parse_rows_fast(lines, dim, has_label)
+    if parsed is None:
+        parsed = _parse_rows(path, lines, dim, has_label)
+    features, labels = parsed
     return Dataset(
-        np.array(features),
-        label_arr,
+        features,
+        labels if role is Role.IND else None,
         role,
         provenance=f"csv({Path(path).name})",
         n_classes=n_classes,
     )
+
+
+def _parse_rows_fast(lines: list[str], dim: int, has_label: bool):
+    """``(features, labels)`` of the CSV rows ``lines`` parsed by NumPy's C
+    reader, or ``None`` where it declines them and :func:`_parse_rows`
+    decides. The C reader parses a cell to the same bits as ``float()`` or
+    ``int()``. It declines by raising ``ValueError``, by warning (it only
+    warns when there are no rows) and by skipping blank lines, which
+    :func:`_parse_rows` rejects: then it returns fewer rows than lines."""
+    fields = [("x", np.float64, (dim,))] + ([("y", np.int64)] if has_label else [])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype=fields, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if rows.shape != (len(lines),):
+        return None
+    labels = np.ascontiguousarray(rows["y"]) if has_label else None
+    return np.ascontiguousarray(rows["x"]), labels
+
+
+def _parse_rows(path, lines: list[str], dim: int, has_label: bool):
+    """``(features, labels)`` of the CSV rows ``lines``, one line at a time:
+    the reference for :func:`_parse_rows_fast`, and the parser that names
+    the line of a bad row."""
+    n_columns = dim + (1 if has_label else 0)
+    features = []
+    labels = []
+    for lineno, line in enumerate(lines, start=2):
+        cells = line.strip().split(",")
+        if len(cells) != n_columns:
+            raise FormatError(f"{path}:{lineno}: expected {n_columns} cells")
+        try:
+            features.append([float(c) for c in cells[:dim]])
+            if has_label:
+                labels.append(np.int64(int(cells[dim])))
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+    if not features:
+        raise FormatError(f"{path}: no data rows")
+    return np.array(features), (np.array(labels, dtype=np.int64) if has_label else None)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_text
 from .errors import ConfigError, FormatError, NumericError
 from .geometry import ScoreConfig
 from .loss import LossValue, loss_and_grad
@@ -264,7 +264,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    text = Path(path).read_text(encoding="ascii")
+    text = read_text(path, "ascii")
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

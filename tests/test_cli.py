@@ -1,6 +1,7 @@
 """CLI contract: commands, exit codes, file outputs, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wood
-from wood.cli import main
+from wood.cli import _median_call_ms, main
 from wood.data import Role, load_dataset_csv
+from wood.errors import NumericError
 from wood.model import forward, init
 from wood.trainer import (
     DEFAULT_HIDDEN,
@@ -27,6 +29,8 @@ from wood.trainer import (
     model_from_checkpoint,
     save_checkpoint,
 )
+
+from conftest import csv_texts
 
 
 def run_cli(*argv):
@@ -250,6 +254,113 @@ class TestBenchScore:
         lines = (tmp_path / "bench.csv").read_text().splitlines()
         assert lines[0] == "K,binary_ms,dynamic_ms,ratio"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_timed_calls_run_without_gc(self, enabled):
+        prior = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            seen = []
+            _median_call_ms([lambda: seen.append(gc.isenabled())], 2)
+            assert seen == [False, False]
+            assert gc.isenabled() is enabled
+            with pytest.raises(ZeroDivisionError):
+                _median_call_ms([lambda: 1 / 0], 1)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if prior else gc.disable)()
+
+
+class TestUndecodableBytes:
+    """A byte the reader cannot decode is one data-error line naming the
+    path and the byte's offset, exit 2."""
+
+    def run_one_line(self, capsys, *argv):
+        code = run_cli(*argv)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        return err[0]
+
+    def test_dataset_csv(self, tmp_path, capsys):
+        ind_csv = tmp_path / "ind.csv"
+        ind_csv.write_bytes(b"f0,f1,label\n1.0,2.0,0\n3.0,\xe94.0,1\n")
+        err = self.run_one_line(
+            capsys, "train", "--ind", str(ind_csv), "--out", str(tmp_path / "o"),
+            "--epochs", "1", "--b-ood", "0", "--b-ind", "2",
+        )
+        assert err == f"data error: {ind_csv}: byte 0xe9 at offset 26 is not ascii"
+
+    def test_checkpoint(self, tmp_path, capsys):
+        ind_csv = gen_blobs(tmp_path / "data", n=10)
+        ckpt = checkpoint_from_model(init((2, 3, 3), seed=0), {}, TrainConfig(epochs=1), "d")
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-2] + b"\xe9" + raw[-2:])
+        err = self.run_one_line(
+            capsys, "score", "--checkpoint", str(path), "--features", str(ind_csv),
+            "--out", str(tmp_path / "o"),
+        )
+        assert err == f"data error: {path}: byte 0xe9 at offset {len(raw) - 2} is not ascii"
+
+    def test_config_file(self, tmp_path, capsys):
+        ind_csv = gen_blobs(tmp_path / "data", n=10)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"epochs=1\n# caf\xc3\xa9 \xff\n")
+        err = self.run_one_line(
+            capsys, "train", "--ind", str(ind_csv), "--config", str(cfg),
+            "--out", str(tmp_path / "o"),
+        )
+        assert err == f"data error: {cfg}: byte 0xff at offset 17 is not utf-8"
+
+
+class TestNothingWrittenOnFailure:
+    """Every command loads and checks its inputs before it creates --out."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        ind_csv = gen_blobs(tmp_path / "data", n=10)
+        checkpoint = tmp_path / "checkpoint.json"
+        save_checkpoint(
+            checkpoint_from_model(init((2, 3, 3), seed=0), {}, TrainConfig(epochs=1), "d"),
+            checkpoint,
+        )
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{")
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("f0,f1\n1.0\n")
+        return {"ind": str(ind_csv), "ckpt": str(checkpoint), "bad": str(bad_json),
+                "ragged": str(ragged)}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["score", "--checkpoint", "{bad}", "--features", "{ind}"],
+            ["score", "--checkpoint", "{ckpt}", "--features", "{ragged}"],
+            ["evaluate", "--checkpoint", "{bad}", "--ind", "{ind}", "--ood", "{ind}"],
+            ["evaluate", "--checkpoint", "{ckpt}", "--ind", "{ind}", "--ood", "{ragged}"],
+            ["evaluate", "--checkpoint", "{ckpt}", "--ind", "{ind}", "--ood", "{ind}",
+             "--calib-frac", "1.0"],
+            ["gen-data", "--kind", "blobs", "--k", "1"],
+        ],
+    )
+    def test_data_error_leaves_no_out_dir(self, inputs, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(*(arg.format(**inputs) for arg in argv), "--out", str(out))
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_bench_score_failure_leaves_no_out_dir(self, tmp_path, monkeypatch, capsys):
+        def fail(probs, cfg):
+            raise NumericError("sinkhorn did not converge")
+
+        monkeypatch.setattr("wood.cli.scores", fail)
+        out = tmp_path / "out"
+        assert run_cli("bench-score", "--k", "3", "--repeats", "1", "--out", str(out)) == 3
+        assert capsys.readouterr().err == "numeric error: sinkhorn did not converge\n"
+        assert not out.exists()
 
 
 EVALUATE = ["evaluate", "--checkpoint", "c.json", "--ind", "i.csv", "--ood", "o.csv"]
@@ -486,6 +597,35 @@ def test_fuzzed_argv_one_line_and_documented_exit(fuzz_files, argv):
     if code:
         assert len(lines) == 1, lines
         assert lines[0].startswith(EXIT_PREFIXES[code]), lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["score", "evaluate"]),
+    ind=csv_texts(2, has_label=True),
+    ood=csv_texts(2, has_label=False),
+)
+def test_fuzzed_csv_one_line_and_documented_exit(fuzz_files, command, ind, ood):
+    base, files = fuzz_files
+    run_dir = Path(tempfile.mkdtemp(dir=base))
+    ind_csv, ood_csv, out = run_dir / "ind.csv", run_dir / "ood.csv", run_dir / "out"
+    ind_csv.write_bytes(ind.encode("latin-1"))
+    ood_csv.write_bytes(ood.encode("latin-1"))
+    inputs = {
+        "score": ["--features", str(ood_csv)],
+        "evaluate": ["--ind", str(ind_csv), "--ood", str(ood_csv)],
+    }[command]
+    checkpoint = files["score"][1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, lines = _run_captured(
+            [command, "--checkpoint", checkpoint, *inputs, "--out", str(out)]
+        )
+    assert caught == []
+    assert code in (0, 2)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("data error:"), lines
+        assert not out.exists()
 
 
 # A config file sets train's settings by the flags' dest names.

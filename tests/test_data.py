@@ -1,15 +1,20 @@
 """Dataset containers, synthetic generators, splits, and IDX ingestion."""
 
 import gzip
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wood.data import (
     Dataset,
     Role,
     SyntheticKind,
     SyntheticSpec,
+    _parse_rows,
+    _parse_rows_fast,
     load_dataset_csv,
     load_idx_pair,
     save_dataset_csv,
@@ -18,6 +23,8 @@ from wood.data import (
     write_idx,
 )
 from wood.errors import ConfigError, FormatError, InputError
+
+from conftest import csv_texts
 
 
 def blob_spec(**overrides):
@@ -213,6 +220,94 @@ class TestCsv:
         path.write_text("f0,f1,label\n1.0,2.0\n")
         with pytest.raises(FormatError):
             load_dataset_csv(path, Role.IND)
+
+    def test_non_ascii_byte_names_its_offset(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"f0,f1,label\n1.0,2.0,0\n3.0,\xe94.0,1\n")
+        with pytest.raises(FormatError, match=f"^{path}: byte 0xe9 at offset 26 is not ascii$"):
+            load_dataset_csv(path, Role.IND)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1.0,2.0,0\n\n3.0,4.0,1\n", ":3: expected 3 cells"),  # C reader skips blanks
+            ("1.0,2.0,0\n3.0,4.0,1\n\n", ":4: expected 3 cells"),
+            ("1.0,2.0,3.0\n", ":2: invalid literal for int() with base 10: '3.0'"),
+            ("1.0,2.0,99999999999999999999\n", ":2: Python int too large to convert to C long"),
+            ("", ": no data rows"),  # C reader only warns
+        ],
+    )
+    def test_rejected_body_names_the_line(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("f0,f1,label\n" + body)
+        with pytest.raises(FormatError) as info:
+            load_dataset_csv(path, Role.IND)
+        assert str(info.value) == f"{path}{message}"
+
+    def test_cells_only_float_accepts(self, tmp_path):
+        # The C reader declines "1_0"; the line loop parses it as float() does.
+        path = tmp_path / "d.csv"
+        path.write_text("f0,f1,label\r\n1_0, 2.5 ,+1\r\n-0.0,1e-320,0\r\n")
+        ds = load_dataset_csv(path, Role.IND)
+        expected = np.array([[10.0, 2.5], [-0.0, 1e-320]])
+        np.testing.assert_array_equal(ds.features.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(ds.labels, [1, 0])
+        assert ds.features.flags.c_contiguous
+
+
+def _outcome(call):
+    """``("ok", value)`` or ``(error class, message)``."""
+    try:
+        return "ok", call()
+    except (FormatError, InputError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "d.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fast_reader_agrees_with_line_loop(csv_path, data):
+    dim = data.draw(st.integers(1, 3))
+    has_label = data.draw(st.booleans())
+    role = data.draw(st.sampled_from(Role))
+    text = data.draw(csv_texts(dim, has_label))
+    raw = text.encode("latin-1")
+    csv_path.write_bytes(raw)
+    loaded = _outcome(lambda: load_dataset_csv(csv_path, role))
+    if 0xE9 in raw:
+        offset = raw.index(0xE9)
+        assert loaded == (FormatError, f"{csv_path}: byte 0xe9 at offset {offset} is not ascii")
+        return
+    # The data rows as a text-mode file iterates them.
+    lines = [line.rstrip("\n") for line in io.StringIO(text, newline=None)][1:]
+    fast = _parse_rows_fast(lines, dim, has_label)
+    status, parsed = _outcome(lambda: _parse_rows(csv_path, lines, dim, has_label))
+    if fast is not None:
+        assert status == "ok"
+        assert _same_bits(fast[0], parsed[0]) and fast[0].flags.c_contiguous
+        if has_label:
+            np.testing.assert_array_equal(fast[1], parsed[1])
+            assert fast[1].dtype == parsed[1].dtype
+    if status != "ok":
+        assert loaded == (status, parsed)
+        return
+    expected = _outcome(lambda: Dataset(parsed[0], parsed[1] if role is Role.IND else None, role, "x"))
+    if expected[0] != "ok":
+        assert loaded == expected
+        return
+    assert loaded[0] == "ok"
+    ds = loaded[1]
+    assert _same_bits(ds.features, expected[1].features)
+    if role is Role.IND:
+        np.testing.assert_array_equal(ds.labels, expected[1].labels)
 
 
 class TestIdxTrainingFlow:
