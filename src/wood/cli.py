@@ -293,6 +293,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if not args.calib_on_eval and not 0.0 < args.calib_frac < 1.0:
+        raise ConfigError(f"calib_frac must lie in (0, 1), got {args.calib_frac!r}")
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
     score_cfg = _checkpoint_score_config(args, ckpt)

@@ -66,7 +66,7 @@ def loss_and_grad(
     if labels.ndim != 1 or labels.shape[0] > n:
         raise DimensionError(f"labels of shape {labels.shape} do not fit {n} rows")
     out_of_range = (labels < 0) | (labels >= k)
-    if np.any(out_of_range):
+    if out_of_range.any():
         raise IndexError(f"label {labels[np.argmax(out_of_range)]} out of range for K={k}")
 
     n_ind = labels.shape[0]
@@ -76,9 +76,9 @@ def loss_and_grad(
     if n_ind:
         rows = np.arange(n_ind)
         p_label = np.maximum(P[rows, labels], PROB_FLOOR)
-        ce_term = float(np.mean(-np.log(p_label)))
+        ce_term = float((-np.log(p_label)).sum() / n_ind)
         grad[rows, labels] = -1.0 / (n_ind * p_label)
-        m = float(np.min(np.maximum(P[:n_ind], PROB_FLOOR)))
+        m = float(np.maximum(P[:n_ind], PROB_FLOOR).min())
 
     dynamic = cfg.matrix_kind is CostKind.DYNAMIC
     ood_term = 0.0
@@ -86,7 +86,7 @@ def loss_and_grad(
     if n_ood:
         Q = P[n_ind:]
         values, classes, plans = _score_rows(Q, cfg, first_row=n_ind)
-        ood_term = float(np.mean(values))
+        ood_term = float(values.sum() / n_ood)
         scale = beta / n_ood
         if cfg.evaluation is EvalPath.SINKHORN:
             g = -scale * sinkhorn_gradient(plans, cfg.sinkhorn)
@@ -95,9 +95,9 @@ def loss_and_grad(
         else:
             g = np.zeros_like(Q)
             g[np.arange(n_ood), classes] = scale
-        grad[n_ind:] = g - g.mean(axis=1, keepdims=True)
+        grad[n_ind:] = g - g.sum(axis=1, keepdims=True) / k
         if dynamic:
-            alpha_m = float(np.max(1.0 - Q.min(axis=1)))
+            alpha_m = float((1.0 - Q.min(axis=1)).max())
 
     loss = LossValue(
         total=ce_term - beta * ood_term,

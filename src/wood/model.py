@@ -1,6 +1,7 @@
 """Small ReLU MLP classifier with explicit forward and backward passes.
 
-Parameters are plain numpy arrays and gradients are computed by hand, so the
+Parameters live in one flat numpy vector with per-layer views, and
+gradients are computed by hand into a vector of the same layout, so the
 training loop can inject arbitrary gradients w.r.t. the softmax outputs
 (cross-entropy, transport scores, ...) without an autograd framework. The
 softmax Jacobian is applied analytically and annihilates additive constants
@@ -17,13 +18,41 @@ import numpy as np
 from .errors import DimensionError, InputError
 
 
-@dataclass
-class MlpModel:
-    """Fully connected network: weights[i] maps layer i to layer i+1."""
+def _flat_layers(dims: tuple[int, ...]):
+    """An uninitialized flat float64 vector for the parameters of ``dims``
+    and its per-layer views, laid out W0 b0 W1 b1 ... (each view
+    C-contiguous)."""
+    pairs = list(zip(dims[:-1], dims[1:]))
+    flat = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in pairs))
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in pairs:
+        end = offset + fan_in * fan_out
+        weights.append(flat[offset:end].reshape(fan_in, fan_out))
+        biases.append(flat[end : end + fan_out])
+        offset = end + fan_out
+    return flat, weights, biases
 
-    layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+
+class MlpModel:
+    """Fully connected network: weights[i] maps layer i to layer i+1.
+
+    All parameters live in one contiguous float64 vector ``params``;
+    ``weights[i]`` and ``biases[i]`` are reshaped views into it, so an
+    update of ``params`` is an update of every layer and vice versa. The
+    given arrays are copied in.
+    """
+
+    def __init__(self, layer_dims, weights, biases):
+        self.layer_dims = tuple(int(d) for d in layer_dims)
+        self.params, self.weights, self.biases = _flat_layers(self.layer_dims)
+        given = [np.shape(w) for w in weights] + [np.shape(b) for b in biases]
+        if given != [w.shape for w in self.weights] + [b.shape for b in self.biases]:
+            raise DimensionError(
+                f"parameter shapes {given} disagree with layer_dims {self.layer_dims}"
+            )
+        for view, value in zip((*self.weights, *self.biases), (*weights, *biases)):
+            view[...] = value
 
     @property
     def input_dim(self) -> int:
@@ -50,7 +79,7 @@ def init(layer_dims, seed) -> MlpModel:
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(layer_dims=dims, weights=weights, biases=biases)
+    return MlpModel(dims, weights, biases)
 
 
 @dataclass
@@ -65,9 +94,9 @@ class ForwardTrace:
 
 
 def _stable_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=1, keepdims=True)
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    exp /= exp.sum(axis=1, keepdims=True)
+    return exp
 
 
 def forward(model: MlpModel, x) -> ForwardTrace:
@@ -80,7 +109,7 @@ def forward(model: MlpModel, x) -> ForwardTrace:
             f"input width {x.shape[-1] if x.ndim else '?'} does not match"
             f" model input dim {model.input_dim}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError("input features contain NaN or Inf")
 
     pre_activations = []
@@ -88,7 +117,8 @@ def forward(model: MlpModel, x) -> ForwardTrace:
     a = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
+        z = a @ w
+        z += b
         pre_activations.append(z)
         if i < last:
             a = np.maximum(z, 0.0)
@@ -104,12 +134,15 @@ def forward(model: MlpModel, x) -> ForwardTrace:
     )
 
 
-@dataclass
 class ParamGrads:
-    """Parameter gradients, summed over the batch rows of the trace."""
+    """Parameter gradients, summed over the batch rows of the trace.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    Laid out like ``MlpModel.params``: one flat vector ``flat`` with
+    per-layer views ``weights[i]`` and ``biases[i]``.
+    """
+
+    def __init__(self, layer_dims: tuple[int, ...]):
+        self.flat, self.weights, self.biases = _flat_layers(layer_dims)
 
 
 def backward(model: MlpModel, trace: ForwardTrace, grad_probs) -> ParamGrads:
@@ -128,14 +161,14 @@ def backward(model: MlpModel, trace: ForwardTrace, grad_probs) -> ParamGrads:
             f"grad_probs shape {g.shape} does not match probs {trace.probs.shape}"
         )
     p = trace.probs
-    dz = p * (g - np.sum(g * p, axis=1, keepdims=True))
+    dz = p * (g - (g * p).sum(axis=1, keepdims=True))
 
-    grad_w: list[np.ndarray] = [np.empty(0)] * len(model.weights)
-    grad_b: list[np.ndarray] = [np.empty(0)] * len(model.biases)
+    grads = ParamGrads(model.layer_dims)
     for i in range(len(model.weights) - 1, -1, -1):
         a_prev = trace.activations[i - 1] if i > 0 else trace.inputs
-        grad_w[i] = a_prev.T @ dz
-        grad_b[i] = np.sum(dz, axis=0)
+        np.matmul(a_prev.T, dz, out=grads.weights[i])
+        dz.sum(axis=0, out=grads.biases[i])
         if i > 0:
-            dz = (dz @ model.weights[i].T) * (trace.pre_activations[i - 1] > 0.0)
-    return ParamGrads(weights=grad_w, biases=grad_b)
+            dz = dz @ model.weights[i].T
+            dz *= trace.pre_activations[i - 1] > 0.0
+    return grads

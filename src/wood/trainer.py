@@ -99,19 +99,16 @@ def make_batches(ind_set: Dataset, ood_set: Dataset | None, cfg: TrainConfig, ep
 
 
 class MomentumState:
-    """Per-parameter velocity buffers for SGD with momentum."""
+    """SGD-with-momentum velocity, one flat vector laid out like ``model.params``."""
 
     def __init__(self, model: MlpModel):
-        self.weights = [np.zeros_like(w) for w in model.weights]
-        self.biases = [np.zeros_like(b) for b in model.biases]
+        self.velocity = np.zeros_like(model.params)
 
 
 def _check_finite(grads: ParamGrads, grad_probs: np.ndarray, cfg: TrainConfig, batch_id) -> None:
-    if all(np.all(np.isfinite(g)) for g in grads.weights) and all(
-        np.all(np.isfinite(g)) for g in grads.biases
-    ):
+    if np.isfinite(grads.flat).all():
         return
-    bad_rows = np.flatnonzero(~np.all(np.isfinite(grad_probs), axis=1))
+    bad_rows = np.flatnonzero(~np.isfinite(grad_probs).all(axis=1))
     sample = int(bad_rows[0]) if bad_rows.size else -1
     raise NumericError(
         "non-finite gradient encountered"
@@ -135,12 +132,12 @@ def train_step(
     warnings are silenced rather than printed.
     """
     if batch.x_ood.shape[0]:
-        x = np.vstack([batch.x_ind, batch.x_ood])
+        x = np.concatenate((batch.x_ind, batch.x_ood))
     else:
         x = batch.x_ind
     trace = forward(model, x)
-    bad = ~np.isfinite(trace.probs).all(axis=1)
-    if bad.any():
+    if not np.isfinite(trace.probs).all():
+        bad = ~np.isfinite(trace.probs).all(axis=1)
         raise NumericError(
             "model diverged: non-finite softmax output"
             f" (lr={cfg.lr}, batch={batch_id}, sample={int(bad.argmax())})"
@@ -153,16 +150,11 @@ def train_step(
     grads = backward(model, trace, grad_probs)
     _check_finite(grads, grad_probs, cfg, batch_id)
 
-    for w, b, gw, gb, vw, vb in zip(
-        model.weights, model.biases, grads.weights, grads.biases, state.weights, state.biases
-    ):
-        vw *= cfg.momentum
-        vw += gw
-        vb *= cfg.momentum
-        vb += gb
-        w -= cfg.lr * vw
-        b -= cfg.lr * vb
-    if not all(np.isfinite(p).all() for p in (*model.weights, *model.biases)):
+    velocity = state.velocity
+    velocity *= cfg.momentum
+    velocity += grads.flat
+    model.params -= cfg.lr * velocity
+    if not np.isfinite(model.params).all():
         raise NumericError(
             f"model diverged: non-finite parameter after the update (lr={cfg.lr}, batch={batch_id})"
         )
@@ -240,11 +232,7 @@ def checkpoint_from_model(
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> MlpModel:
-    return MlpModel(
-        layer_dims=tuple(ckpt.layer_dims),
-        weights=[np.array(w, dtype=np.float64) for w in ckpt.weights],
-        biases=[np.array(b, dtype=np.float64) for b in ckpt.biases],
-    )
+    return MlpModel(ckpt.layer_dims, ckpt.weights, ckpt.biases)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:

@@ -343,6 +343,10 @@ class TestNothingWrittenOnFailure:
             ["evaluate", "--checkpoint", "{ckpt}", "--ind", "{ind}", "--ood", "{ind}",
              "--calib-frac", "1.0"],
             ["gen-data", "--kind", "blobs", "--k", "1"],
+            ["evaluate", "--checkpoint", "{ckpt}", "--ind", "{ind}", "--ood", "{ind}",
+             "--calib-frac", "0"],
+            ["evaluate", "--checkpoint", "{ckpt}", "--ind", "{ind}", "--ood", "{ind}",
+             "--calib-frac", "-0.5"],
         ],
     )
     def test_data_error_leaves_no_out_dir(self, inputs, argv, tmp_path, capsys):

@@ -37,6 +37,51 @@ class TestInit:
         assert np.std(model.weights[0]) == pytest.approx(np.sqrt(2.0 / 100), rel=0.1)
 
 
+class TestFlatParams:
+    def test_layer_views_share_the_flat_vector(self):
+        model = init((3, 5, 2), seed=4)
+        assert model.params.size == 3 * 5 + 5 + 5 * 2 + 2
+        for view in (*model.weights, *model.biases):
+            assert np.shares_memory(view, model.params)
+        model.weights[1][2, 1] = 7.5
+        model.biases[0][4] = -2.0
+        assert 7.5 in model.params
+        assert -2.0 in model.params
+        model.params[:] = 0.0
+        assert not any(v.any() for v in (*model.weights, *model.biases))
+
+    def test_construction_copies_and_checks_shapes(self):
+        w, b = np.array([[1.0, 2.0]]), np.array([3.0, 4.0])
+        model = MlpModel((1, 2), [w], [b])
+        np.testing.assert_array_equal(model.params, [1.0, 2.0, 3.0, 4.0])
+        model.params[:] = 0.0
+        assert w[0, 0] == 1.0
+        with pytest.raises(DimensionError):
+            MlpModel((1, 2), [w.T], [b])
+        with pytest.raises(DimensionError):
+            MlpModel((1, 2, 2), [w], [b])
+
+    def test_gradients_fill_one_flat_vector_bitwise(self, rng):
+        # Writing into views of the flat vector rounds exactly as the plain
+        # per-layer expressions do.
+        model = init((2, 4, 3), seed=6)
+        x = rng.normal(size=(5, 2))
+        g = rng.normal(size=(5, 3))
+        trace = forward(model, x)
+        grads = backward(model, trace, g)
+        assert grads.flat.shape == model.params.shape
+        for view in (*grads.weights, *grads.biases):
+            assert np.shares_memory(view, grads.flat)
+
+        p = trace.probs
+        dz1 = p * (g - np.sum(g * p, axis=1, keepdims=True))
+        dz0 = (dz1 @ model.weights[1].T) * (trace.pre_activations[0] > 0.0)
+        want = [x.T @ dz0, np.sum(dz0, axis=0), trace.activations[0].T @ dz1, np.sum(dz1, axis=0)]
+        got = [grads.weights[0], grads.biases[0], grads.weights[1], grads.biases[1]]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestForward:
     def test_zero_parameters_give_uniform(self):
         model = zeroed(init((3, 4, 5), seed=0))

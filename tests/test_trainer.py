@@ -6,10 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wood.data import SyntheticKind, SyntheticSpec, synth
 from wood.errors import ConfigError, FormatError, NumericError
 from wood.geometry import EvalPath, ScoreConfig, scores
+from wood.loss import loss_and_grad
 from wood.model import ParamGrads, backward, forward, init
 from wood.trainer import (
     Batch,
@@ -29,6 +32,20 @@ from wood.trainer import (
 from wood.transport import CostKind, SinkhornConfig
 
 PROB_FLOOR = 1e-12
+
+
+def reference_update(model, grads, vel_w, vel_b, cfg):
+    """SGD with momentum, one layer array at a time: the update the flat
+    vector must reproduce bit for bit."""
+    for w, b, gw, gb, vw, vb in zip(
+        model.weights, model.biases, grads.weights, grads.biases, vel_w, vel_b
+    ):
+        vw *= cfg.momentum
+        vw += gw
+        vb *= cfg.momentum
+        vb += gb
+        w -= cfg.lr * vw
+        b -= cfg.lr * vb
 
 
 def blobs(n_per_class=50, k=2, seed=3):
@@ -108,10 +125,38 @@ class TestTrainStep:
 
     def test_nan_guard_reports_diagnostics(self):
         cfg = TrainConfig(epochs=1)
-        grads = ParamGrads(weights=[np.array([[np.nan]])], biases=[np.zeros(1)])
+        grads = ParamGrads((1, 1))
+        grads.weights[0][...] = np.nan
+        grads.biases[0][...] = 0.0
         grad_probs = np.array([[np.nan, 0.0]])
         with pytest.raises(NumericError, match="batch=7"):
             _check_finite(grads, grad_probs, cfg, batch_id=7)
+
+    @pytest.mark.parametrize("bad_row", [0, 3, 6])
+    def test_non_finite_gradient_names_the_row(self, monkeypatch, bad_row):
+        # A NaN in one row of the softmax-output gradient reaches every
+        # parameter gradient; the fused check catches it before the update
+        # and the row search names that row.
+        def poisoned(*args):
+            value, grad = loss_and_grad(*args)
+            grad[bad_row, 0] = np.nan
+            return value, grad
+
+        monkeypatch.setattr("wood.trainer.loss_and_grad", poisoned)
+        ind, ood = blobs(n_per_class=10), ring(n=10)
+        cfg = TrainConfig(epochs=1, b_ind=5, b_ood=3)
+        batch = next(make_batches(ind, ood, cfg, np.random.default_rng(0)))
+        model = init((2, 4, 2), seed=0)
+        state = MomentumState(model)
+        before = model.params.copy()
+        with pytest.raises(NumericError) as info:
+            train_step(model, batch, cfg, state, batch_id=(2, 9))
+        assert str(info.value) == (
+            f"non-finite gradient encountered (lam={cfg.score.sinkhorn.lam},"
+            f" batch=(2, 9), sample={bad_row})"
+        )
+        assert model.params.tobytes() == before.tobytes()
+        assert not state.velocity.any()
 
     def test_diverged_model_is_a_numeric_error(self):
         # A finite but huge step overflows the next forward pass; the step
@@ -183,20 +228,64 @@ class TestFitEqualsPlainCrossEntropyTrainer:
                         len(idx) * max(float(trace.probs[row, y]), PROB_FLOOR)
                     )
                 grads = backward(model, trace, grad_probs)
-                for w, b, gw, gb, vw, vb in zip(
-                    model.weights, model.biases, grads.weights, grads.biases, vel_w, vel_b
-                ):
-                    vw *= cfg.momentum
-                    vw += gw
-                    vb *= cfg.momentum
-                    vb += gb
-                    w -= cfg.lr * vw
-                    b -= cfg.lr * vb
+                reference_update(model, grads, vel_w, vel_b, cfg)
 
         for got, want in zip(ckpt.weights, model.weights):
             np.testing.assert_array_equal(got, want)
         for got, want in zip(ckpt.biases, model.biases):
             np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 6), max_size=2),
+        dim=st.integers(1, 4),
+        k=st.integers(2, 4),
+        lr=st.floats(1e-4, 0.5),
+        momentum=st.floats(0.0, 0.99),
+        b_ind=st.integers(1, 6),
+        b_ood=st.integers(0, 4),
+        score=st.sampled_from(
+            [
+                ScoreConfig(CostKind.DYNAMIC, EvalPath.CLOSED_FORM),
+                ScoreConfig(CostKind.BINARY, EvalPath.CLOSED_FORM),
+                ScoreConfig(CostKind.BINARY, EvalPath.SINKHORN, SinkhornConfig(lam=10.0)),
+                ScoreConfig(CostKind.DYNAMIC, EvalPath.SINKHORN, SinkhornConfig(lam=10.0)),
+            ]
+        ),
+        steps=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flat_update_equals_per_layer_update(
+        self, hidden, dim, k, lr, momentum, b_ind, b_ood, score, steps, seed
+    ):
+        cfg = TrainConfig(
+            epochs=1, b_ind=b_ind, b_ood=b_ood, lr=lr, momentum=momentum, score=score
+        )
+        dims = (dim, *hidden, k)
+        model = init(dims, seed)
+        state = MomentumState(model)
+        ref = init(dims, seed)
+        vel_w = [np.zeros_like(w) for w in ref.weights]
+        vel_b = [np.zeros_like(b) for b in ref.biases]
+        rng = np.random.default_rng(seed)
+        for step in range(steps):
+            batch = Batch(
+                x_ind=rng.normal(size=(b_ind, dim)),
+                y_ind=rng.integers(0, k, size=b_ind),
+                x_ood=rng.normal(size=(b_ood, dim)) * 3.0,
+            )
+            got = train_step(model, batch, cfg, state, batch_id=(0, step))
+
+            trace = forward(ref, np.concatenate((batch.x_ind, batch.x_ood)))
+            want, grad_probs = loss_and_grad(trace.probs, batch.y_ind, cfg.beta, score)
+            reference_update(ref, backward(ref, trace, grad_probs), vel_w, vel_b, cfg)
+
+            assert got == want
+            for a, b in zip((*model.weights, *model.biases), (*ref.weights, *ref.biases)):
+                assert a.tobytes() == b.tobytes()
+        assert state.velocity.tobytes() == np.concatenate(
+            [np.concatenate((w.ravel(), b)) for w, b in zip(vel_w, vel_b)]
+        ).tobytes()
 
     def test_beta_irrelevant_without_ood_samples(self):
         ind = blobs(n_per_class=20, k=2, seed=4)
@@ -271,6 +360,22 @@ class TestCheckpoint:
         restored = model_from_checkpoint(load_checkpoint(path))
         for a, b in zip(model.weights, restored.weights):
             np.testing.assert_array_equal(a, b)
+
+    def test_model_checkpoint_model_bitwise(self):
+        model = init((3, 5, 4, 2), seed=8)
+        model.params[:] = np.random.default_rng(1).normal(size=model.params.size) * 1e-3
+        cfg = TrainConfig(epochs=1)
+        ckpt = checkpoint_from_model(model, {"kind": "identity"}, cfg, "digest")
+        restored = model_from_checkpoint(ckpt)
+        assert restored.layer_dims == model.layer_dims
+        assert restored.params.tobytes() == model.params.tobytes()
+        again = checkpoint_from_model(restored, {"kind": "identity"}, cfg, "digest")
+        for a, b in zip((*ckpt.weights, *ckpt.biases), (*again.weights, *again.biases)):
+            assert a.tobytes() == b.tobytes()
+        # The checkpoint holds copies: training on after saving leaves it alone.
+        model.params += 1.0
+        for a, b in zip(ckpt.weights, again.weights):
+            assert a.tobytes() == b.tobytes()
 
     def test_truncated_file(self, tmp_path):
         _, _, path = self.make(tmp_path)
