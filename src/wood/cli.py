@@ -224,9 +224,12 @@ def _prepare_out(args) -> Path:
 
 
 def _dataset_from_args(path: str, role: Role, n_classes: int | None = None) -> Dataset:
-    if path.endswith(".csv"):
+    if not path.endswith(".csv"):
+        raise ConfigError(f"expected a .csv dataset, got {path}")
+    try:
         return load_dataset_csv(path, role=role, n_classes=n_classes)
-    raise ConfigError(f"expected a .csv dataset, got {path}")
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -307,10 +310,6 @@ def _cmd_evaluate(args) -> int:
                 f"{name} feature dim {ds.dim} does not match checkpoint input dim"
                 f" {model.input_dim}"
             )
-    if ind_set.n_classes != ckpt.n_classes:
-        raise ConfigError(
-            f"ind labels imply {ind_set.n_classes} classes, checkpoint has {ckpt.n_classes}"
-        )
 
     ind_probs = _softmax_rows(model, ind_set, args.ind)
     ind_scores, _ = scores(ind_probs, score_cfg)
@@ -363,14 +362,16 @@ def _cmd_score(args) -> int:
     values, classes = scores(_softmax_rows(model, ds, args.features), score_cfg)
     det = Detector(args.epsilon, score_cfg, args.tnr) if args.epsilon is not None else None
 
-    lines = ["index,argmin_class,score" + (",decision" if det else "")]
-    for i, (score, k_star) in enumerate(zip(values.tolist(), classes.tolist())):
-        row = f"{i},{k_star},{score!r}"
-        if det:
-            row += f",{int(score > det.epsilon)}"
-        lines.append(row)
+    header = "index,argmin_class,score"
+    row = "{},{},{!r}"
+    columns = [range(values.size), classes.tolist(), values.tolist()]
+    if det:
+        header += ",decision"
+        row += ",{}"
+        columns.append((values > det.epsilon).astype(np.int8).tolist())
+    text = header + "\n" + "".join(map((row + "\n").format, *columns))
     out_dir = _prepare_out(args)
-    (out_dir / "scores.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    (out_dir / "scores.csv").write_text(text, encoding="ascii")
     print(f"wrote {out_dir / 'scores.csv'} ({ds.n} rows)")
     return EXIT_OK
 
@@ -473,7 +474,7 @@ def _build_parser(train_defaults: dict) -> argparse.ArgumentParser:
     sc.add_argument("--checkpoint", required=True)
     sc.add_argument("--features", required=True)
     _add_score_flags(sc)
-    sc.add_argument("--epsilon", type=float, default=None)
+    sc.add_argument("--epsilon", type=_finite_float, default=None)
     sc.add_argument("--tnr", type=_tnr_value, default=0.95)
     sc.add_argument("--out", required=True)
     sc.set_defaults(func=_cmd_score)

@@ -68,7 +68,9 @@ class Dataset:
             self._labels = labels
             self._n_classes = int(n_classes) if n_classes is not None else int(labels.max()) + 1
             if np.any(labels >= self._n_classes):
-                raise InputError("label exceeds declared class count")
+                raise InputError(
+                    f"label {int(labels.max())} is out of range for {self._n_classes} classes"
+                )
 
     @property
     def n(self) -> int:

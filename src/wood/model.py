@@ -84,23 +84,25 @@ def init(layer_dims, seed) -> MlpModel:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs, stored batch-first (n, width)."""
+    """Everything the backward pass needs, batch-first (n, width): the inputs,
+    each hidden layer's post-ReLU activation and the softmax rows."""
 
     inputs: np.ndarray
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
-    logits: np.ndarray
     probs: np.ndarray
 
 
 def _stable_softmax(logits: np.ndarray) -> np.ndarray:
-    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-    exp /= exp.sum(axis=1, keepdims=True)
-    return exp
+    """Softmax of each row, computed in place in ``logits``."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def forward(model: MlpModel, x) -> ForwardTrace:
-    """Run the network on one sample (d,) or a batch (n, d)."""
+    """Run the network on one sample (d,) or a batch (n, d), allocating one
+    array per layer: ReLU and softmax overwrite their inputs."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -112,26 +114,16 @@ def forward(model: MlpModel, x) -> ForwardTrace:
     if not np.isfinite(x).all():
         raise InputError("input features contain NaN or Inf")
 
-    pre_activations = []
     activations = []
     a = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
         z = a @ w
         z += b
-        pre_activations.append(z)
-        if i < last:
-            a = np.maximum(z, 0.0)
-            activations.append(a)
-    logits = pre_activations[-1]
-    probs = _stable_softmax(logits)
-    return ForwardTrace(
-        inputs=x,
-        pre_activations=pre_activations,
-        activations=activations,
-        logits=logits,
-        probs=probs,
-    )
+        a = np.maximum(z, 0.0, out=z)
+        activations.append(a)
+    logits = a @ model.weights[-1]
+    logits += model.biases[-1]
+    return ForwardTrace(inputs=x, activations=activations, probs=_stable_softmax(logits))
 
 
 class ParamGrads:
@@ -170,5 +162,6 @@ def backward(model: MlpModel, trace: ForwardTrace, grad_probs) -> ParamGrads:
         dz.sum(axis=0, out=grads.biases[i])
         if i > 0:
             dz = dz @ model.weights[i].T
-            dz *= trace.pre_activations[i - 1] > 0.0
+            # ReLU(z) > 0 exactly where z > 0.
+            dz *= trace.activations[i - 1] > 0.0
     return grads

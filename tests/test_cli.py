@@ -367,6 +367,82 @@ class TestNothingWrittenOnFailure:
         assert not out.exists()
 
 
+def reference_scores_csv(values, classes, epsilon):
+    """``scores.csv`` rendered one row at a time."""
+    lines = ["index,argmin_class,score" + (",decision" if epsilon is not None else "")]
+    for i, (score, k_star) in enumerate(zip(values.tolist(), classes.tolist())):
+        row = f"{i},{k_star},{score!r}"
+        if epsilon is not None:
+            row += f",{int(score > epsilon)}"
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+class TestScoringCommands:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        ind_csv = gen_blobs(tmp_path / "data", n=4)
+        checkpoint = tmp_path / "checkpoint.json"
+        save_checkpoint(
+            checkpoint_from_model(init((2, 3, 3), seed=0), {}, TrainConfig(epochs=1), "d"),
+            checkpoint,
+        )
+        return ind_csv, checkpoint
+
+    @pytest.mark.parametrize("epsilon", [None, 0.1 + 0.2])
+    def test_scores_csv_equals_per_row_rendering(self, inputs, epsilon, tmp_path, monkeypatch):
+        # Zero, tiny and subnormal scores, a score equal to epsilon (the
+        # decision is a strict >), its neighbours, and repeated values.
+        eps = 0.1 + 0.2
+        chosen = [0.0, 1e-17, 5e-324, eps, eps, np.nextafter(eps, 1.0),
+                  np.nextafter(eps, 0.0), 1.0 / 3.0, 1.0 / 3.0, 2.0, 1e300, 0.5]
+        values = np.array(chosen)
+        classes = np.arange(values.size) % 3
+
+        def fake_scores(probs, cfg):
+            assert probs.shape[0] == values.size
+            return values, classes
+
+        monkeypatch.setattr("wood.cli.scores", fake_scores)
+        ind_csv, checkpoint = inputs
+        out = tmp_path / "out"
+        argv = ["score", "--checkpoint", str(checkpoint), "--features", str(ind_csv)]
+        if epsilon is not None:
+            argv += ["--epsilon", repr(epsilon)]
+        assert run_cli(*argv, "--out", str(out)) == 0
+        want = reference_scores_csv(values, classes, epsilon)
+        assert (out / "scores.csv").read_bytes() == want.encode("ascii")
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+    def test_non_finite_epsilon_is_a_usage_error(self, inputs, epsilon, tmp_path, capsys):
+        ind_csv, checkpoint = inputs
+        out = tmp_path / "out"
+        code = run_cli(
+            "score", "--checkpoint", str(checkpoint), "--features", str(ind_csv),
+            "--epsilon", epsilon, "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("usage error:")
+        assert not out.exists()
+
+    def test_ind_label_beyond_checkpoint_classes_is_a_data_error(self, inputs, tmp_path, capsys):
+        ind_csv, checkpoint = inputs
+        bad = tmp_path / "ind4.csv"
+        bad.write_text("f0,f1,label\n0.5,1.0,0\n-0.5,2.0,3\n1.5,0.0,1\n")
+        out = tmp_path / "out"
+        code = run_cli(
+            "evaluate", "--checkpoint", str(checkpoint), "--ind", str(bad),
+            "--ood", str(ind_csv), "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: label 3 is out of range for 3 classes\n"
+        )
+        assert not out.exists()
+
+
 EVALUATE = ["evaluate", "--checkpoint", "c.json", "--ind", "i.csv", "--ood", "o.csv"]
 
 

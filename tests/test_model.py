@@ -1,7 +1,11 @@
 """MLP forward/backward correctness: stability, gauge invariance, grad checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wood.errors import DimensionError, InputError
 from wood.model import MlpModel, backward, forward, init
@@ -75,11 +79,85 @@ class TestFlatParams:
 
         p = trace.probs
         dz1 = p * (g - np.sum(g * p, axis=1, keepdims=True))
-        dz0 = (dz1 @ model.weights[1].T) * (trace.pre_activations[0] > 0.0)
+        dz0 = (dz1 @ model.weights[1].T) * (trace.activations[0] > 0.0)
         want = [x.T @ dz0, np.sum(dz0, axis=0), trace.activations[0].T @ dz1, np.sum(dz1, axis=0)]
         got = [grads.weights[0], grads.biases[0], grads.weights[1], grads.biases[1]]
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+
+
+def reference_forward_backward(model, x, g):
+    """Forward and backward with every intermediate kept in its own array:
+    ``(activations, probs, [dW0, db0, dW1, ...])``."""
+    pre_activations, activations = [], []
+    a = x
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w
+        z += b
+        pre_activations.append(z)
+        if i < len(model.weights) - 1:
+            a = np.maximum(z, 0.0)
+            activations.append(a)
+    logits = pre_activations[-1]
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+
+    grads = [None] * (2 * len(model.weights))
+    dz = probs * (g - (g * probs).sum(axis=1, keepdims=True))
+    for i in range(len(model.weights) - 1, -1, -1):
+        a_prev = activations[i - 1] if i > 0 else x
+        grads[2 * i] = a_prev.T @ dz
+        grads[2 * i + 1] = dz.sum(axis=0)
+        if i > 0:
+            dz = (dz @ model.weights[i].T) * (pre_activations[i - 1] > 0.0)
+    return activations, probs, grads
+
+
+class TestForwardContract:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        zero_rows=st.booleans(),
+        scale=st.sampled_from([1.0, 30.0, 1000.0]),
+    )
+    def test_forward_and_backward_match_the_keep_everything_reference(
+        self, dims, n, seed, zero_rows, scale
+    ):
+        # Up to three hidden layers; zero input rows and zero biases give
+        # pre-activations of exactly 0, and large inputs saturate the softmax.
+        rng = np.random.default_rng(seed)
+        model = init(dims, seed=seed)
+        x = scale * rng.normal(size=(n, dims[0]))
+        if zero_rows:
+            x[::2] = 0.0
+        g = rng.normal(size=(n, dims[-1]))
+        activations, probs, want = reference_forward_backward(model, x, g)
+
+        trace = forward(model, x)
+        grads = backward(model, trace, g)
+        assert trace.probs.tobytes() == probs.tobytes()
+        assert len(trace.activations) == len(activations)
+        for got, ref in zip(trace.activations, activations):
+            assert got.tobytes() == ref.tobytes()
+        got = [v for pair in zip(grads.weights, grads.biases) for v in pair]
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_forward_allocates_each_layer_once(self, rng):
+        model = init((8, 64, 32, 10), seed=0)
+        x = rng.normal(size=(4096, 8))
+        forward(model, x)  # warm-up: first-call allocations are not the pass's
+        tracemalloc.start()
+        try:
+            trace = forward(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in trace.activations) + trace.probs.nbytes
+        assert peak <= 1.1 * kept
 
 
 class TestForward:
