@@ -232,17 +232,40 @@ def _dataset_from_args(path: str, role: Role, n_classes: int | None = None) -> D
         raise InputError(f"{path}: {exc}") from None
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _softmax_rows(model, ds: Dataset, path: str) -> np.ndarray:
-    """The model's softmax rows for ``ds``. A diverged model overflows to
-    non-finite rows, which are a numeric error naming the first one."""
-    probs = forward(model, ds.features).probs
-    bad = ~np.isfinite(probs).all(axis=1)
-    if bad.any():
-        raise NumericError(
-            f"model diverged: non-finite softmax output for row {int(bad.argmax())} of {path}"
-        )
-    return probs
+# Rows that ``score`` and ``evaluate`` run through the model at once. Only
+# one block's activations and softmax rows exist at a time, so memory grows
+# with file length only through the features and the per-row results.
+SCORE_BLOCK_ROWS = 4096
+
+
+def _score_blocks(model, ds: Dataset, path: str, cfg: ScoreConfig):
+    """``(values, classes, predicted)`` for the rows of ``ds``: each row's
+    score and argmin class under ``cfg``, and the model's predicted class.
+
+    The model runs over blocks of ``SCORE_BLOCK_ROWS`` rows, so a row's
+    outputs depend only on its own block (the rows of a BLAS product depend
+    on how many rows are in it). A diverged model overflows to non-finite
+    softmax rows, a numeric error naming the first one in the file.
+    """
+    values = np.empty(ds.n)
+    classes = np.empty(ds.n, dtype=np.intp)
+    predicted = np.empty(ds.n, dtype=np.intp)
+    for start in range(0, ds.n, SCORE_BLOCK_ROWS):
+        stop = start + SCORE_BLOCK_ROWS
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = forward(model, ds.features[start:stop]).probs
+        bad = ~np.isfinite(probs).all(axis=1)
+        if bad.any():
+            raise NumericError(
+                "model diverged: non-finite softmax output for row"
+                f" {start + int(bad.argmax())} of {path}"
+            )
+        try:
+            values[start:stop], classes[start:stop] = scores(probs, cfg)
+        except NumericError as exc:
+            raise NumericError(f"{exc}, in the block from row {start} of {path}") from None
+        predicted[start:stop] = probs.argmax(axis=1)
+    return values, classes, predicted
 
 
 def _cmd_gen_data(args) -> int:
@@ -278,6 +301,11 @@ def _cmd_train(args) -> int:
     )
     ind_set = _dataset_from_args(args.ind, Role.IND)
     ood_set = _dataset_from_args(args.ood, Role.OOD) if args.ood else None
+    # fit rejects both as well, but cannot name the file or the flag.
+    if ind_set.n_classes < 2:
+        raise InputError(f"{args.ind}: training needs at least 2 classes, got {ind_set.n_classes}")
+    if cfg.b_ood > 0 and ood_set is None:
+        raise ConfigError(f"--b-ood {cfg.b_ood} needs an --ood dataset")
     out_dir = _prepare_out(args)
 
     ckpt, metrics = fit(ind_set, ood_set, cfg, hidden=args.hidden)
@@ -311,9 +339,8 @@ def _cmd_evaluate(args) -> int:
                 f" {model.input_dim}"
             )
 
-    ind_probs = _softmax_rows(model, ind_set, args.ind)
-    ind_scores, _ = scores(ind_probs, score_cfg)
-    ood_scores, _ = scores(_softmax_rows(model, ood_set, args.ood), score_cfg)
+    ind_scores, _, ind_predicted = _score_blocks(model, ind_set, args.ind, score_cfg)
+    ood_scores, _, _ = _score_blocks(model, ood_set, args.ood, score_cfg)
 
     if args.calib_on_eval:
         report = evaluate(ind_scores, ood_scores, args.tnr)
@@ -331,7 +358,7 @@ def _cmd_evaluate(args) -> int:
         det = calibrate(calib_scores, args.tnr, score_cfg)
         report = evaluate_with_detector(det, eval_scores, ood_scores)
 
-    accuracy = float(np.mean(np.argmax(ind_probs, axis=1) == ind_set.labels))
+    accuracy = float(np.mean(ind_predicted == ind_set.labels))
 
     text = report_text(report)
     text += f"n_calibration: {n_calib}\n"
@@ -359,7 +386,7 @@ def _cmd_score(args) -> int:
         raise ConfigError(
             f"feature dim {ds.dim} does not match checkpoint input dim {model.input_dim}"
         )
-    values, classes = scores(_softmax_rows(model, ds, args.features), score_cfg)
+    values, classes, _ = _score_blocks(model, ds, args.features, score_cfg)
     det = Detector(args.epsilon, score_cfg, args.tnr) if args.epsilon is not None else None
 
     header = "index,argmin_class,score"

@@ -18,6 +18,16 @@ import numpy as np
 from .errors import DimensionError, InputError
 
 
+def _layer_dims(layer_dims) -> tuple[int, ...]:
+    """``layer_dims`` as ints: an input and an output width at least, each >= 1."""
+    dims = tuple(int(d) for d in layer_dims)
+    if len(dims) < 2:
+        raise DimensionError("layer_dims needs at least input and output sizes")
+    if any(d < 1 for d in dims):
+        raise DimensionError(f"layer sizes must be positive, got {dims}")
+    return dims
+
+
 def _flat_layers(dims: tuple[int, ...]):
     """An uninitialized flat float64 vector for the parameters of ``dims``
     and its per-layer views, laid out W0 b0 W1 b1 ... (each view
@@ -44,7 +54,7 @@ class MlpModel:
     """
 
     def __init__(self, layer_dims, weights, biases):
-        self.layer_dims = tuple(int(d) for d in layer_dims)
+        self.layer_dims = _layer_dims(layer_dims)
         self.params, self.weights, self.biases = _flat_layers(self.layer_dims)
         given = [np.shape(w) for w in weights] + [np.shape(b) for b in biases]
         if given != [w.shape for w in self.weights] + [b.shape for b in self.biases]:
@@ -68,11 +78,7 @@ def init(layer_dims, seed) -> MlpModel:
 
     Deterministic for a fixed ``seed`` (int or numpy SeedSequence).
     """
-    dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2:
-        raise DimensionError("layer_dims needs at least input and output sizes")
-    if any(d < 1 for d in dims):
-        raise DimensionError(f"layer sizes must be positive, got {dims}")
+    dims = _layer_dims(layer_dims)
     rng = np.random.default_rng(seed)
     weights = []
     biases = []

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, read_text
-from .errors import ConfigError, FormatError, NumericError
+from .errors import ConfigError, DimensionError, FormatError, InputError, NumericError
 from .geometry import ScoreConfig
 from .loss import LossValue, loss_and_grad
 from .model import MlpModel, ParamGrads, backward, forward, init
@@ -281,9 +281,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise FormatError(f"{path}: malformed checkpoint field: {exc}") from exc
     if ckpt.activation != ACTIVATION:
         raise FormatError(f"{path}: unsupported activation {ckpt.activation!r}")
-    for i, (fan_in, fan_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
-        if ckpt.weights[i].shape != (fan_in, fan_out) or ckpt.biases[i].shape != (fan_out,):
-            raise FormatError(f"{path}: parameter shapes disagree with layer_dims")
+    try:
+        model_from_checkpoint(ckpt)
+    except DimensionError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if ckpt.n_classes != layer_dims[-1]:
+        raise FormatError(
+            f"{path}: n_classes {ckpt.n_classes} disagrees with output width {layer_dims[-1]}"
+        )
     if not all(np.all(np.isfinite(p)) for p in (*ckpt.weights, *ckpt.biases)):
         raise FormatError(f"{path}: non-finite weights or biases")
     return ckpt
@@ -306,6 +311,8 @@ def fit(
     split into one stream for weight init and one for batch construction.
     """
     n_classes = ind_set.n_classes
+    if n_classes < 2:
+        raise InputError(f"training needs at least 2 classes, got {n_classes}")
     init_seed, batch_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     model = init((ind_set.dim, *hidden, n_classes), init_seed)
     rng = np.random.default_rng(batch_seed)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wood
-from wood.cli import _median_call_ms, main
-from wood.data import Role, load_dataset_csv
+from wood.cli import _median_call_ms, _score_blocks, main
+from wood.data import Dataset, Role, load_dataset_csv, save_dataset_csv
+from wood.detect import evaluate, report_text
 from wood.errors import NumericError
+from wood.geometry import EvalPath, ScoreConfig, scores
 from wood.model import forward, init
 from wood.trainer import (
     DEFAULT_HIDDEN,
@@ -29,6 +32,7 @@ from wood.trainer import (
     model_from_checkpoint,
     save_checkpoint,
 )
+from wood.transport import CostKind, SinkhornConfig
 
 from conftest import csv_texts
 
@@ -330,8 +334,10 @@ class TestNothingWrittenOnFailure:
         bad_json.write_text("{")
         ragged = tmp_path / "ragged.csv"
         ragged.write_text("f0,f1\n1.0\n")
+        one_class = tmp_path / "one_class.csv"
+        one_class.write_text("f0,f1,label\n0.5,1.0,0\n-0.5,2.0,0\n")
         return {"ind": str(ind_csv), "ckpt": str(checkpoint), "bad": str(bad_json),
-                "ragged": str(ragged)}
+                "ragged": str(ragged), "one_class": str(one_class)}
 
     @pytest.mark.parametrize(
         "argv",
@@ -347,6 +353,8 @@ class TestNothingWrittenOnFailure:
              "--calib-frac", "0"],
             ["evaluate", "--checkpoint", "{ckpt}", "--ind", "{ind}", "--ood", "{ind}",
              "--calib-frac", "-0.5"],
+            ["train", "--ind", "{ind}"],
+            ["train", "--ind", "{one_class}", "--b-ood", "0"],
         ],
     )
     def test_data_error_leaves_no_out_dir(self, inputs, argv, tmp_path, capsys):
@@ -354,6 +362,21 @@ class TestNothingWrittenOnFailure:
         code = run_cli(*(arg.format(**inputs) for arg in argv), "--out", str(out))
         assert code == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--ind", "{ind}"], "data error: --b-ood 10 needs an --ood dataset"),
+            (["--ind", "{one_class}", "--b-ood", "0"],
+             "data error: {one_class}: training needs at least 2 classes, got 1"),
+        ],
+    )
+    def test_train_input_error_names_the_flag_or_file(self, inputs, argv, line, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli("train", *(arg.format(**inputs) for arg in argv), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == line.format(**inputs) + "\n"
         assert not out.exists()
 
     def test_bench_score_failure_leaves_no_out_dir(self, tmp_path, monkeypatch, capsys):
@@ -441,6 +464,173 @@ class TestScoringCommands:
             f"data error: {bad}: label 3 is out of range for 3 classes\n"
         )
         assert not out.exists()
+
+
+def per_block_reference(model, x, block, cfg):
+    """Scores, argmin classes and predicted classes of ``x``, one forward
+    pass per block of ``block`` rows."""
+    parts = []
+    for start in range(0, x.shape[0], block):
+        probs = forward(model, x[start : start + block]).probs
+        parts.append((*scores(probs, cfg), probs.argmax(axis=1)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+# Score flags and the configuration they select, one Sinkhorn case.
+BLOCKED_CONFIGS = [
+    (["--matrix", "binary", "--eval-path", "closed"],
+     ScoreConfig(CostKind.BINARY, EvalPath.CLOSED_FORM)),
+    (["--matrix", "dynamic", "--eval-path", "closed"],
+     ScoreConfig(CostKind.DYNAMIC, EvalPath.CLOSED_FORM)),
+    (["--matrix", "binary", "--eval-path", "sinkhorn", "--lambda", "10"],
+     ScoreConfig(CostKind.BINARY, EvalPath.SINKHORN, SinkhornConfig(lam=10.0))),
+]
+
+
+class TestBlockedScoring:
+    """``score`` and ``evaluate`` run the model over blocks of
+    ``SCORE_BLOCK_ROWS`` rows; the constant is patched small here."""
+
+    @staticmethod
+    def write_checkpoint(path):
+        model = init((2, 6, 3), seed=3)
+        model.params *= 3.0  # spread the softmax rows away from uniform
+        save_checkpoint(checkpoint_from_model(model, {}, TrainConfig(epochs=1), "d"), path)
+        return model_from_checkpoint(load_checkpoint(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block=st.integers(2, 8),
+        n_ind=st.integers(1, 40),
+        n_ood=st.integers(1, 40),
+        config=st.sampled_from(range(len(BLOCKED_CONFIGS))),
+        seed=st.integers(0, 2**16),
+    )
+    def test_outputs_equal_the_per_block_reference(self, block, n_ind, n_ood, config, seed):
+        flags, cfg = BLOCKED_CONFIGS[config]
+        n_ind = min(n_ind, 4 * block + block - 1)
+        n_ood = min(n_ood, 4 * block + block - 1)
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            tmp = Path(tmp)
+            model = self.write_checkpoint(tmp / "checkpoint.json")
+            ind_csv, ood_csv = tmp / "ind.csv", tmp / "ood.csv"
+            labels = np.arange(n_ind) % 3
+            save_dataset_csv(Dataset(rng.normal(0, 2, (n_ind, 2)), labels, Role.IND, "t"), ind_csv)
+            save_dataset_csv(Dataset(rng.normal(0, 2, (n_ood, 2)), None, Role.OOD, "t"), ood_csv)
+            ind_x = load_dataset_csv(ind_csv, Role.IND).features
+            ood_x = load_dataset_csv(ood_csv, Role.OOD).features
+
+            forward_rows = []
+
+            def counting_forward(model, x):
+                forward_rows.append(x.shape[0])
+                return forward(model, x)
+
+            mp.setattr("wood.cli.SCORE_BLOCK_ROWS", block)
+            mp.setattr("wood.cli.forward", counting_forward)
+            common = ["--checkpoint", str(tmp / "checkpoint.json"), *flags]
+            assert run_cli("score", *common, "--features", str(ood_csv),
+                           "--out", str(tmp / "s")) == 0
+            assert run_cli("evaluate", *common, "--ind", str(ind_csv), "--ood", str(ood_csv),
+                           "--calib-on-eval", "--out", str(tmp / "e")) == 0
+            written = (tmp / "s" / "scores.csv").read_text()
+            report = (tmp / "e" / "report.txt").read_text()
+
+        def block_sizes(n):
+            return [min(block, n - start) for start in range(0, n, block)]
+
+        assert forward_rows == block_sizes(n_ood) + block_sizes(n_ind) + block_sizes(n_ood)
+        ood_values, ood_classes, _ = per_block_reference(model, ood_x, block, cfg)
+        assert written == reference_scores_csv(ood_values, ood_classes, None)
+        full_values, _ = scores(forward(model, ood_x).probs, cfg)
+        written_values = np.array([float(line.split(",")[2]) for line in written.splitlines()[1:]])
+        np.testing.assert_allclose(written_values, full_values, rtol=0, atol=1e-12)
+
+        ind_values, _, ind_predicted = per_block_reference(model, ind_x, block, cfg)
+        want = report_text(evaluate(ind_values, ood_values, 0.95))
+        want += f"n_calibration: {n_ind}\n"
+        want += f"ind_accuracy: {float(np.mean(ind_predicted == labels))!r}\n"
+        assert report == want
+
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_diverged_row_in_a_later_block_is_named(self, command, tmp_path, capsys, monkeypatch):
+        # Finite but huge features overflow the first layer of a model whose
+        # first weights are all 1: the row's softmax output is non-finite.
+        model = init((2, 3, 3), seed=0)
+        model.weights[0][...] = 1.0
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(checkpoint_from_model(model, {}, TrainConfig(epochs=1), "d"), path)
+        x = np.random.default_rng(5).normal(size=(13, 2))
+        x[9] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(forward(model, x[9]).probs).all()
+        labels = np.arange(13) % 3
+        ind_csv, bad_csv = tmp_path / "ind.csv", tmp_path / "bad.csv"
+        save_dataset_csv(Dataset(x[:8], labels[:8], Role.IND, "t"), ind_csv)
+        save_dataset_csv(Dataset(x, None, Role.OOD, "t"), bad_csv)
+        inputs = {
+            "score": ["--features", str(bad_csv)],
+            "evaluate": ["--ind", str(ind_csv), "--ood", str(bad_csv)],
+        }[command]
+        monkeypatch.setattr("wood.cli.SCORE_BLOCK_ROWS", 4)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(command, "--checkpoint", str(path), *inputs, "--out", str(out))
+        assert caught == []
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"numeric error: model diverged: non-finite softmax output for row 9 of {bad_csv}"
+        ]
+        assert not out.exists()
+
+    def test_scoring_failure_names_its_block(self, tmp_path, capsys, monkeypatch):
+        ind_csv = gen_blobs(tmp_path / "data", n=4)
+        path = tmp_path / "checkpoint.json"
+        self.write_checkpoint(path)
+        calls = []
+
+        def fail_on_second_block(probs, cfg):
+            calls.append(probs.shape[0])
+            if len(calls) == 2:
+                raise NumericError("sinkhorn failed to converge on row 1")
+            return 1.0 - probs.max(axis=1), probs.argmax(axis=1)
+
+        monkeypatch.setattr("wood.cli.SCORE_BLOCK_ROWS", 5)
+        monkeypatch.setattr("wood.cli.scores", fail_on_second_block)
+        out = tmp_path / "out"
+        code = run_cli("score", "--checkpoint", str(path), "--features", str(ind_csv),
+                       "--out", str(out))
+        assert code == 3
+        assert calls == [5, 5]
+        assert capsys.readouterr().err == (
+            "numeric error: sinkhorn failed to converge on row 1,"
+            f" in the block from row 5 of {ind_csv}\n"
+        )
+        assert not out.exists()
+
+    def test_peak_memory_grows_only_with_the_per_row_outputs(self, monkeypatch):
+        block = 256
+        monkeypatch.setattr("wood.cli.SCORE_BLOCK_ROWS", block)
+        model = init((2, 64, 3), seed=0)
+        cfg = ScoreConfig(CostKind.BINARY, EvalPath.CLOSED_FORM)
+        rng = np.random.default_rng(0)
+
+        def traced(n_blocks):
+            ds = Dataset(rng.normal(size=(n_blocks * block, 2)), None, Role.OOD, "t")
+            _score_blocks(model, ds, "f.csv", cfg)  # warm up lazy imports and caches
+            tracemalloc.start()
+            try:
+                outputs = _score_blocks(model, ds, "f.csv", cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, sum(a.nbytes for a in outputs)
+
+        peak_small, outputs_small = traced(4)
+        peak_large, outputs_large = traced(16)
+        assert peak_large - peak_small <= outputs_large - outputs_small
 
 
 EVALUATE = ["evaluate", "--checkpoint", "c.json", "--ind", "i.csv", "--ood", "o.csv"]
@@ -572,6 +762,36 @@ class TestCheckpointValidation:
         assert err == [
             f"numeric error: model diverged: non-finite softmax output for row 0 of {ind_csv}"
         ]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"layer_dims": [2], "weights": [], "biases": []},
+             "layer_dims needs at least input and output sizes"),
+            ({"layer_dims": [2, 0, 3], "weights": [[[], []], []], "biases": [[], [0, 0, 0]]},
+             "layer sizes must be positive, got (2, 0, 3)"),
+            ({"n_classes": 7}, "n_classes 7 disagrees with output width 3"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_unusable_architecture_is_a_data_error(
+        self, fields, message, command, tmp_path, capsys
+    ):
+        ind_csv = gen_blobs(tmp_path / "data", n=10)
+        ckpt = checkpoint_from_model(init((2, 3, 3), seed=0), {}, TrainConfig(epochs=1), "d")
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(ckpt, path)
+        payload = json.loads(path.read_text())
+        payload.update(fields)
+        path.write_text(json.dumps(payload))
+        inputs = {
+            "score": ["--features", str(ind_csv)],
+            "evaluate": ["--ind", str(ind_csv), "--ood", str(ind_csv)],
+        }[command]
+        out = tmp_path / "out"
+        assert run_cli(command, "--checkpoint", str(path), *inputs, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+        assert not out.exists()
 
     def test_unknown_activation_is_a_data_error(self, tmp_path, capsys):
         ind_csv = gen_blobs(tmp_path / "data", n=10)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wood.data import SyntheticKind, SyntheticSpec, synth
-from wood.errors import ConfigError, FormatError, NumericError
+from wood.data import Dataset, Role, SyntheticKind, SyntheticSpec, synth
+from wood.errors import ConfigError, FormatError, InputError, NumericError
 from wood.geometry import EvalPath, ScoreConfig, scores
 from wood.loss import loss_and_grad
 from wood.model import ParamGrads, backward, forward, init
@@ -94,6 +94,21 @@ class TestMakeBatches:
         cfg = TrainConfig(epochs=1, b_ind=10, b_ood=4)
         with pytest.raises(ConfigError):
             list(make_batches(ind, None, cfg, np.random.default_rng(0)))
+
+
+class TestFitInputs:
+    @pytest.mark.parametrize(
+        "labels, b_ood, error",
+        [(np.zeros(6), 0, InputError), (np.arange(6) % 2, 3, ConfigError)],
+    )
+    def test_rejected_before_the_first_step(self, labels, b_ood, error, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("fit stepped on inputs it cannot train on")
+
+        monkeypatch.setattr("wood.trainer.train_step", no_step)
+        ind = Dataset(np.random.default_rng(0).normal(size=(6, 2)), labels, Role.IND, "t")
+        with pytest.raises(error):
+            fit(ind, None, TrainConfig(epochs=1, b_ood=b_ood))
 
 
 class TestTrainStep:
