@@ -49,8 +49,6 @@ from .transport import (
     SinkhornConfig,
     TransportResult,
     as_prob_rows,
-    center_gradient,
-    one_hot,
     sinkhorn_batch,
     sinkhorn_distance,
     sinkhorn_gradient,

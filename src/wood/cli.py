@@ -301,11 +301,15 @@ def _cmd_train(args) -> int:
     )
     ind_set = _dataset_from_args(args.ind, Role.IND)
     ood_set = _dataset_from_args(args.ood, Role.OOD) if args.ood else None
-    # fit rejects both as well, but cannot name the file or the flag.
+    # fit rejects these as well, but cannot name the files or the flag.
     if ind_set.n_classes < 2:
         raise InputError(f"{args.ind}: training needs at least 2 classes, got {ind_set.n_classes}")
     if cfg.b_ood > 0 and ood_set is None:
         raise ConfigError(f"--b-ood {cfg.b_ood} needs an --ood dataset")
+    if ood_set is not None and ood_set.dim != ind_set.dim:
+        raise ConfigError(
+            f"{args.ood}: feature dim {ood_set.dim} does not match {args.ind} dim {ind_set.dim}"
+        )
     out_dir = _prepare_out(args)
 
     ckpt, metrics = fit(ind_set, ood_set, cfg, hidden=args.hidden)

@@ -65,6 +65,8 @@ class Dataset:
                 )
             if np.any(labels < 0):
                 raise InputError("labels must be nonnegative class indices")
+            if n_classes is None and labels.size == 0:
+                raise InputError("InD dataset has no rows to infer n_classes from")
             self._labels = labels
             self._n_classes = int(n_classes) if n_classes is not None else int(labels.max()) + 1
             if np.any(labels >= self._n_classes):

@@ -23,8 +23,8 @@ from .transport import (
     CostKind,
     SinkhornConfig,
     TransportResult,
+    _sinkhorn_batch,
     as_prob_rows,
-    sinkhorn_batch,
 )
 
 
@@ -86,12 +86,14 @@ def _score_rows(
 ) -> tuple[np.ndarray, np.ndarray, TransportResult | None]:
     """Scores of already validated rows, plus each row's transport plan.
 
-    Closed form is pure array math and returns ``None`` for the plans. The
-    Sinkhorn path solves all rows at once: binary costs take one batch per
-    candidate class (K solves per row), dynamic costs one batch. It returns
-    the argmin class's ``TransportResult`` rows, so callers can read the
-    dual gradient without solving again. Errors name rows counting from
-    ``first_row``.
+    ``P`` is a float64 ``(n, K)`` array of simplex rows, ``K >= 2``; the
+    Sinkhorn solves take it and the costs built here without checking them
+    again. Closed form is pure array math and returns ``None`` for the
+    plans. The Sinkhorn path solves all rows at once: binary costs take one
+    batch per candidate class (K solves per row), dynamic costs one batch.
+    It returns the argmin class's ``TransportResult`` rows, so callers can
+    read the dual gradient without solving again. Errors name rows counting
+    from ``first_row``.
     """
     n, k = P.shape
     if cfg.evaluation is EvalPath.CLOSED_FORM:
@@ -102,7 +104,7 @@ def _score_rows(
         return 1.0 - (P[:, None, :] @ P[:, :, None])[:, 0, 0], np.zeros(n, dtype=np.intp), None
 
     if cfg.matrix_kind is CostKind.BINARY:
-        costs = binary_matrix(k)
+        costs = binary_matrix(k)[None]
         candidates = range(k)
     else:
         # dynamic_matrix(f, 0) for every row: f on each line, 1 - f on line 0.
@@ -113,7 +115,7 @@ def _score_rows(
     for c in candidates:
         onehots = np.zeros_like(P)
         onehots[:, c] = 1.0
-        results.append(sinkhorn_batch(onehots, P, costs, cfg.sinkhorn))
+        results.append(_sinkhorn_batch(onehots, P, costs, cfg.sinkhorn))
     converged = np.array([r.converged for r in results])
     if not converged.all():
         i = int(np.argmin(converged.all(axis=0)))

@@ -68,7 +68,16 @@ def loss_and_grad(
     out_of_range = (labels < 0) | (labels >= k)
     if out_of_range.any():
         raise IndexError(f"label {labels[np.argmax(out_of_range)]} out of range for K={k}")
+    return _loss_and_grad(P, labels, beta, cfg)
 
+
+def _loss_and_grad(
+    P: np.ndarray, labels: np.ndarray, beta: float, cfg: ScoreConfig
+) -> tuple[LossValue, np.ndarray]:
+    """The body of :func:`loss_and_grad` for simplex rows ``P (n, K)``,
+    ``n >= 1``, integer ``labels`` in ``[0, K)`` with at most ``n`` entries
+    and ``beta >= 0``."""
+    n, k = P.shape
     n_ind = labels.shape[0]
     n_ood = n - n_ind
     grad = np.zeros_like(P)

@@ -119,7 +119,11 @@ def forward(model: MlpModel, x) -> ForwardTrace:
         )
     if not np.isfinite(x).all():
         raise InputError("input features contain NaN or Inf")
+    return _forward(model, x)
 
+
+def _forward(model: MlpModel, x: np.ndarray) -> ForwardTrace:
+    """The body of :func:`forward` for a finite float64 batch ``(n, input_dim)``."""
     activations = []
     a = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
@@ -158,10 +162,16 @@ def backward(model: MlpModel, trace: ForwardTrace, grad_probs) -> ParamGrads:
         raise DimensionError(
             f"grad_probs shape {g.shape} does not match probs {trace.probs.shape}"
         )
+    return _backward(model, trace, g, ParamGrads(model.layer_dims))
+
+
+def _backward(
+    model: MlpModel, trace: ForwardTrace, g: np.ndarray, grads: ParamGrads
+) -> ParamGrads:
+    """The body of :func:`backward` for a float64 ``g`` shaped like
+    ``trace.probs``; every entry of ``grads`` is overwritten."""
     p = trace.probs
     dz = p * (g - (g * p).sum(axis=1, keepdims=True))
-
-    grads = ParamGrads(model.layer_dims)
     for i in range(len(model.weights) - 1, -1, -1):
         a_prev = trace.activations[i - 1] if i > 0 else trace.inputs
         np.matmul(a_prev.T, dz, out=grads.weights[i])

@@ -6,7 +6,8 @@ dual-improvement pivots), a one-hot marginal gets its forced coupling in
 closed form, the AUROC is an explicit double loop, and the gradient oracle
 is central finite differences along simplex-tangent directions.
 Obviousness is favored over speed; hard caps keep runtimes in seconds. Not
-for production use.
+for production use. The tests also take their one-hot vectors and the
+gauge centering of gradients from here.
 """
 
 from __future__ import annotations
@@ -189,6 +190,21 @@ def forced_transport(label: int, f, M) -> float:
     if np.array_equal(costs, np.ones((k, k)) - np.eye(k)):
         return 1.0 - float(f[label])
     return float(f @ costs[label])
+
+
+def one_hot(k: int, n_classes: int) -> np.ndarray:
+    """Unit mass on class ``k`` (0-based)."""
+    if not 0 <= k < n_classes:
+        raise IndexError(f"class index {k} out of range for K={n_classes}")
+    e = np.zeros(n_classes, dtype=np.float64)
+    e[k] = 1.0
+    return e
+
+
+def center_gradient(grad) -> np.ndarray:
+    """Project out the additive dual-gauge constant (zero-mean gradient)."""
+    grad = np.asarray(grad, dtype=np.float64)
+    return grad - grad.mean()
 
 
 def fd_gradient(fn, point, step: float = 1e-5) -> np.ndarray:

@@ -23,8 +23,8 @@ import numpy as np
 from .data import Dataset, read_text
 from .errors import ConfigError, DimensionError, FormatError, InputError, NumericError
 from .geometry import ScoreConfig
-from .loss import LossValue, loss_and_grad
-from .model import MlpModel, ParamGrads, backward, forward, init
+from .loss import LossValue, _loss_and_grad
+from .model import MlpModel, ParamGrads, _backward, _forward, init
 
 CHECKPOINT_VERSION = 1
 
@@ -64,11 +64,20 @@ class TrainConfig:
 
 @dataclass
 class Batch:
-    """One mixed batch; OOD samples are identified structurally, no labels."""
+    """One mixed batch: the rows of ``x`` are the InD samples labeled by
+    ``y_ind``, then the OOD samples, which are identified structurally and
+    carry no labels."""
 
-    x_ind: np.ndarray
+    x: np.ndarray
     y_ind: np.ndarray
-    x_ood: np.ndarray
+
+    @property
+    def x_ind(self) -> np.ndarray:
+        return self.x[: self.y_ind.shape[0]]
+
+    @property
+    def x_ood(self) -> np.ndarray:
+        return self.x[self.y_ind.shape[0] :]
 
 
 def make_batches(ind_set: Dataset, ood_set: Dataset | None, cfg: TrainConfig, epoch_rng):
@@ -77,36 +86,50 @@ def make_batches(ind_set: Dataset, ood_set: Dataset | None, cfg: TrainConfig, ep
     InD indices are a fresh permutation chunked by ``b_ind`` (the final
     chunk may be short); OOD indices are drawn uniformly with replacement
     per batch. RNG call order (permutation first, then one draw per batch)
-    is part of the determinism contract.
+    is part of the determinism contract. Each batch gathers its rows
+    straight into one array, the input of the forward pass.
     """
     if ind_set.n == 0:
         raise ConfigError("InD dataset is empty")
     if cfg.b_ood > 0 and (ood_set is None or ood_set.n == 0):
         raise ConfigError("b_ood > 0 requires a non-empty OOD dataset")
+    if cfg.b_ood > 0 and ood_set.dim != ind_set.dim:
+        raise DimensionError(
+            f"OOD feature dim {ood_set.dim} does not match InD feature dim {ind_set.dim}"
+        )
     perm = epoch_rng.permutation(ind_set.n)
     for start in range(0, ind_set.n, cfg.b_ind):
         idx = perm[start : start + cfg.b_ind]
+        # The indices are in range by construction; with mode="clip" take
+        # writes into ``out`` directly instead of through a buffer.
+        x = np.empty((idx.size + cfg.b_ood, ind_set.dim))
+        ind_set.features.take(idx, axis=0, out=x[: idx.size], mode="clip")
         if cfg.b_ood > 0:
             ood_idx = epoch_rng.integers(0, ood_set.n, size=cfg.b_ood)
-            x_ood = ood_set.features[ood_idx]
-        else:
-            x_ood = np.zeros((0, ind_set.dim))
-        yield Batch(
-            x_ind=ind_set.features[idx],
-            y_ind=ind_set.labels[idx],
-            x_ood=x_ood,
-        )
+            ood_set.features.take(ood_idx, axis=0, out=x[idx.size :], mode="clip")
+        yield Batch(x=x, y_ind=ind_set.labels[idx])
 
 
 class MomentumState:
-    """SGD-with-momentum velocity, one flat vector laid out like ``model.params``."""
+    """SGD-with-momentum velocity, one flat vector laid out like ``model.params``,
+    plus the per-step buffers :func:`train_step` overwrites: the parameter
+    gradients and the scaled update."""
 
     def __init__(self, model: MlpModel):
         self.velocity = np.zeros_like(model.params)
+        self.grads = ParamGrads(model.layer_dims)
+        self.update = np.empty_like(model.params)
+
+
+def _all_finite(flat: np.ndarray) -> bool:
+    # A NaN or an infinity makes the dot product non-finite, so one BLAS
+    # reduction settles the common case; only a non-finite product (which
+    # entries above 1e154 give too) pays for the entrywise test.
+    return bool(np.isfinite(flat @ flat)) or bool(np.isfinite(flat).all())
 
 
 def _check_finite(grads: ParamGrads, grad_probs: np.ndarray, cfg: TrainConfig, batch_id) -> None:
-    if np.isfinite(grads.flat).all():
+    if _all_finite(grads.flat):
         return
     bad_rows = np.flatnonzero(~np.isfinite(grad_probs).all(axis=1))
     sample = int(bad_rows[0]) if bad_rows.size else -1
@@ -130,12 +153,16 @@ def train_step(
     outputs, gradients or updated parameters) raises NumericError naming
     the batch; the step checks finiteness itself, so NumPy's overflow
     warnings are silenced rather than printed.
+
+    The batch is not validated again: it must be one :func:`make_batches`
+    builds from Datasets the model fits, as :func:`fit` guarantees. That is,
+    finite float64 features ``x`` of width ``model.input_dim`` (the Datasets
+    checked them, ``make_batches`` their widths) and integer labels in
+    ``[0, model.n_classes)``. The step itself checks that the softmax rows
+    are finite, so they are simplex rows, and the loss and its Sinkhorn
+    solves take them as they are.
     """
-    if batch.x_ood.shape[0]:
-        x = np.concatenate((batch.x_ind, batch.x_ood))
-    else:
-        x = batch.x_ind
-    trace = forward(model, x)
+    trace = _forward(model, batch.x)
     if not np.isfinite(trace.probs).all():
         bad = ~np.isfinite(trace.probs).all(axis=1)
         raise NumericError(
@@ -143,18 +170,18 @@ def train_step(
             f" (lr={cfg.lr}, batch={batch_id}, sample={int(bad.argmax())})"
         )
     try:
-        loss_value, grad_probs = loss_and_grad(trace.probs, batch.y_ind, cfg.beta, cfg.score)
+        loss_value, grad_probs = _loss_and_grad(trace.probs, batch.y_ind, cfg.beta, cfg.score)
     except NumericError as exc:
         raise NumericError(f"{exc} (batch={batch_id})") from exc
 
-    grads = backward(model, trace, grad_probs)
+    grads = _backward(model, trace, grad_probs, state.grads)
     _check_finite(grads, grad_probs, cfg, batch_id)
 
     velocity = state.velocity
     velocity *= cfg.momentum
     velocity += grads.flat
-    model.params -= cfg.lr * velocity
-    if not np.isfinite(model.params).all():
+    model.params -= np.multiply(velocity, cfg.lr, out=state.update)
+    if not _all_finite(model.params):
         raise NumericError(
             f"model diverged: non-finite parameter after the update (lr={cfg.lr}, batch={batch_id})"
         )
@@ -309,6 +336,9 @@ def fit(
 
     Architecture is input -> hidden... -> K. Seeding: the config seed is
     split into one stream for weight init and one for batch construction.
+    The Datasets checked their features and labels and :func:`make_batches`
+    that their widths agree, so every batch meets :func:`train_step`'s
+    contract.
     """
     n_classes = ind_set.n_classes
     if n_classes < 2:

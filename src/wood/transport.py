@@ -65,15 +65,6 @@ def as_prob_rows(values, name: str = "probs") -> np.ndarray:
     raise InputError(f"{name} row {row} must sum to 1, got {float(totals[row])!r}")
 
 
-def one_hot(k: int, n_classes: int) -> np.ndarray:
-    """Unit mass on class ``k`` (0-based)."""
-    if not 0 <= k < n_classes:
-        raise IndexError(f"class index {k} out of range for K={n_classes}")
-    e = np.zeros(n_classes, dtype=np.float64)
-    e[k] = 1.0
-    return e
-
-
 @dataclass(frozen=True)
 class SinkhornConfig:
     """Parameters of the Sinkhorn-Knopp iteration.
@@ -264,8 +255,14 @@ def sinkhorn_batch(r1, r2, C, cfg: SinkhornConfig) -> TransportResult:
         raise DimensionError(f"cost of shape {C.shape} does not fit {n} problems with K={k}")
     if not (np.isfinite(C).all() and (C >= 0.0).all()):
         raise InputError("cost matrix entries must be finite and nonnegative")
-    C = C.reshape(-1, k, k)  # (1, K, K) when shared by the batch
+    return _sinkhorn_batch(R1, R2, C.reshape(-1, k, k), cfg)
 
+
+def _sinkhorn_batch(R1, R2, C, cfg: SinkhornConfig) -> TransportResult:
+    """The body of :func:`sinkhorn_batch` for marginals ``(B, K)`` that are
+    already simplex rows and finite nonnegative costs ``(1, K, K)`` (shared
+    by the batch) or ``(B, K, K)``."""
+    n = R1.shape[0]
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         kernel = np.exp(-cfg.lam * C)
         pos1, pos2 = R1 > 0.0, R2 > 0.0
@@ -315,7 +312,7 @@ def sinkhorn_gradient(result: TransportResult, cfg: SinkhornConfig) -> np.ndarra
     ``(log v* + 1/2) / lam``, with ``v*`` floored at ``LOG_FLOOR``; the
     shape follows ``result.log_v``. The gradient is defined only up to an
     additive constant (dual gauge); compare gradients after
-    :func:`center_gradient`.
+    :func:`wood.oracles.center_gradient`.
     """
     if not np.all(result.converged):
         raise NumericError(
@@ -323,9 +320,3 @@ def sinkhorn_gradient(result: TransportResult, cfg: SinkhornConfig) -> np.ndarra
             " gradient unavailable"
         )
     return (np.maximum(result.log_v, np.log(LOG_FLOOR)) + 0.5) / cfg.lam
-
-
-def center_gradient(grad: np.ndarray) -> np.ndarray:
-    """Project out the additive dual-gauge constant (zero-mean gradient)."""
-    grad = np.asarray(grad, dtype=np.float64)
-    return grad - grad.mean()

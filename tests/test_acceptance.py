@@ -18,7 +18,14 @@ from wood.data import Role, SyntheticKind, SyntheticSpec, load_idx_pair, split, 
 from wood.detect import calibrate, evaluate, evaluate_with_detector
 from wood.geometry import EvalPath, ScoreConfig, binary_matrix, dynamic_matrix, scores
 from wood.model import forward
-from wood.oracles import fd_gradient, forced_transport, lp_transport, pairwise_auroc
+from wood.oracles import (
+    center_gradient,
+    fd_gradient,
+    forced_transport,
+    lp_transport,
+    one_hot,
+    pairwise_auroc,
+)
 from wood.trainer import (
     TrainConfig,
     fit,
@@ -30,8 +37,6 @@ from wood.trainer import (
 from wood.transport import (
     CostKind,
     SinkhornConfig,
-    center_gradient,
-    one_hot,
     sinkhorn_distance,
     sinkhorn_gradient,
 )

@@ -336,8 +336,10 @@ class TestNothingWrittenOnFailure:
         ragged.write_text("f0,f1\n1.0\n")
         one_class = tmp_path / "one_class.csv"
         one_class.write_text("f0,f1,label\n0.5,1.0,0\n-0.5,2.0,0\n")
+        wide = tmp_path / "wide.csv"
+        wide.write_text("f0,f1,f2\n0.5,1.0,2.0\n")
         return {"ind": str(ind_csv), "ckpt": str(checkpoint), "bad": str(bad_json),
-                "ragged": str(ragged), "one_class": str(one_class)}
+                "ragged": str(ragged), "one_class": str(one_class), "wide": str(wide)}
 
     @pytest.mark.parametrize(
         "argv",
@@ -370,6 +372,8 @@ class TestNothingWrittenOnFailure:
             (["--ind", "{ind}"], "data error: --b-ood 10 needs an --ood dataset"),
             (["--ind", "{one_class}", "--b-ood", "0"],
              "data error: {one_class}: training needs at least 2 classes, got 1"),
+            (["--ind", "{ind}", "--ood", "{wide}"],
+             "data error: {wide}: feature dim 3 does not match {ind} dim 2"),
         ],
     )
     def test_train_input_error_names_the_flag_or_file(self, inputs, argv, line, tmp_path, capsys):

@@ -348,3 +348,9 @@ class TestDatasetContract:
     def test_rejects_nonfinite_features(self):
         with pytest.raises(InputError):
             Dataset(np.array([[np.inf, 0.0]]), None, Role.OOD, "x")
+
+    def test_zero_ind_rows_need_n_classes(self):
+        with pytest.raises(InputError, match="^InD dataset has no rows to infer n_classes from$"):
+            Dataset(np.zeros((0, 2)), np.zeros(0), Role.IND, "t")
+        ds = Dataset(np.zeros((0, 2)), np.zeros(0), Role.IND, "t", n_classes=3)
+        assert (ds.n, ds.n_classes) == (0, 3)

@@ -16,8 +16,8 @@ from wood.detect import (
 )
 from wood.errors import InputError
 from wood.geometry import EvalPath, ScoreConfig, scores
-from wood.oracles import pairwise_auroc
-from wood.transport import CostKind, one_hot
+from wood.oracles import one_hot, pairwise_auroc
+from wood.transport import CostKind
 
 from conftest import random_simplex
 

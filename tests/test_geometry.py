@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wood.errors import DimensionError, InputError, NumericError
-from wood.geometry import EvalPath, ScoreConfig, binary_matrix, dynamic_matrix, scores
-from wood.oracles import forced_transport, lp_transport
-from wood.transport import CostKind, SinkhornConfig, one_hot, sinkhorn_distance
+from wood.geometry import (
+    EvalPath,
+    ScoreConfig,
+    _score_rows,
+    binary_matrix,
+    dynamic_matrix,
+    scores,
+)
+from wood.oracles import forced_transport, lp_transport, one_hot
+from wood.transport import CostKind, SinkhornConfig, sinkhorn_batch, sinkhorn_distance
 
 from conftest import random_simplex
 
@@ -194,3 +203,60 @@ class TestPropositions:
             for cfg in (CLOSED_BINARY, CLOSED_DYNAMIC):
                 s = score_of(f, cfg)[0]
                 assert 0.0 <= s <= 1.0 - 1.0 / k + 1e-12
+
+
+def public_class_solves(P, cfg):
+    """Public ``sinkhorn_batch`` results (one per candidate class for
+    binary costs, one with per-row ``dynamic_matrix(f, 0)`` costs for
+    dynamic costs), each row's argmin class, and that class's result row."""
+    n, k = P.shape
+    if cfg.matrix_kind is CostKind.BINARY:
+        results = [
+            sinkhorn_batch(np.eye(k)[np.full(n, c)], P, binary_matrix(k), cfg.sinkhorn)
+            for c in range(k)
+        ]
+    else:
+        costs = np.array([dynamic_matrix(f, 0) for f in P])
+        results = [sinkhorn_batch(np.eye(k)[np.zeros(n, dtype=int)], P, costs, cfg.sinkhorn)]
+    classes = np.argmin([r.value for r in results], axis=0)
+    plans = [results[c].row(i) for i, c in enumerate(classes)]
+    return results, classes, plans
+
+
+class TestScoreRowsEqualsPublicSolves:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        k=st.integers(2, 6),
+        kind=st.sampled_from([CostKind.BINARY, CostKind.DYNAMIC]),
+        lam=st.sampled_from([10.0, 50.0, 3000.0]),
+        spread=st.sampled_from([0.5, 5.0, 40.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_field_by_field(self, n, k, kind, lam, spread, seed):
+        # At lam=3000 every row with mass off a class underflows in the
+        # scaled domain and is solved again in the log domain.
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(n, k)) * spread
+        P = np.exp(logits - logits.max(axis=1, keepdims=True))
+        P /= P.sum(axis=1, keepdims=True)
+        cfg = ScoreConfig(kind, EvalPath.SINKHORN, SinkhornConfig(lam=lam, max_iter=5000))
+        results, classes, plans = public_class_solves(P, cfg)
+        if not all(r.converged.all() for r in results):
+            with pytest.raises(NumericError, match="failed to converge"):
+                _score_rows(P, cfg)
+            return
+        if lam == 3000.0:
+            assert all(r.domain[i] == "log" for r in results for i in np.flatnonzero(P.max(1) < 1))
+
+        values, got_classes, got_plans = _score_rows(P, cfg)
+        want_values = np.array([plan.value for plan in plans])
+        assert values.tobytes() == want_values.tobytes()
+        assert got_classes.tobytes() == classes.astype(np.intp).tobytes()
+        for name in vars(got_plans):
+            got = getattr(got_plans, name)
+            want = np.array([getattr(plan, name) for plan in plans])
+            if name == "domain":
+                assert got.tolist() == want.tolist()
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from wood.errors import InputError, NumericError
 from wood.geometry import EvalPath, ScoreConfig, binary_matrix, dynamic_matrix, scores
 from wood.loss import PROB_FLOOR, loss_and_grad
-from wood.oracles import fd_gradient, lp_transport
-from wood.transport import CostKind, SinkhornConfig, one_hot, sinkhorn_distance
+from wood.oracles import fd_gradient, lp_transport, one_hot
+from wood.transport import CostKind, SinkhornConfig, sinkhorn_distance
 
 from conftest import random_simplex
 

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wood.data import Dataset, Role, SyntheticKind, SyntheticSpec, synth
-from wood.errors import ConfigError, FormatError, InputError, NumericError
+from wood.errors import ConfigError, DimensionError, FormatError, InputError, NumericError
 from wood.geometry import EvalPath, ScoreConfig, scores
 from wood.loss import loss_and_grad
 from wood.model import ParamGrads, backward, forward, init
@@ -19,6 +20,7 @@ from wood.trainer import (
     Checkpoint,
     MomentumState,
     TrainConfig,
+    _all_finite,
     _check_finite,
     checkpoint_from_model,
     fit,
@@ -110,6 +112,16 @@ class TestFitInputs:
         with pytest.raises(error):
             fit(ind, None, TrainConfig(epochs=1, b_ood=b_ood))
 
+    def test_ood_width_must_match(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("fit stepped on inputs it cannot train on")
+
+        monkeypatch.setattr("wood.trainer.train_step", no_step)
+        ind = Dataset(np.zeros((6, 2)), np.arange(6) % 2, Role.IND, "t")
+        ood = Dataset(np.zeros((4, 3)), None, Role.OOD, "o")
+        with pytest.raises(DimensionError, match="OOD feature dim 3 does not match InD feature dim 2"):
+            fit(ind, ood, TrainConfig(epochs=1, b_ood=2))
+
 
 class TestTrainStep:
     def test_zero_learning_rate_keeps_parameters(self):
@@ -147,6 +159,16 @@ class TestTrainStep:
         with pytest.raises(NumericError, match="batch=7"):
             _check_finite(grads, grad_probs, cfg, batch_id=7)
 
+    @pytest.mark.parametrize(
+        "values, finite",
+        [([0.0, -2.5], True), ([1e200, -1e300], True), ([1e200, np.inf], False),
+         ([np.nan, 0.0], False), ([-np.inf], False)],
+    )
+    def test_all_finite(self, values, finite):
+        # Entries above 1e154 overflow the dot product and take the entrywise test.
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _all_finite(np.array(values)) is finite
+
     @pytest.mark.parametrize("bad_row", [0, 3, 6])
     def test_non_finite_gradient_names_the_row(self, monkeypatch, bad_row):
         # A NaN in one row of the softmax-output gradient reaches every
@@ -157,7 +179,7 @@ class TestTrainStep:
             grad[bad_row, 0] = np.nan
             return value, grad
 
-        monkeypatch.setattr("wood.trainer.loss_and_grad", poisoned)
+        monkeypatch.setattr("wood.trainer._loss_and_grad", poisoned)
         ind, ood = blobs(n_per_class=10), ring(n=10)
         cfg = TrainConfig(epochs=1, b_ind=5, b_ood=3)
         batch = next(make_batches(ind, ood, cfg, np.random.default_rng(0)))
@@ -193,9 +215,7 @@ class TestTrainStep:
         # Inputs of size 100 give gradients large enough that lr * velocity
         # overflows to inf in the update itself, before any forward pass sees it.
         rng = np.random.default_rng(0)
-        batch = Batch(
-            x_ind=rng.normal(size=(6, 2)) * 100, y_ind=np.arange(6) % 3, x_ood=np.zeros((0, 2))
-        )
+        batch = Batch(x=rng.normal(size=(6, 2)) * 100, y_ind=np.arange(6) % 3)
         model = init((2, 4, 3), seed=0)
         cfg = TrainConfig(epochs=1, lr=1e308)
         with warnings.catch_warnings(record=True) as caught:
@@ -265,14 +285,22 @@ class TestFitEqualsPlainCrossEntropyTrainer:
                 ScoreConfig(CostKind.BINARY, EvalPath.CLOSED_FORM),
                 ScoreConfig(CostKind.BINARY, EvalPath.SINKHORN, SinkhornConfig(lam=10.0)),
                 ScoreConfig(CostKind.DYNAMIC, EvalPath.SINKHORN, SinkhornConfig(lam=10.0)),
+                # Rows off the one-hots underflow at lam=3000 and are solved
+                # again in the log domain.
+                ScoreConfig(CostKind.BINARY, EvalPath.SINKHORN, SinkhornConfig(lam=3000.0)),
+                ScoreConfig(CostKind.DYNAMIC, EvalPath.SINKHORN, SinkhornConfig(lam=3000.0)),
             ]
         ),
+        ood_scale=st.sampled_from([3.0, 30.0]),
         steps=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_flat_update_equals_per_layer_update(
-        self, hidden, dim, k, lr, momentum, b_ind, b_ood, score, steps, seed
+        self, hidden, dim, k, lr, momentum, b_ind, b_ood, score, ood_scale, steps, seed
     ):
+        # train_step runs the unchecked bodies of forward, loss_and_grad and
+        # backward; the reference runs the checked public functions. Both
+        # give the same bytes, or the same error.
         cfg = TrainConfig(
             epochs=1, b_ind=b_ind, b_ood=b_ood, lr=lr, momentum=momentum, score=score
         )
@@ -284,18 +312,22 @@ class TestFitEqualsPlainCrossEntropyTrainer:
         vel_b = [np.zeros_like(b) for b in ref.biases]
         rng = np.random.default_rng(seed)
         for step in range(steps):
-            batch = Batch(
-                x_ind=rng.normal(size=(b_ind, dim)),
-                y_ind=rng.integers(0, k, size=b_ind),
-                x_ood=rng.normal(size=(b_ood, dim)) * 3.0,
-            )
+            x_ind = rng.normal(size=(b_ind, dim))
+            y_ind = rng.integers(0, k, size=b_ind)
+            x_ood = rng.normal(size=(b_ood, dim)) * ood_scale
+            batch = Batch(x=np.concatenate((x_ind, x_ood)), y_ind=y_ind)
+            trace = forward(ref, np.concatenate((x_ind, x_ood)))
+            try:
+                want, grad_probs = loss_and_grad(trace.probs, batch.y_ind, cfg.beta, score)
+            except NumericError as exc:
+                with pytest.raises(NumericError) as info:
+                    train_step(model, batch, cfg, state, batch_id=(0, step))
+                assert str(info.value) == f"{exc} (batch=(0, {step}))"
+                break
+            reference_update(ref, backward(ref, trace, grad_probs), vel_w, vel_b, cfg)
             got = train_step(model, batch, cfg, state, batch_id=(0, step))
 
-            trace = forward(ref, np.concatenate((batch.x_ind, batch.x_ood)))
-            want, grad_probs = loss_and_grad(trace.probs, batch.y_ind, cfg.beta, score)
-            reference_update(ref, backward(ref, trace, grad_probs), vel_w, vel_b, cfg)
-
-            assert got == want
+            assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(want)]
             for a, b in zip((*model.weights, *model.biases), (*ref.weights, *ref.biases)):
                 assert a.tobytes() == b.tobytes()
         assert state.velocity.tobytes() == np.concatenate(

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from wood.errors import CapacityError, DimensionError, InputError, NumericError
 from wood.geometry import binary_matrix
-from wood.oracles import fd_gradient, forced_transport, lp_transport
+from wood.oracles import center_gradient, fd_gradient, forced_transport, lp_transport, one_hot
 from wood.transport import (
     CostKind,
     SinkhornConfig,
     _log_domain,
     as_prob_rows,
-    center_gradient,
-    one_hot,
     sinkhorn_batch,
     sinkhorn_distance,
     sinkhorn_gradient,
