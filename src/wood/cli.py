@@ -359,7 +359,7 @@ def _cmd_evaluate(args) -> int:
         eval_scores = ind_scores[perm[n_calib:]]
         if eval_scores.size == 0:
             raise ConfigError("calibration fraction leaves no evaluation samples")
-        det = calibrate(calib_scores, args.tnr, score_cfg)
+        det = calibrate(calib_scores, args.tnr)
         report = evaluate_with_detector(det, eval_scores, ood_scores)
 
     accuracy = float(np.mean(ind_predicted == ind_set.labels))
@@ -391,7 +391,7 @@ def _cmd_score(args) -> int:
             f"feature dim {ds.dim} does not match checkpoint input dim {model.input_dim}"
         )
     values, classes, _ = _score_blocks(model, ds, args.features, score_cfg)
-    det = Detector(args.epsilon, score_cfg, args.tnr) if args.epsilon is not None else None
+    det = Detector(args.epsilon, args.tnr) if args.epsilon is not None else None
 
     header = "index,argmin_class,score"
     row = "{},{},{!r}"

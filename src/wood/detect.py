@@ -10,22 +10,20 @@ for both populations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .geometry import ScoreConfig
 
 HISTOGRAM_BINS = 50
 
 
 @dataclass
 class Detector:
-    """Calibrated threshold plus the score configuration it was built for."""
+    """Calibrated threshold and the TNR target it was calibrated for."""
 
     epsilon: float
-    score: ScoreConfig = field(default_factory=ScoreConfig)
     tnr_target: float = 0.95
 
     def __post_init__(self):
@@ -44,11 +42,7 @@ def _as_scores(scores, name: str) -> np.ndarray:
     return arr
 
 
-def calibrate(
-    ind_scores,
-    tnr_target: float = 0.95,
-    score: ScoreConfig | None = None,
-) -> Detector:
+def calibrate(ind_scores, tnr_target: float = 0.95) -> Detector:
     """Threshold at the ``tnr_target`` quantile of InD scores.
 
     Linear interpolation between order statistics; if the interpolated
@@ -64,11 +58,7 @@ def calibrate(
     if achieved < tnr_target:
         higher = arr[arr > epsilon]
         epsilon = float(np.min(higher))
-    return Detector(
-        epsilon=epsilon,
-        score=score if score is not None else ScoreConfig(),
-        tnr_target=tnr_target,
-    )
+    return Detector(epsilon=epsilon, tnr_target=tnr_target)
 
 
 def classify(det: Detector, score: float) -> int:

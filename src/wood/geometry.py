@@ -103,33 +103,54 @@ def _score_rows(
         # einsum and (P * P).sum(1) do not.
         return 1.0 - (P[:, None, :] @ P[:, :, None])[:, 0, 0], np.zeros(n, dtype=np.intp), None
 
-    if cfg.matrix_kind is CostKind.BINARY:
-        costs = binary_matrix(k)[None]
-        candidates = range(k)
-    else:
+    if cfg.matrix_kind is CostKind.DYNAMIC:
         # dynamic_matrix(f, 0) for every row: f on each line, 1 - f on line 0.
-        costs = np.repeat(P[:, None, :], k, axis=1)
+        costs = P[:, None, :].repeat(k, axis=1)
         costs[:, 0, :] = 1.0 - P
-        candidates = (0,)
-    results = []
-    for c in candidates:
-        onehots = np.zeros_like(P)
-        onehots[:, c] = 1.0
-        results.append(_sinkhorn_batch(onehots, P, costs, cfg.sinkhorn))
+        result = _sinkhorn_batch(_one_hots(P.shape, 0), P, costs, cfg.sinkhorn)
+        if np.count_nonzero(result.converged) < n:
+            raise _not_converged(result.converged[None], [result], first_row, cfg)
+        return result.value, np.zeros(n, dtype=np.intp), result
+
+    costs = binary_matrix(k)[None]
+    results = [_sinkhorn_batch(_one_hots(P.shape, c), P, costs, cfg.sinkhorn) for c in range(k)]
     converged = np.array([r.converged for r in results])
     if not converged.all():
-        i = int(np.argmin(converged.all(axis=0)))
-        c = int(np.argmin(converged[:, i]))
-        raise NumericError(
-            f"sinkhorn failed to converge on row {first_row + i} (class {candidates[c]})"
-            f" after {results[c].iterations[i]} iterations (lam={cfg.sinkhorn.lam})"
-        )
-    if len(results) == 1:
-        return results[0].value, np.zeros(n, dtype=np.intp), results[0]
+        raise _not_converged(converged, results, first_row, cfg)
+    values = np.array([r.value for r in results])
     # argmin takes the lowest class on ties, as a strict-less scan would.
-    classes = np.argmin([r.value for r in results], axis=0)
-    picked = {
-        name: np.array([getattr(r, name) for r in results])[classes, np.arange(n)]
-        for name in vars(results[0])
-    }
-    return picked["value"], classes, TransportResult(**picked)
+    classes = values.argmin(axis=0)
+    # Row i of class c sits at c * n + i of a field stacked over the classes.
+    picked = classes * n + np.arange(n)
+
+    def pick(name):
+        return np.concatenate([getattr(r, name) for r in results]).take(picked, axis=0)
+
+    value = values.take(picked)
+    plans = TransportResult(
+        value=value,
+        log_v=pick("log_v"),
+        iterations=pick("iterations"),
+        converged=converged.take(picked),
+        reg_value=pick("reg_value"),
+        domain=pick("domain"),
+    )
+    return value, classes, plans
+
+
+def _one_hots(shape: tuple[int, int], c: int) -> np.ndarray:
+    # The first marginal of class c's solve: unit mass on c in every row.
+    onehots = np.zeros(shape)
+    onehots[:, c] = 1.0
+    return onehots
+
+
+def _not_converged(converged, results, first_row: int, cfg: ScoreConfig) -> NumericError:
+    # ``converged`` is (candidate classes, rows); names the first row that
+    # failed and the lowest class it failed for.
+    i = int(np.argmin(converged.all(axis=0)))
+    c = int(np.argmin(converged[:, i]))
+    return NumericError(
+        f"sinkhorn failed to converge on row {first_row + i} (class {c})"
+        f" after {results[c].iterations[i]} iterations (lam={cfg.sinkhorn.lam})"
+    )

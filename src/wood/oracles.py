@@ -3,8 +3,9 @@
 These deliberately share no computation with the production paths: the
 transport solver is a classic transportation-simplex (northwest corner plus
 dual-improvement pivots), a one-hot marginal gets its forced coupling in
-closed form, the AUROC is an explicit double loop, and the gradient oracle
-is central finite differences along simplex-tangent directions.
+closed form, the AUROC is an explicit double loop, the gradient oracle
+is central finite differences along simplex-tangent directions, and one
+scaled Sinkhorn sweep is written out entry by entry for a single problem.
 Obviousness is favored over speed; hard caps keep runtimes in seconds. Not
 for production use. The tests also take their one-hot vectors and the
 gauge centering of gradients from here.
@@ -190,6 +191,43 @@ def forced_transport(label: int, f, M) -> float:
     if np.array_equal(costs, np.ones((k, k)) - np.eye(k)):
         return 1.0 - float(f[label])
     return float(f @ costs[label])
+
+
+def scaled_sweep(kernel, r1, r2, v, tol: float) -> tuple[np.ndarray, bool, bool]:
+    """One scaled Sinkhorn sweep of a single problem, entry by entry.
+
+    ``u = r1 / (kernel @ v)``, then ``v' = r2 / (kernel.T @ u)``, each entry
+    0 where its marginal is 0. Returns ``(v', done, bad)``: ``bad`` when an
+    entry of ``u`` or ``v'`` is infinite or NaN; ``done`` when it is not bad
+    and every entry of ``v'`` moved by less than ``tol`` relative to ``v``.
+    An entry where ``v`` is not positive counts as moved on the support of
+    ``r2`` and as still off it. The matrix-vector products are the only
+    array operations, so the entries round as one problem's matvecs do.
+    """
+    kernel = np.asarray(kernel, dtype=np.float64)
+    r1, r2, v = (np.asarray(a, dtype=np.float64) for a in (r1, r2, v))
+    k = r1.size
+    with np.errstate(all="ignore"):
+        kv = kernel @ v
+        u = np.zeros(k)
+        for i in range(k):
+            if r1[i] > 0.0:
+                u[i] = r1[i] / kv[i]
+        ku = kernel.T @ u
+        v_new = np.zeros(k)
+        for j in range(k):
+            if r2[j] > 0.0:
+                v_new[j] = r2[j] / ku[j]
+        bad = not all(np.isfinite(x) for x in (*u, *v_new))
+        done = not bad
+        for j in range(k):
+            if v[j] > 0.0:
+                ratio = v_new[j] / v[j]
+            else:
+                ratio = np.inf if r2[j] > 0.0 else 1.0
+            if not abs(ratio - 1.0) < tol:
+                done = False
+    return v_new, done, bad
 
 
 def one_hot(k: int, n_classes: int) -> np.ndarray:

@@ -15,6 +15,7 @@ sums ``r2``, i.e. ``P @ 1 = r1`` and ``P.T @ 1 = r2``. The Sinkhorn scaling
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +28,10 @@ PROB_SUM_TOL = 1e-9
 
 # Floor applied to scaling entries before taking logs in the gradient.
 LOG_FLOOR = 1e-300
+
+# ``TransportResult.domain`` entries, repeated once per problem.
+_SCALED = np.array(["scaled"])
+_LOG = np.array(["log"])
 
 
 class CostKind(Enum):
@@ -49,11 +54,12 @@ def as_prob_rows(values, name: str = "probs") -> np.ndarray:
         raise DimensionError(f"{name} must be 2-D (n, K), got shape {arr.shape}")
     if arr.shape[1] < 2:
         raise DimensionError(f"{name} needs K >= 2 classes, got K={arr.shape[1]}")
-    # One pass settles valid input (a NaN fails both tests); the row checks
-    # below only find the row to name. Array methods rather than np.all:
-    # this runs on both marginals of every Sinkhorn batch.
+    # One pass settles valid input (a NaN or infinite entry fails the sum
+    # test); the row checks below only find the row to name. Counts rather
+    # than np.all: this runs on every public scores call.
     totals = arr.sum(axis=1)
-    if (arr >= 0.0).all() and (np.abs(totals - 1.0) <= PROB_SUM_TOL).all():
+    summed = np.abs(totals - 1.0) <= PROB_SUM_TOL
+    if not np.count_nonzero(arr < 0.0) and np.count_nonzero(summed) == len(summed):
         return arr
     bad = ~np.isfinite(arr).all(axis=1)
     if bad.any():
@@ -61,7 +67,7 @@ def as_prob_rows(values, name: str = "probs") -> np.ndarray:
     bad = (arr < 0.0).any(axis=1)
     if bad.any():
         raise InputError(f"{name} row {int(bad.argmax())} contains negative mass")
-    row = int((np.abs(totals - 1.0) > PROB_SUM_TOL).argmax())
+    row = int(summed.argmin())
     raise InputError(f"{name} row {row} must sum to 1, got {float(totals[row])!r}")
 
 
@@ -103,7 +109,10 @@ class TransportResult:
     which is what the dual gradient differentiates. ``log_v`` is the log of
     the column scaling ``v``, -inf off the support of ``r2``; problems
     solved in the log domain carry the iterate itself, which may lie beyond
-    the float range of ``v``. ``domain`` is ``"scaled"`` or ``"log"``.
+    the float range of ``v``. ``iterations`` counts the sweeps a problem ran
+    (a one-hot ``r1`` settles on the second scaled sweep), and ``converged``
+    says whether its last sweep met ``tol``. ``domain`` holds the strings
+    ``"scaled"`` or ``"log"``: the domain the problem was last solved in.
     """
 
     value: np.ndarray
@@ -133,52 +142,69 @@ def _iterate(sweep, fixed: list, state: list, cfg: SinkhornConfig):
     problem until it converges (``done``), fails (``bad``) or reaches
     ``cfg.max_iter``; return the final states, iteration counts and flags.
 
-    The working arrays hold only the problems still iterating and are
-    compacted when one finishes: a sweep does no per-problem bookkeeping.
-    A ``fixed`` array with a leading dimension of 1 is shared by all.
+    When every problem finishes on the same sweep, which is the usual case
+    (a one-hot first marginal settles on the second sweep), that sweep's
+    arrays are returned as they are; a sweep must therefore return fresh
+    arrays, which the caller may update. Otherwise the problems that finish
+    are copied out and the working arrays are compacted to the ones still
+    iterating, so a sweep does no per-problem bookkeeping. A ``fixed`` array
+    with a leading dimension of 1 is shared by all.
     """
     n = state[0].shape[0]
-    final = [np.empty_like(s) for s in state]
-    iterations = np.zeros(n, dtype=np.intp)
-    converged = np.zeros(n, dtype=bool)
-    failed = np.zeros(n, dtype=bool)
-    active = np.arange(n)
+    final = None
     it = 0
-    while active.size:
+    while True:
         it += 1
         state, done, bad = sweep(*fixed, *state, cfg.tol)
-        finished = done | bad | (it == cfg.max_iter)
-        if finished.any():
-            rows = active[finished]
-            for out, s in zip(final, state):
-                out[rows] = s[finished]
-            iterations[rows] = it
-            converged[rows] = done[finished]
-            failed[rows] = bad[finished]
-            keep = ~finished
-            active = active[keep]
-            if active.size:
-                fixed = [a if a.shape[0] == 1 else a[keep] for a in fixed]
-                state = [s[keep] for s in state]
-    return final, iterations, converged, failed
+        finished = done | bad
+        if it == cfg.max_iter:
+            finished[:] = True
+        count = np.count_nonzero(finished)
+        if final is None and count == n:
+            return state, np.full(n, it, dtype=np.intp), done, bad
+        if not count:
+            continue
+        if final is None:
+            final = [np.empty_like(s) for s in state]
+            iterations = np.zeros(n, dtype=np.intp)
+            converged = np.zeros(n, dtype=bool)
+            failed = np.zeros(n, dtype=bool)
+            active = np.arange(n)
+        rows = active[finished]
+        for out, s in zip(final, state):
+            out[rows] = s[finished]
+        iterations[rows] = it
+        converged[rows] = done[finished]
+        failed[rows] = bad[finished]
+        keep = ~finished
+        active = active[keep]
+        if not active.size:
+            return final, iterations, converged, failed
+        fixed = [a if a.shape[0] == 1 else a[keep] for a in fixed]
+        state = [s[keep] for s in state]
 
 
-def _scaled_sweep(kernel, r1, r2, pos1, pos2, fill, v, tol):
+def _scaled_sweep(kernel, kernel_t, r1, r2, pos1, pos2, fill, v, tol):
     # Positive mass over an underflowed (zero) denominator shows as an
     # infinite scaling, so one finiteness test catches under- and overflow.
     # Stacked matvecs round each problem exactly as ``kernel @ v`` and,
-    # through a transposed view, ``kernel.T @ u`` do.
-    u = np.divide(r1, (kernel @ v[:, :, None])[:, :, 0], out=np.zeros(r1.shape), where=pos1)
-    kt = kernel.transpose(0, 2, 1)
-    v_new = np.divide(r2, (kt @ u[:, :, None])[:, :, 0], out=np.zeros(r2.shape), where=pos2)
-    bad = ~(np.isfinite(u).all(axis=1) & np.isfinite(v_new).all(axis=1))
+    # through the transposed view ``kernel_t``, ``kernel.T @ u`` do.
+    u = np.divide(r1, kernel @ v, out=np.zeros(r1.shape), where=pos1)
+    v_new = np.divide(r2, kernel_t @ u, out=np.zeros(r2.shape), where=pos2)
     # Max-norm change of the column scaling measured relatively (i.e. of
     # log v): the scalings live at scale exp(+-lam * M), so an absolute test
     # can never be met in floating point at large lam. ``fill`` is the ratio
     # taken for a zero scaling: inf on the support, 1 off it.
     ratio = np.divide(v_new, v, out=fill.copy(), where=v > 0.0)
-    done = (np.abs(ratio - 1.0).max(axis=1) < tol) & ~bad
-    return [v_new], done, bad
+    ratio -= 1.0
+    done = np.abs(ratio, out=ratio).max(axis=(1, 2)) < tol
+    # One whole-array test: an infinite or NaN entry of u or v_new makes its
+    # product, and so the dot product, non-finite. Only then, or when the
+    # products of finite entries overflow, is each row tested.
+    if math.isfinite(np.vdot(u, v_new)):
+        return [v_new], done, np.zeros(done.shape, dtype=bool)
+    bad = ~(np.isfinite(u).all(axis=(1, 2)) & np.isfinite(v_new).all(axis=(1, 2)))
+    return [v_new], done & ~bad, bad
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -228,7 +254,7 @@ def _log_domain(R1, R2, costs, cfg: SinkhornConfig, rows: np.ndarray) -> Transpo
         iterations=iterations,
         converged=converged,
         reg_value=reg_value,
-        domain=np.full(R1.shape[0], "log"),
+        domain=_LOG.repeat(R1.shape[0]),
     )
 
 
@@ -258,38 +284,49 @@ def sinkhorn_batch(r1, r2, C, cfg: SinkhornConfig) -> TransportResult:
     return _sinkhorn_batch(R1, R2, C.reshape(-1, k, k), cfg)
 
 
+@np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore")
 def _sinkhorn_batch(R1, R2, C, cfg: SinkhornConfig) -> TransportResult:
     """The body of :func:`sinkhorn_batch` for marginals ``(B, K)`` that are
     already simplex rows and finite nonnegative costs ``(1, K, K)`` (shared
     by the batch) or ``(B, K, K)``."""
-    n = R1.shape[0]
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        kernel = np.exp(-cfg.lam * C)
-        pos1, pos2 = R1 > 0.0, R2 > 0.0
-        fixed = [kernel, R1, R2, pos1, pos2, np.where(pos2, np.inf, 1.0)]
-        start = [np.where(pos2, 1.0, 0.0)]
-        (V,), iterations, converged, failed = _iterate(_scaled_sweep, fixed, start, cfg)
-        U = np.divide(R1, (kernel @ V[:, :, None])[:, :, 0], out=np.zeros(R1.shape), where=pos1)
-        value, reg_value = _plan_values((U[:, :, None] * kernel) * V[:, None, :], C, cfg.lam)
-        result = TransportResult(
-            value=value,
-            log_v=np.log(V),
-            iterations=iterations,
-            converged=converged,
-            reg_value=reg_value,
-            domain=np.full(n, "scaled"),
-        )
-        # A non-finite final scaling makes the value non-finite too.
+    n, k = R1.shape
+    # The kernel and the plan are built in place: two (B, K, K) temporaries
+    # fewer per solve.
+    kernel = np.multiply(C, -cfg.lam)
+    np.exp(kernel, out=kernel)
+    # Marginals and scalings are (B, K, 1) columns, which the stacked
+    # matvecs take and return as they are.
+    r1, r2 = R1[:, :, None], R2[:, :, None]
+    pos1, pos2 = r1 > 0.0, r2 > 0.0
+    fixed = [kernel, kernel.transpose(0, 2, 1), r1, r2, pos1, pos2, np.where(pos2, np.inf, 1.0)]
+    (V,), iterations, converged, failed = _iterate(
+        _scaled_sweep, fixed, [pos2.astype(np.float64)], cfg
+    )
+    U = np.divide(r1, kernel @ V, out=np.zeros(r1.shape), where=pos1)
+    plan = U * kernel
+    plan *= V.transpose(0, 2, 1)
+    value, reg_value = _plan_values(plan, C, cfg.lam)
+    result = TransportResult(
+        value=value,
+        log_v=np.log(V).reshape(n, k),
+        iterations=iterations,
+        converged=converged,
+        reg_value=reg_value,
+        domain=_SCALED.repeat(n),
+    )
+    # A non-finite final scaling makes the value non-finite too. Values are
+    # nonnegative, so a finite total proves every one finite.
+    if not math.isfinite(value.sum()):
         failed |= ~np.isfinite(value)
-        if failed.any():
-            rows = np.flatnonzero(failed)
-            if not cfg.log_domain:
-                raise NumericError(
-                    f"sinkhorn scaling over/underflow in scaled domain on problem {rows[0]}"
-                )
-            redo = _log_domain(R1[rows], R2[rows], C if len(C) == 1 else C[rows], cfg, rows)
-            for name, values in vars(redo).items():
-                getattr(result, name)[rows] = values
+    if np.count_nonzero(failed):
+        rows = np.flatnonzero(failed)
+        if not cfg.log_domain:
+            raise NumericError(
+                f"sinkhorn scaling over/underflow in scaled domain on problem {rows[0]}"
+            )
+        redo = _log_domain(R1[rows], R2[rows], C if len(C) == 1 else C[rows], cfg, rows)
+        for name, values in vars(redo).items():
+            getattr(result, name)[rows] = values
     return result
 
 

@@ -210,7 +210,7 @@ def run_synthetic_pipeline():
     ood_scores, _ = scores(forward(model, ood_test.features).probs, CLOSED_DYNAMIC)
     # Threshold fitted on the held-out calibration slice; TNR/FNR/AUROC
     # evaluated on the untouched test slices.
-    detector = calibrate(calib_scores, 0.95, CLOSED_DYNAMIC)
+    detector = calibrate(calib_scores, 0.95)
     report = evaluate_with_detector(detector, ind_scores, ood_scores)
     wall = time.perf_counter() - started
     return {

@@ -1,5 +1,6 @@
 """Batch construction, training mechanics, and checkpoint persistence."""
 
+import hashlib
 import math
 import re
 import warnings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from wood.data import Dataset, Role, SyntheticKind, SyntheticSpec, synth
 from wood.errors import ConfigError, DimensionError, FormatError, InputError, NumericError
-from wood.geometry import EvalPath, ScoreConfig, scores
+from wood.geometry import EvalPath, ScoreConfig, _score_rows, scores
 from wood.loss import loss_and_grad
 from wood.model import ParamGrads, backward, forward, init
 from wood.trainer import (
@@ -342,6 +343,57 @@ class TestFitEqualsPlainCrossEntropyTrainer:
         ckpt_b, _ = fit(ind, None, other, hidden=(4,))
         for wa, wb in zip(ckpt_a.weights, ckpt_b.weights):
             np.testing.assert_array_equal(wa, wb)
+
+
+def blas_fingerprint() -> str:
+    """sha256 of BLAS products at the shapes of the pinned steps below, and
+    of ``exp`` and ``log``: the roundings that other hardware or another
+    BLAS build may legitimately change."""
+    rng = np.random.default_rng(0)
+    parts = []
+    for a, b in ((12, 16), (16, 8), (8, 5)):
+        x, w, d = rng.normal(size=(14, a)), rng.normal(size=(a, b)), rng.normal(size=(14, b))
+        parts += [x @ w, d @ w.T, x.T @ d]
+    kernel, v = rng.random((1, 5, 5)), rng.random((6, 5, 1))
+    parts += [kernel @ v, kernel.transpose(0, 2, 1) @ v]
+    z = rng.normal(size=64) * 30.0
+    parts += [np.exp(z), np.log(np.abs(z))]
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
+
+
+class TestPinnedTrainingBits:
+    """The parameter vector after three binary-Sinkhorn ``train_step``s has
+    the sha256 recorded before the class solve was reworked, so a refactor
+    cannot change the rounding unnoticed. The digests hold for the BLAS and
+    the ``exp``/``log`` they were recorded with (NumPy 2.4.6, OpenBLAS
+    0.3.31, x86-64 with AVX-512); elsewhere the test cannot tell a rounding
+    change from the platform's own, and skips."""
+
+    FINGERPRINT = "abd9f8eccd2bcbbe4c5331dd5687f9ebdfd893ebed621d771987cc12b0a07831"
+    DIGESTS = {
+        50.0: ("b1cb8e5702dc8773105b200940ce796292810b3468c5e93d18b0375cfec3bf07", "scaled"),
+        # Every OOD row is solved in the log domain at lam=3000.
+        3000.0: ("c4936e64c5bf130d477b8ab95769303c70f6253b2dbf49eb7cbab065c7d0cece", "log"),
+    }
+
+    @pytest.mark.parametrize("lam", sorted(DIGESTS))
+    def test_three_binary_sinkhorn_steps(self, lam):
+        if blas_fingerprint() != self.FINGERPRINT:
+            pytest.skip("BLAS, exp or log round differently from where the digests were recorded")
+        digest, domain = self.DIGESTS[lam]
+        score = ScoreConfig(CostKind.BINARY, EvalPath.SINKHORN, SinkhornConfig(lam=lam))
+        cfg = TrainConfig(epochs=1, beta=0.5, b_ind=8, b_ood=6, lr=0.05, momentum=0.9, score=score)
+        model = init((12, 16, 8, 5), 7)
+        state = MomentumState(model)
+        rng = np.random.default_rng(11)
+        for step in range(3):
+            x = rng.normal(size=(14, 12))
+            x[8:] *= 3.0
+            y = rng.integers(0, 5, size=8)
+            _, _, plans = _score_rows(forward(model, x[8:]).probs, score)
+            assert plans.domain.tolist() == [domain] * 6
+            train_step(model, Batch(x=x, y_ind=y), cfg, state, batch_id=(0, step))
+        assert hashlib.sha256(model.params.tobytes()).hexdigest() == digest
 
 
 class TestFitMetrics:

@@ -7,11 +7,19 @@ from hypothesis import strategies as st
 
 from wood.errors import CapacityError, DimensionError, InputError, NumericError
 from wood.geometry import binary_matrix
-from wood.oracles import center_gradient, fd_gradient, forced_transport, lp_transport, one_hot
+from wood.oracles import (
+    center_gradient,
+    fd_gradient,
+    forced_transport,
+    lp_transport,
+    one_hot,
+    scaled_sweep,
+)
 from wood.transport import (
     CostKind,
     SinkhornConfig,
     _log_domain,
+    _scaled_sweep,
     as_prob_rows,
     sinkhorn_batch,
     sinkhorn_distance,
@@ -273,6 +281,16 @@ class TestSinkhornBatch:
         np.testing.assert_array_equal(res.converged[interior], False)
         np.testing.assert_array_equal(res.iterations, 1)
 
+    def test_huge_finite_values_are_not_failures(self):
+        # Each value is about 1e308 and finite, but their total overflows:
+        # no problem failed, so nothing is re-solved or raised.
+        r = np.full((2, 2), 0.5)
+        res = sinkhorn_batch(r, r, np.full((2, 2), 1e308), SinkhornConfig(lam=1e-307, log_domain=False))
+        with np.errstate(over="ignore"):
+            assert np.isfinite(res.value).all() and np.isinf(res.value.sum())
+        assert res.domain.tolist() == ["scaled", "scaled"]
+        assert res.converged.all()
+
     def test_b1_is_sinkhorn_distance(self, rng):
         m = random_cost(rng, 4)
         r1, r2 = random_simplex(rng, 4), random_simplex(rng, 4)
@@ -291,6 +309,89 @@ class TestSinkhornBatch:
             sinkhorn_batch(r, r, np.zeros((3, 3, 3)), cfg)
         with pytest.raises(InputError):
             sinkhorn_batch(r, r, -np.ones((3, 3)), cfg)
+
+
+def batched_sweep(kernel, r1, r2, v, tol):
+    # _scaled_sweep on (B, K) rows, laid out as _sinkhorn_batch lays them out:
+    # (B, K, 1) columns and the kernel's transposed view.
+    r1, r2, v = r1[:, :, None], r2[:, :, None], v[:, :, None]
+    pos2 = r2 > 0.0
+    with np.errstate(all="ignore"):
+        (v_new,), done, bad = _scaled_sweep(
+            kernel, kernel.transpose(0, 2, 1), r1, r2, r1 > 0.0, pos2,
+            np.where(pos2, np.inf, 1.0), v, tol,
+        )
+    return v_new[:, :, 0], done, bad
+
+
+class TestScaledSweepEqualsPerRowSweep:
+    """``_scaled_sweep`` against the entry-by-entry sweep of one problem in
+    ``wood.oracles``, bitwise: the new scaling, ``done`` and ``bad``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        b=st.integers(1, 4),
+        k=st.integers(2, 5),
+        shared=st.booleans(),
+        binary=st.booleans(),
+        lam=st.sampled_from([1.0, 50.0, 3000.0]),
+        holes=st.sampled_from([0.0, 0.3, 0.7]),
+        v_scale=st.sampled_from([1.0, 1e-300, 3e-309, 1e300]),
+        v_special=st.sampled_from([None, 0.0, np.inf, np.nan]),
+        tol=st.sampled_from([1e-9, 0.5, 1.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_per_row(self, b, k, shared, binary, lam, holes, v_scale, v_special, tol, seed):
+        # At lam=3000 the binary kernel is the identity, so a zero scaling on
+        # the support gives an infinite u and then NaN entries in v; tiny or
+        # huge scalings give entries near the ends of the float range.
+        rng = np.random.default_rng(seed)
+        costs = binary_matrix(k) if binary else rng.uniform(0.0, 1.0, (k, k))
+        with np.errstate(under="ignore"):
+            kernel = np.exp(-lam * np.broadcast_to(costs, (1 if shared else b, k, k)))
+
+        def marginals():
+            # Rows with zero-mass columns (one-hots among them).
+            w = rng.uniform(0.1, 1.0, (b, k)) * (rng.random((b, k)) >= holes)
+            w[np.arange(b), rng.integers(0, k, b)] += 0.5
+            return w / w.sum(axis=1, keepdims=True)
+
+        r1, r2 = marginals(), marginals()
+        v = rng.uniform(0.1, 2.0, (b, k)) * v_scale * (rng.random((b, k)) >= holes)
+        if v_special is not None:
+            v[rng.integers(0, b), rng.integers(0, k)] = v_special
+        got, done, bad = batched_sweep(kernel, r1, r2, v, tol)
+        assert done.dtype == bad.dtype == bool and done.shape == bad.shape == (b,)
+        for i in range(b):
+            want, want_done, want_bad = scaled_sweep(kernel[0 if shared else i], r1[i], r2[i], v[i], tol)
+            assert got[i].tobytes() == want.tobytes()
+            assert (bool(done[i]), bool(bad[i])) == (want_done, want_bad)
+
+    @pytest.mark.parametrize(
+        "costs, v",
+        [
+            # The identity kernel: u = r1 / v, whose entries near 1.7e308
+            # sum to infinity.
+            (1.0 - np.eye(2), [3e-309, 3e-309]),
+            # The swap kernel: u[0] near 1.7e308 meets v_new[0] = 10, so
+            # their product overflows.
+            (np.eye(2), [10.0, 3e-309]),
+        ],
+    )
+    def test_finite_entries_near_the_float_limit(self, costs, v):
+        # Every entry of u and v_new is finite, so the row is good, and it
+        # is settled, though a whole-array total of its entries overflows.
+        kernel = np.exp(-3000.0 * costs)[None]
+        r = np.array([[0.5, 0.5]])
+        v = np.array([v])
+        got, done, bad = batched_sweep(kernel, r, r, v, 1e-9)
+        want, want_done, want_bad = scaled_sweep(kernel[0], r[0], r[0], v[0], 1e-9)
+        assert got[0].tobytes() == want.tobytes()
+        assert (bool(done[0]), bool(bad[0])) == (want_done, want_bad) == (True, False)
+        u = r[0] / (kernel[0] @ v[0])
+        with np.errstate(over="ignore"):
+            assert np.isfinite(u).all() and np.isfinite(got).all()
+            assert np.isinf(u.sum()) or np.isinf(u @ got[0])
 
 
 class TestSinkhornGradient:
