@@ -5,20 +5,18 @@ score, a mixed-batch training loss with explicit gradients, threshold
 calibration, and FNR/AUROC evaluation. See the README for the CLI.
 """
 
-from .data import Dataset, Role, SyntheticKind, SyntheticSpec, load_idx_pair, split, synth
+from .data import Dataset, Role, SyntheticKind, SyntheticSpec, load_idx_pair, synth
 from .detect import (
     Detector,
     EvalReport,
     auroc_rank,
     calibrate,
-    classify,
     evaluate,
     evaluate_with_detector,
     histogram_csv_lines,
     report_text,
 )
 from .errors import (
-    CapacityError,
     ConfigError,
     DimensionError,
     FormatError,
@@ -26,13 +24,7 @@ from .errors import (
     NumericError,
     WoodError,
 )
-from .geometry import (
-    EvalPath,
-    ScoreConfig,
-    binary_matrix,
-    dynamic_matrix,
-    scores,
-)
+from .geometry import EvalPath, ScoreConfig, binary_matrix, scores
 from .loss import LossValue, loss_and_grad
 from .model import ForwardTrace, MlpModel, backward, forward, init
 from .trainer import (
@@ -50,7 +42,6 @@ from .transport import (
     TransportResult,
     as_prob_rows,
     sinkhorn_batch,
-    sinkhorn_distance,
     sinkhorn_gradient,
 )
 

@@ -1,4 +1,4 @@
-"""Dataset containers, IDX image-file ingestion, synthetic generators, splits.
+"""Dataset containers, IDX image-file ingestion, synthetic generators.
 
 Out-of-distribution datasets are structurally unlabeled: the ``labels``
 accessor raises for OOD-role datasets, so no downstream computation can
@@ -28,7 +28,7 @@ class Role(Enum):
 
 
 class Dataset:
-    """Immutable feature matrix with optional labels and a provenance string.
+    """Immutable feature matrix with optional labels.
 
     ``normalization`` records how raw values were scaled at load time so a
     checkpoint can echo it.
@@ -39,7 +39,6 @@ class Dataset:
         features: np.ndarray,
         labels: np.ndarray | None,
         role: Role,
-        provenance: str,
         n_classes: int | None = None,
         normalization: dict | None = None,
     ):
@@ -50,7 +49,6 @@ class Dataset:
             raise InputError("features contain non-finite values")
         self.features = features
         self.role = role
-        self.provenance = provenance
         self.normalization = dict(normalization) if normalization else {"kind": "identity"}
         if role is Role.OOD:
             self._labels = None
@@ -58,11 +56,19 @@ class Dataset:
         else:
             if labels is None:
                 raise InputError("InD dataset requires labels")
-            labels = np.asarray(labels, dtype=np.int64)
+            given = np.asarray(labels)
+            # A fractional, NaN or out-of-range label changes on the cast,
+            # which the comparison below catches.
+            with np.errstate(invalid="ignore"):
+                labels = given.astype(np.int64, copy=False)
             if labels.shape != (features.shape[0],):
                 raise InputError(
                     f"labels shape {labels.shape} does not match {features.shape[0]} samples"
                 )
+            changed = np.flatnonzero(labels != given)
+            if changed.size:
+                row = int(changed[0])
+                raise InputError(f"label {given.tolist()[row]!r} in row {row} is not an integer")
             if np.any(labels < 0):
                 raise InputError("labels must be nonnegative class indices")
             if n_classes is None and labels.size == 0:
@@ -93,17 +99,6 @@ class Dataset:
         if self.role is Role.OOD:
             raise InputError("OOD datasets carry no class structure")
         return self._n_classes
-
-    def take(self, indices: np.ndarray, provenance_suffix: str) -> "Dataset":
-        labels = self._labels[indices] if self._labels is not None else None
-        return Dataset(
-            self.features[indices],
-            labels,
-            self.role,
-            f"{self.provenance}/{provenance_suffix}",
-            n_classes=self._n_classes,
-            normalization=self.normalization,
-        )
 
 
 class SyntheticKind(Enum):
@@ -153,10 +148,6 @@ def _blob_centers(k: int, dim: int, separation: float) -> np.ndarray:
 def synth(spec: SyntheticSpec) -> Dataset:
     """Deterministic synthetic dataset for the given spec."""
     rng = np.random.default_rng(spec.seed)
-    tag = (
-        f"{spec.kind.value}(k={spec.k},n={spec.n_per_class},dim={spec.dim},"
-        f"sep={spec.separation},noise={spec.noise},seed={spec.seed})"
-    )
     if spec.kind is SyntheticKind.GAUSSIAN_BLOBS:
         centers = _blob_centers(spec.k, spec.dim, spec.separation)
         features = np.vstack(
@@ -166,7 +157,7 @@ def synth(spec: SyntheticSpec) -> Dataset:
             ]
         )
         labels = np.repeat(np.arange(spec.k), spec.n_per_class)
-        return Dataset(features, labels, Role.IND, tag, n_classes=spec.k)
+        return Dataset(features, labels, Role.IND, n_classes=spec.k)
 
     if spec.kind is SyntheticKind.RING:
         # Annulus of radius `separation` around the blob centroid (the
@@ -177,73 +168,16 @@ def synth(spec: SyntheticSpec) -> Dataset:
         features = np.zeros((n, spec.dim))
         features[:, 0] = radii * np.cos(angles)
         features[:, 1] = radii * np.sin(angles)
-        return Dataset(features, None, Role.OOD, tag)
+        return Dataset(features, None, Role.OOD)
 
     if spec.kind is SyntheticKind.SHIFTED_BLOB:
         n = spec.n_per_class
         center = np.zeros(spec.dim)
         center[0] = 3.0 * spec.separation
         features = center + spec.noise * rng.standard_normal((n, spec.dim))
-        return Dataset(features, None, Role.OOD, tag)
+        return Dataset(features, None, Role.OOD)
 
     raise ConfigError(f"unknown synthetic kind {spec.kind!r}")
-
-
-def _stratified_counts(n: int, fractions: tuple[float, ...]) -> list[int]:
-    # Largest-remainder allocation: exact totals, deterministic.
-    raw = [n * f for f in fractions]
-    counts = [int(np.floor(x)) for x in raw]
-    remainder = n - sum(counts)
-    order = sorted(range(len(fractions)), key=lambda i: raw[i] - counts[i], reverse=True)
-    for i in order[:remainder]:
-        counts[i] += 1
-    return counts
-
-
-def split(ds: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset, Dataset]:
-    """Partition into (train, calibration, test), stratified when labeled.
-
-    Fractions must be positive and sum to 1. The three parts are disjoint
-    and exhaustive; identical seeds give identical partitions.
-    """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3:
-        raise ConfigError(f"expected 3 fractions, got {len(fractions)}")
-    if any(f <= 0 for f in fractions):
-        raise ConfigError(f"fractions must be positive, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must sum to 1, got {sum(fractions)!r}")
-
-    rng = np.random.default_rng(seed)
-    parts: list[list[np.ndarray]] = [[], [], []]
-    if ds.role is Role.IND:
-        labels = ds.labels
-        for c in range(ds.n_classes):
-            idx = np.flatnonzero(labels == c)
-            if idx.size < 3:
-                raise ConfigError(
-                    f"class {c} has only {idx.size} samples; cannot stratify into 3 splits"
-                )
-            idx = rng.permutation(idx)
-            counts = _stratified_counts(idx.size, fractions)
-            start = 0
-            for part, count in zip(parts, counts):
-                part.append(idx[start : start + count])
-                start += count
-    else:
-        idx = rng.permutation(ds.n)
-        counts = _stratified_counts(ds.n, fractions)
-        start = 0
-        for part, count in zip(parts, counts):
-            part.append(idx[start : start + count])
-            start += count
-
-    names = ("train", "calib", "test")
-    out = []
-    for name, chunks in zip(names, parts):
-        indices = np.sort(np.concatenate(chunks))
-        out.append(ds.take(indices, name))
-    return tuple(out)
 
 
 def _open_maybe_gzip(path: str | Path) -> bytes:
@@ -312,7 +246,6 @@ def load_idx_pair(
         features,
         labels,
         role,
-        provenance=f"idx({Path(images_path).name})",
         normalization={"kind": "pixel_scale", "scale": 255.0},
     )
 
@@ -394,13 +327,7 @@ def load_dataset_csv(path: str | Path, role: Role, n_classes: int | None = None)
     if parsed is None:
         parsed = _parse_rows(path, lines, dim, has_label)
     features, labels = parsed
-    return Dataset(
-        features,
-        labels if role is Role.IND else None,
-        role,
-        provenance=f"csv({Path(path).name})",
-        n_classes=n_classes,
-    )
+    return Dataset(features, labels if role is Role.IND else None, role, n_classes=n_classes)
 
 
 def _parse_rows_fast(lines: list[str], dim: int, has_label: bool):

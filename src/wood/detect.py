@@ -61,13 +61,6 @@ def calibrate(ind_scores, tnr_target: float = 0.95) -> Detector:
     return Detector(epsilon=epsilon, tnr_target=tnr_target)
 
 
-def classify(det: Detector, score: float) -> int:
-    """1 = flagged OOD (score strictly above threshold), 0 = kept as InD."""
-    if math.isnan(score):
-        raise InputError("cannot classify a NaN score")
-    return int(score > det.epsilon)
-
-
 def auroc_rank(ind_scores, ood_scores) -> float:
     """AUROC via the rank statistic: P(OOD score > InD score), ties half."""
     ind = np.sort(_as_scores(ind_scores, "ind_scores"))

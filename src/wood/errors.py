@@ -14,10 +14,6 @@ class DimensionError(WoodError):
     """Shapes or sizes of inputs are inconsistent."""
 
 
-class CapacityError(WoodError):
-    """Problem size exceeds a hard cap (e.g. the exact-LP solver)."""
-
-
 class NumericError(WoodError):
     """A numerical procedure failed (overflow, non-convergence, NaN)."""
 

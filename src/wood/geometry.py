@@ -51,22 +51,6 @@ def binary_matrix(n_classes: int) -> np.ndarray:
     return np.ones((n_classes, n_classes)) - np.eye(n_classes)
 
 
-def dynamic_matrix(f, k: int) -> np.ndarray:
-    """``(K, K)`` costs of elementwise distances between ``f`` and the one-hot ``k``.
-
-    Row ``k`` (the one-hot side under the library's row-marginal convention)
-    holds ``1 - f``; every other row holds ``f``. Row ``k`` plus any other
-    row is the all-ones vector.
-    """
-    f = as_prob_rows(np.asarray(f)[None], "f")[0]
-    n = f.shape[0]
-    if not 0 <= k < n:
-        raise IndexError(f"class index {k} out of range for K={n}")
-    costs = np.tile(f, (n, 1))
-    costs[k, :] = 1.0 - f
-    return costs
-
-
 def scores(probs, cfg: ScoreConfig) -> tuple[np.ndarray, np.ndarray]:
     """OOD scores of a batch of softmax rows ``probs (n, K)``.
 
@@ -104,7 +88,8 @@ def _score_rows(
         return 1.0 - (P[:, None, :] @ P[:, :, None])[:, 0, 0], np.zeros(n, dtype=np.intp), None
 
     if cfg.matrix_kind is CostKind.DYNAMIC:
-        # dynamic_matrix(f, 0) for every row: f on each line, 1 - f on line 0.
+        # wood.oracles.dynamic_matrix(f, 0) for every row: f on each line,
+        # 1 - f on line 0.
         costs = P[:, None, :].repeat(k, axis=1)
         costs[:, 0, :] = 1.0 - P
         result = _sinkhorn_batch(_one_hots(P.shape, 0), P, costs, cfg.sinkhorn)

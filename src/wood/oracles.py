@@ -3,9 +3,10 @@
 These deliberately share no computation with the production paths: the
 transport solver is a classic transportation-simplex (northwest corner plus
 dual-improvement pivots), a one-hot marginal gets its forced coupling in
-closed form, the AUROC is an explicit double loop, the gradient oracle
-is central finite differences along simplex-tangent directions, and one
-scaled Sinkhorn sweep is written out entry by entry for a single problem.
+closed form, the dynamic cost matrix is built for one row and one class,
+the AUROC is an explicit double loop, the gradient oracle is central finite
+differences along simplex-tangent directions, and one scaled Sinkhorn sweep
+is written out entry by entry for a single problem.
 Obviousness is favored over speed; hard caps keep runtimes in seconds. Not
 for production use. The tests also take their one-hot vectors and the
 gauge centering of gradients from here.
@@ -15,7 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, InputError, NumericError
+from .errors import DimensionError, InputError, NumericError, WoodError
+
+
+class CapacityError(WoodError):
+    """Problem size exceeds a hard cap of an oracle (the exact-LP solver)."""
+
 
 LP_CAP = 16
 
@@ -191,6 +197,23 @@ def forced_transport(label: int, f, M) -> float:
     if np.array_equal(costs, np.ones((k, k)) - np.eye(k)):
         return 1.0 - float(f[label])
     return float(f @ costs[label])
+
+
+def dynamic_matrix(f, k: int) -> np.ndarray:
+    """``(K, K)`` costs of elementwise distances between ``f`` and the one-hot ``k``.
+
+    Row ``k`` (the one-hot side under the library's row-marginal convention)
+    holds ``1 - f``; every other row holds ``f``. Row ``k`` plus any other
+    row is the all-ones vector. The reference for the batch of these costs
+    that the Sinkhorn score builds.
+    """
+    f = _check_marginal(f, "f")
+    n = f.size
+    if not 0 <= k < n:
+        raise IndexError(f"class index {k} out of range for K={n}")
+    costs = np.tile(f, (n, 1))
+    costs[k, :] = 1.0 - f
+    return costs
 
 
 def scaled_sweep(kernel, r1, r2, v, tol: float) -> tuple[np.ndarray, bool, bool]:

@@ -71,14 +71,6 @@ class Batch:
     x: np.ndarray
     y_ind: np.ndarray
 
-    @property
-    def x_ind(self) -> np.ndarray:
-        return self.x[: self.y_ind.shape[0]]
-
-    @property
-    def x_ood(self) -> np.ndarray:
-        return self.x[self.y_ind.shape[0] :]
-
 
 def make_batches(ind_set: Dataset, ood_set: Dataset | None, cfg: TrainConfig, epoch_rng):
     """Yield one epoch of mixed batches.

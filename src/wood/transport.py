@@ -101,10 +101,10 @@ class SinkhornConfig:
 class TransportResult:
     """Outcome of Sinkhorn runs, one entry per problem.
 
-    From :func:`sinkhorn_batch` every field is an array over the B problems
-    (``log_v`` is ``(B, K)``); :meth:`row` gives one problem's scalars and
-    ``(K,)`` vector. ``value`` is the transport term ``<P, M>`` (the
-    reported distance estimate; the entropy term is excluded).
+    Every field is an array over the B problems of a :func:`sinkhorn_batch`
+    call (``log_v`` is ``(B, K)``). ``value`` is the transport term
+    ``<P, M>`` (the reported distance estimate; the entropy term is
+    excluded).
     ``reg_value`` is the full regularized objective ``<P, M> - h(P)/lam``,
     which is what the dual gradient differentiates. ``log_v`` is the log of
     the column scaling ``v``, -inf off the support of ``r2``; problems
@@ -122,18 +122,14 @@ class TransportResult:
     reg_value: np.ndarray
     domain: np.ndarray
 
-    def row(self, i: int) -> TransportResult:
-        """The ``i``-th problem of a batch result."""
-        return TransportResult(**{name: values[i] for name, values in vars(self).items()})
-
 
 def _plan_values(plan: np.ndarray, costs: np.ndarray, lam: float):
     # Transport term and regularized objective of each (K, K) plan. Every
     # sum runs over one problem's contiguous row, so it rounds exactly as a
     # sum over that plan alone.
-    n = plan.shape[0]
-    value = (plan * costs).reshape(n, -1).sum(axis=1)
-    plogp = np.where(plan > 0.0, plan * np.log(plan), 0.0).reshape(n, -1).sum(axis=1)
+    n, k = plan.shape[:2]
+    value = (plan * costs).reshape(n, k * k).sum(axis=1)
+    plogp = np.where(plan > 0.0, plan * np.log(plan), 0.0).reshape(n, k * k).sum(axis=1)
     return value, value + plogp / lam
 
 
@@ -328,18 +324,6 @@ def _sinkhorn_batch(R1, R2, C, cfg: SinkhornConfig) -> TransportResult:
         for name, values in vars(redo).items():
             getattr(result, name)[rows] = values
     return result
-
-
-def sinkhorn_distance(r1, r2, C, cfg: SinkhornConfig | None = None) -> TransportResult:
-    """Entropically regularized transport distance between ``r1`` and ``r2``
-    under the ``(K, K)`` cost ``C``.
-
-    The one-problem case of :func:`sinkhorn_batch`, returned as scalars and
-    ``(K,)`` vectors.
-    """
-    if cfg is None:
-        cfg = SinkhornConfig()
-    return sinkhorn_batch(np.asarray(r1)[None], np.asarray(r2)[None], C, cfg).row(0)
 
 
 def sinkhorn_gradient(result: TransportResult, cfg: SinkhornConfig) -> np.ndarray:

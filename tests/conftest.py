@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from wood.data import Dataset, Role
+from wood.errors import ConfigError
+from wood.transport import TransportResult, sinkhorn_batch
+
 
 @pytest.fixture
 def rng():
@@ -14,6 +18,65 @@ def random_simplex(rng, k, floor=0.0):
     if floor:
         p = (1.0 - k * floor) * p + floor
     return p
+
+
+def solve_one(r1, r2, C, cfg):
+    """One transport problem solved as a batch of one by ``sinkhorn_batch``:
+    every field is that problem's scalar, and ``log_v`` its ``(K,)`` row."""
+    result = sinkhorn_batch(np.asarray(r1)[None], np.asarray(r2)[None], C, cfg)
+    return TransportResult(**{name: values[0] for name, values in vars(result).items()})
+
+
+def _stratified_counts(n, fractions):
+    # Largest-remainder allocation: exact totals, deterministic.
+    raw = [n * f for f in fractions]
+    counts = [int(np.floor(x)) for x in raw]
+    remainder = n - sum(counts)
+    order = sorted(range(len(fractions)), key=lambda i: raw[i] - counts[i], reverse=True)
+    for i in order[:remainder]:
+        counts[i] += 1
+    return counts
+
+
+def split(ds, fractions, seed):
+    """Partition into (train, calibration, test), stratified when labeled.
+
+    Fractions must be positive and sum to 1. The three parts are disjoint
+    and exhaustive; identical seeds give identical partitions. The c06
+    workload in ``benchmarks/workloads.py`` mirrors these RNG calls to draw
+    the acceptance suite's training slices, so their order is fixed.
+    """
+    fractions = tuple(float(f) for f in fractions)
+    if len(fractions) != 3:
+        raise ConfigError(f"expected 3 fractions, got {len(fractions)}")
+    if any(f <= 0 for f in fractions):
+        raise ConfigError(f"fractions must be positive, got {fractions}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ConfigError(f"fractions must sum to 1, got {sum(fractions)!r}")
+
+    rng = np.random.default_rng(seed)
+    labeled = ds.role is Role.IND
+    if labeled:
+        groups = [np.flatnonzero(ds.labels == c) for c in range(ds.n_classes)]
+    else:
+        groups = [np.arange(ds.n)]
+    parts = [[], [], []]
+    for c, idx in enumerate(groups):
+        if labeled and idx.size < 3:
+            raise ConfigError(f"class {c} has only {idx.size} samples; cannot stratify into 3 splits")
+        idx = rng.permutation(idx)
+        start = 0
+        for part, count in zip(parts, _stratified_counts(idx.size, fractions)):
+            part.append(idx[start : start + count])
+            start += count
+
+    out = []
+    for chunks in parts:
+        indices = np.sort(np.concatenate(chunks))
+        labels = ds.labels[indices] if labeled else None
+        n_classes = ds.n_classes if labeled else None
+        out.append(Dataset(ds.features[indices], labels, ds.role, n_classes, ds.normalization))
+    return tuple(out)
 
 
 # Dataset-CSV cells and labels. The plain ones both readers accept, the

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from wood.cli import main as cli_main
-from wood.data import Role, SyntheticKind, SyntheticSpec, load_idx_pair, split, synth
+from wood.data import Role, SyntheticKind, SyntheticSpec, load_idx_pair, synth
 from wood.detect import calibrate, evaluate, evaluate_with_detector
-from wood.geometry import EvalPath, ScoreConfig, binary_matrix, dynamic_matrix, scores
+from wood.geometry import EvalPath, ScoreConfig, binary_matrix, scores
 from wood.model import forward
 from wood.oracles import (
     center_gradient,
+    dynamic_matrix,
     fd_gradient,
     forced_transport,
     lp_transport,
@@ -34,12 +35,9 @@ from wood.trainer import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from wood.transport import (
-    CostKind,
-    SinkhornConfig,
-    sinkhorn_distance,
-    sinkhorn_gradient,
-)
+from wood.transport import CostKind, SinkhornConfig, sinkhorn_gradient
+
+from conftest import solve_one, split
 
 CLOSED_BINARY = ScoreConfig(CostKind.BINARY, EvalPath.CLOSED_FORM)
 CLOSED_DYNAMIC = ScoreConfig(CostKind.DYNAMIC, EvalPath.CLOSED_FORM)
@@ -75,7 +73,7 @@ def test_c01_transport_correctness():
             errors = []
             for lam in (1.0, 10.0, 100.0):
                 cfg = SinkhornConfig(lam=lam, max_iter=20000, tol=1e-12)
-                errors.append(abs(sinkhorn_distance(r1, r2, m, cfg).value - exact))
+                errors.append(abs(solve_one(r1, r2, m, cfg).value - exact))
             tolerance = max(0.02 * abs(exact), 1e-3)
             assert errors[2] <= tolerance, (exact, errors)
             assert errors[2] <= errors[1] + 1e-12
@@ -95,10 +93,10 @@ def test_c02_gradient_fidelity():
             m = rng.uniform(0.0, 1.0, (k, k))
             r1 = dirichlet(rng, k, floor=0.02)
             r2 = dirichlet(rng, k, floor=0.02)
-            result = sinkhorn_distance(r1, r2, m, cfg)
+            result = solve_one(r1, r2, m, cfg)
             dual = center_gradient(sinkhorn_gradient(result, cfg))
             fd = fd_gradient(
-                lambda x: sinkhorn_distance(r1, x, m, cfg).reg_value, r2, step=1e-5
+                lambda x: solve_one(r1, x, m, cfg).reg_value, r2, step=1e-5
             )
             assert np.linalg.norm(dual - fd) <= 1e-3 * np.linalg.norm(fd)
 
@@ -150,7 +148,7 @@ def test_c04_dynamic_label_invariance():
         for _ in range(100):
             f = dirichlet(rng, 10)
             values = [
-                sinkhorn_distance(one_hot(label, 10), f, dynamic_matrix(f, label), sinkhorn).value
+                solve_one(one_hot(label, 10), f, dynamic_matrix(f, label), sinkhorn).value
                 for label in range(10)
             ]
             assert max(values) - min(values) <= 1e-6

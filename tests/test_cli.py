@@ -520,8 +520,8 @@ class TestBlockedScoring:
             model = self.write_checkpoint(tmp / "checkpoint.json")
             ind_csv, ood_csv = tmp / "ind.csv", tmp / "ood.csv"
             labels = np.arange(n_ind) % 3
-            save_dataset_csv(Dataset(rng.normal(0, 2, (n_ind, 2)), labels, Role.IND, "t"), ind_csv)
-            save_dataset_csv(Dataset(rng.normal(0, 2, (n_ood, 2)), None, Role.OOD, "t"), ood_csv)
+            save_dataset_csv(Dataset(rng.normal(0, 2, (n_ind, 2)), labels, Role.IND), ind_csv)
+            save_dataset_csv(Dataset(rng.normal(0, 2, (n_ood, 2)), None, Role.OOD), ood_csv)
             ind_x = load_dataset_csv(ind_csv, Role.IND).features
             ood_x = load_dataset_csv(ood_csv, Role.OOD).features
 
@@ -571,8 +571,8 @@ class TestBlockedScoring:
             assert not np.isfinite(forward(model, x[9]).probs).all()
         labels = np.arange(13) % 3
         ind_csv, bad_csv = tmp_path / "ind.csv", tmp_path / "bad.csv"
-        save_dataset_csv(Dataset(x[:8], labels[:8], Role.IND, "t"), ind_csv)
-        save_dataset_csv(Dataset(x, None, Role.OOD, "t"), bad_csv)
+        save_dataset_csv(Dataset(x[:8], labels[:8], Role.IND), ind_csv)
+        save_dataset_csv(Dataset(x, None, Role.OOD), bad_csv)
         inputs = {
             "score": ["--features", str(bad_csv)],
             "evaluate": ["--ind", str(ind_csv), "--ood", str(bad_csv)],
@@ -622,7 +622,7 @@ class TestBlockedScoring:
         rng = np.random.default_rng(0)
 
         def traced(n_blocks):
-            ds = Dataset(rng.normal(size=(n_blocks * block, 2)), None, Role.OOD, "t")
+            ds = Dataset(rng.normal(size=(n_blocks * block, 2)), None, Role.OOD)
             _score_blocks(model, ds, "f.csv", cfg)  # warm up lazy imports and caches
             tracemalloc.start()
             try:
@@ -967,12 +967,30 @@ def test_config_line_accepts_what_the_flag_accepts(fuzz_files, flag, value):
 
 
 def test_import_loads_no_scipy():
-    # NumPy is the only runtime dependency; a fresh interpreter shows what
-    # importing the CLI pulls in.
+    # NumPy is the only runtime dependency, and the test oracles are not
+    # one; a fresh interpreter shows what importing the package pulls in.
     src = str(Path(wood.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, wood.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "[]"
+    for modules in ("wood.cli", "wood, wood.cli"):
+        probe = (
+            f"import sys, {modules}; print([m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy' or m == 'wood.oracles'])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]", modules
+
+
+def test_readme_quickstart_runs():
+    # The README's library quickstart, run as written in a fresh interpreter.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(root / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    auroc, fnr = map(float, result.stdout.split())
+    assert 0.0 <= fnr <= 1.0 and 0.5 < auroc <= 1.0

@@ -18,13 +18,12 @@ from wood.data import (
     load_dataset_csv,
     load_idx_pair,
     save_dataset_csv,
-    split,
     synth,
     write_idx,
 )
 from wood.errors import ConfigError, FormatError, InputError
 
-from conftest import csv_texts
+from conftest import csv_texts, split
 
 
 def blob_spec(**overrides):
@@ -131,7 +130,7 @@ class TestSplit:
     def test_impossible_stratification(self):
         features = np.zeros((4, 2))
         labels = np.array([0, 0, 0, 1])
-        ds = Dataset(features, labels, Role.IND, "tiny")
+        ds = Dataset(features, labels, Role.IND)
         with pytest.raises(ConfigError):
             split(ds, (0.6, 0.2, 0.2), seed=0)
 
@@ -299,7 +298,7 @@ def test_fast_reader_agrees_with_line_loop(csv_path, data):
     if status != "ok":
         assert loaded == (status, parsed)
         return
-    expected = _outcome(lambda: Dataset(parsed[0], parsed[1] if role is Role.IND else None, role, "x"))
+    expected = _outcome(lambda: Dataset(parsed[0], parsed[1] if role is Role.IND else None, role))
     if expected[0] != "ok":
         assert loaded == expected
         return
@@ -337,20 +336,31 @@ class TestIdxTrainingFlow:
 
 class TestDatasetContract:
     def test_ood_constructor_ignores_labels(self):
-        ds = Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), Role.OOD, "x")
+        ds = Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), Role.OOD)
         with pytest.raises(InputError):
             _ = ds.labels
 
     def test_ind_requires_labels(self):
         with pytest.raises(InputError):
-            Dataset(np.zeros((3, 2)), None, Role.IND, "x")
+            Dataset(np.zeros((3, 2)), None, Role.IND)
 
     def test_rejects_nonfinite_features(self):
         with pytest.raises(InputError):
-            Dataset(np.array([[np.inf, 0.0]]), None, Role.OOD, "x")
+            Dataset(np.array([[np.inf, 0.0]]), None, Role.OOD)
 
     def test_zero_ind_rows_need_n_classes(self):
         with pytest.raises(InputError, match="^InD dataset has no rows to infer n_classes from$"):
-            Dataset(np.zeros((0, 2)), np.zeros(0), Role.IND, "t")
-        ds = Dataset(np.zeros((0, 2)), np.zeros(0), Role.IND, "t", n_classes=3)
+            Dataset(np.zeros((0, 2)), np.zeros(0), Role.IND)
+        ds = Dataset(np.zeros((0, 2)), np.zeros(0), Role.IND, n_classes=3)
         assert (ds.n, ds.n_classes) == (0, 3)
+
+    def test_rejects_non_integer_labels(self):
+        # The first label the int64 cast would change is named; integral
+        # floats are class indices like any other.
+        with pytest.raises(InputError, match=r"^label 1\.5 in row 1 is not an integer$"):
+            Dataset(np.zeros((3, 2)), np.array([1.0, 1.5, 2.99]), Role.IND)
+        with pytest.raises(InputError, match=r"^label nan in row 0 is not an integer$"):
+            Dataset(np.zeros((1, 2)), np.array([np.nan]), Role.IND)
+        with pytest.raises(InputError, match="^labels must be nonnegative class indices$"):
+            Dataset(np.zeros((2, 2)), np.array([0.0, -1.0]), Role.IND)
+        assert Dataset(np.zeros((2, 2)), np.array([0.0, 1.0]), Role.IND).labels.tolist() == [0, 1]

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wood.detect import (
-    Detector,
     auroc_rank,
     calibrate,
-    classify,
     evaluate,
     histogram_csv_lines,
     report_text,
@@ -32,7 +30,7 @@ class TestCalibrate:
     def test_all_equal_scores(self):
         det = calibrate([3.0, 3.0, 3.0], 0.95)
         assert det.epsilon == 3.0
-        assert classify(det, 3.0) == 0
+        assert not 3.0 > det.epsilon
 
     def test_single_score(self):
         assert calibrate([0.7], 0.95).epsilon == 0.7
@@ -75,25 +73,6 @@ def test_calibration_never_undershoots_target(scores, target):
     det = calibrate(scores, target)
     achieved = float(np.mean(np.asarray(scores) <= det.epsilon))
     assert achieved >= target
-
-
-class TestClassify:
-    def test_below_threshold_kept(self):
-        det = Detector(epsilon=0.5)
-        assert classify(det, 0.3) == 0
-
-    def test_above_threshold_flagged(self):
-        det = Detector(epsilon=0.5)
-        assert classify(det, 0.7) == 1
-
-    def test_boundary_is_kept(self):
-        det = Detector(epsilon=0.5)
-        assert classify(det, 0.5) == 0
-
-    def test_nan_rejected(self):
-        det = Detector(epsilon=0.5)
-        with pytest.raises(InputError):
-            classify(det, float("nan"))
 
 
 class TestEvaluate:

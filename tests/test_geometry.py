@@ -11,13 +11,12 @@ from wood.geometry import (
     ScoreConfig,
     _score_rows,
     binary_matrix,
-    dynamic_matrix,
     scores,
 )
-from wood.oracles import forced_transport, lp_transport, one_hot
-from wood.transport import CostKind, SinkhornConfig, sinkhorn_batch, sinkhorn_distance
+from wood.oracles import dynamic_matrix, forced_transport, lp_transport, one_hot
+from wood.transport import CostKind, SinkhornConfig, sinkhorn_batch
 
-from conftest import random_simplex
+from conftest import random_simplex, solve_one
 
 CLOSED_BINARY = ScoreConfig(CostKind.BINARY, EvalPath.CLOSED_FORM)
 CLOSED_DYNAMIC = ScoreConfig(CostKind.DYNAMIC, EvalPath.CLOSED_FORM)
@@ -167,8 +166,14 @@ class TestWoodScore:
             scores(P, cfg)
 
     def test_empty_batch(self):
-        values, classes = scores(np.zeros((0, 3)), CLOSED_DYNAMIC)
-        assert values.shape == classes.shape == (0,)
+        for kind in (CostKind.BINARY, CostKind.DYNAMIC):
+            for path in (EvalPath.CLOSED_FORM, EvalPath.SINKHORN):
+                values, classes = scores(np.zeros((0, 3)), ScoreConfig(kind, path))
+                assert values.shape == classes.shape == (0,)
+        for costs in (binary_matrix(3), np.zeros((0, 3, 3))):
+            result = sinkhorn_batch(np.zeros((0, 3)), np.zeros((0, 3)), costs, SinkhornConfig())
+            assert result.log_v.shape == (0, 3)
+            assert all(len(values) == 0 for values in vars(result).values())
 
 
 class TestPropositions:
@@ -184,7 +189,7 @@ class TestPropositions:
         for _ in range(10):
             f = random_simplex(rng, 10)
             values = [
-                sinkhorn_distance(one_hot(label, 10), f, dynamic_matrix(f, label), sk).value
+                solve_one(one_hot(label, 10), f, dynamic_matrix(f, label), sk).value
                 for label in range(10)
             ]
             assert max(values) - min(values) <= 1e-6
@@ -208,18 +213,21 @@ class TestPropositions:
 def public_class_solves(P, cfg):
     """Public ``sinkhorn_batch`` results (one per candidate class for
     binary costs, one with per-row ``dynamic_matrix(f, 0)`` costs for
-    dynamic costs), each row's argmin class, and that class's result row."""
+    dynamic costs), each row's argmin class, and that class's problem for
+    that row solved on its own."""
     n, k = P.shape
     if cfg.matrix_kind is CostKind.BINARY:
+        costs = [binary_matrix(k)] * n
         results = [
-            sinkhorn_batch(np.eye(k)[np.full(n, c)], P, binary_matrix(k), cfg.sinkhorn)
+            sinkhorn_batch(np.eye(k)[np.full(n, c)], P, costs[0], cfg.sinkhorn)
             for c in range(k)
         ]
     else:
-        costs = np.array([dynamic_matrix(f, 0) for f in P])
-        results = [sinkhorn_batch(np.eye(k)[np.zeros(n, dtype=int)], P, costs, cfg.sinkhorn)]
+        costs = [dynamic_matrix(f, 0) for f in P]
+        onehots = np.eye(k)[np.zeros(n, dtype=int)]
+        results = [sinkhorn_batch(onehots, P, np.array(costs), cfg.sinkhorn)]
     classes = np.argmin([r.value for r in results], axis=0)
-    plans = [results[c].row(i) for i, c in enumerate(classes)]
+    plans = [solve_one(np.eye(k)[c], P[i], costs[i], cfg.sinkhorn) for i, c in enumerate(classes)]
     return results, classes, plans
 
 

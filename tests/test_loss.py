@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wood.errors import InputError, NumericError
-from wood.geometry import EvalPath, ScoreConfig, binary_matrix, dynamic_matrix, scores
+from wood.geometry import EvalPath, ScoreConfig, binary_matrix, scores
 from wood.loss import PROB_FLOOR, loss_and_grad
-from wood.oracles import fd_gradient, lp_transport, one_hot
-from wood.transport import CostKind, SinkhornConfig, sinkhorn_distance
+from wood.oracles import dynamic_matrix, fd_gradient, lp_transport, one_hot
+from wood.transport import CostKind, SinkhornConfig
 
-from conftest import random_simplex
+from conftest import random_simplex, solve_one
 
 CLOSED_BINARY = ScoreConfig(CostKind.BINARY, EvalPath.CLOSED_FORM)
 CLOSED_DYNAMIC = ScoreConfig(CostKind.DYNAMIC, EvalPath.CLOSED_FORM)
@@ -155,7 +155,7 @@ class TestGradOod:
                 )
 
                 def fn(x):
-                    res = sinkhorn_distance(one_hot(k_star, 3), x, frozen, sk)
+                    res = solve_one(one_hot(k_star, 3), x, frozen, sk)
                     return -beta * res.reg_value
 
                 grad = ood_grad(f, cfg, beta)

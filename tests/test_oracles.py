@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from wood.errors import CapacityError, InputError
-from wood.geometry import binary_matrix, dynamic_matrix
-from wood.oracles import fd_gradient, forced_transport, lp_transport, pairwise_auroc
+from wood.errors import InputError
+from wood.geometry import binary_matrix
+from wood.oracles import (
+    CapacityError,
+    dynamic_matrix,
+    fd_gradient,
+    forced_transport,
+    lp_transport,
+    pairwise_auroc,
+)
 
 from conftest import random_simplex
 

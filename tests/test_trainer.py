@@ -72,7 +72,7 @@ class TestMakeBatches:
         cfg = TrainConfig(epochs=1, b_ind=50, b_ood=0)
         batches = list(make_batches(ind, None, cfg, np.random.default_rng(0)))
         assert len(batches) == 2
-        seen = np.concatenate([b.x_ind[:, 0] for b in batches])
+        seen = np.concatenate([b.x[: len(b.y_ind), 0] for b in batches])
         assert seen.size == 100
         assert np.unique(seen).size == 100
 
@@ -80,7 +80,7 @@ class TestMakeBatches:
         ind = blobs()
         cfg = TrainConfig(epochs=1, b_ind=25, b_ood=0)
         for batch in make_batches(ind, None, cfg, np.random.default_rng(0)):
-            assert batch.x_ood.shape[0] == 0
+            assert batch.x.shape[0] == len(batch.y_ind)
 
     def test_deterministic_under_seed(self):
         ind = blobs()
@@ -89,8 +89,8 @@ class TestMakeBatches:
         a = list(make_batches(ind, ood, cfg, np.random.default_rng(11)))
         b = list(make_batches(ind, ood, cfg, np.random.default_rng(11)))
         for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.x_ind, y.x_ind)
-            np.testing.assert_array_equal(x.x_ood, y.x_ood)
+            np.testing.assert_array_equal(x.x[: len(x.y_ind)], y.x[: len(y.y_ind)])
+            np.testing.assert_array_equal(x.x[len(x.y_ind) :], y.x[len(y.y_ind) :])
 
     def test_empty_ood_with_positive_b_ood(self):
         ind = blobs()
@@ -109,7 +109,7 @@ class TestFitInputs:
             raise AssertionError("fit stepped on inputs it cannot train on")
 
         monkeypatch.setattr("wood.trainer.train_step", no_step)
-        ind = Dataset(np.random.default_rng(0).normal(size=(6, 2)), labels, Role.IND, "t")
+        ind = Dataset(np.random.default_rng(0).normal(size=(6, 2)), labels, Role.IND)
         with pytest.raises(error):
             fit(ind, None, TrainConfig(epochs=1, b_ood=b_ood))
 
@@ -118,8 +118,8 @@ class TestFitInputs:
             raise AssertionError("fit stepped on inputs it cannot train on")
 
         monkeypatch.setattr("wood.trainer.train_step", no_step)
-        ind = Dataset(np.zeros((6, 2)), np.arange(6) % 2, Role.IND, "t")
-        ood = Dataset(np.zeros((4, 3)), None, Role.OOD, "o")
+        ind = Dataset(np.zeros((6, 2)), np.arange(6) % 2, Role.IND)
+        ood = Dataset(np.zeros((4, 3)), None, Role.OOD)
         with pytest.raises(DimensionError, match="OOD feature dim 3 does not match InD feature dim 2"):
             fit(ind, ood, TrainConfig(epochs=1, b_ood=2))
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wood.errors import CapacityError, DimensionError, InputError, NumericError
+from wood.errors import DimensionError, InputError, NumericError
 from wood.geometry import binary_matrix
 from wood.oracles import (
+    CapacityError,
     center_gradient,
     fd_gradient,
     forced_transport,
@@ -22,11 +23,10 @@ from wood.transport import (
     _scaled_sweep,
     as_prob_rows,
     sinkhorn_batch,
-    sinkhorn_distance,
     sinkhorn_gradient,
 )
 
-from conftest import random_simplex
+from conftest import random_simplex, solve_one
 
 
 def random_cost(rng, k):
@@ -120,19 +120,19 @@ class TestSinkhornDistance:
     def test_same_one_hot_is_zero(self, rng):
         m = rng.uniform(0.2, 1.0, (3, 3)) * (1 - np.eye(3))
         e2 = one_hot(1, 3)
-        res = sinkhorn_distance(e2, e2, m, SinkhornConfig(lam=10.0))
+        res = solve_one(e2, e2, m, SinkhornConfig(lam=10.0))
         assert res.converged
         assert abs(res.value) <= 1e-8
 
     def test_tracks_exact_k2(self):
-        res = sinkhorn_distance(
+        res = solve_one(
             [0.5, 0.5], [0.3, 0.7], binary_matrix(2), SinkhornConfig(lam=100.0)
         )
         assert res.converged
         assert res.value == pytest.approx(0.2, rel=0.02)
 
     def test_tracks_exact_one_hot(self):
-        res = sinkhorn_distance(
+        res = solve_one(
             [0.5, 0.3, 0.2], one_hot(0, 3), binary_matrix(3), SinkhornConfig(lam=50.0)
         )
         assert res.converged
@@ -145,7 +145,7 @@ class TestSinkhornDistance:
             k = 4
             m = random_cost(rng, k)
             r1 = random_simplex(rng, k)
-            res = sinkhorn_distance(r1, one_hot(2, k), m, SinkhornConfig(lam=lam))
+            res = solve_one(r1, one_hot(2, k), m, SinkhornConfig(lam=lam))
             assert res.converged
             assert res.value == pytest.approx(float(r1 @ m[:, 2]), abs=1e-10)
 
@@ -158,13 +158,13 @@ class TestSinkhornDistance:
             exact, _ = lp_transport(r1, r2, m)
             errs = []
             for lam in (1.0, 10.0, 100.0):
-                res = sinkhorn_distance(r1, r2, m, SinkhornConfig(lam=lam, max_iter=20000))
+                res = solve_one(r1, r2, m, SinkhornConfig(lam=lam, max_iter=20000))
                 errs.append(abs(res.value - exact))
             assert errs[2] <= errs[1] + 1e-9
             assert errs[1] <= errs[0] + 1e-9
 
     def test_non_convergence_reported_not_raised(self):
-        res = sinkhorn_distance(
+        res = solve_one(
             [0.5, 0.5], [0.3, 0.7], binary_matrix(2), SinkhornConfig(lam=100.0, max_iter=1)
         )
         assert not res.converged
@@ -198,7 +198,7 @@ class TestSinkhornDistance:
     def test_value_nonnegative(self, rng):
         for _ in range(20):
             k = int(rng.integers(2, 6))
-            res = sinkhorn_distance(
+            res = solve_one(
                 random_simplex(rng, k),
                 random_simplex(rng, k),
                 random_cost(rng, k),
@@ -295,7 +295,7 @@ class TestSinkhornBatch:
         m = random_cost(rng, 4)
         r1, r2 = random_simplex(rng, 4), random_simplex(rng, 4)
         cfg = SinkhornConfig(lam=10.0)
-        one = sinkhorn_distance(r1, r2, m, cfg)
+        one = solve_one(r1, r2, m, cfg)
         res = sinkhorn_batch(r1[None], r2[None], m, cfg)
         assert one.value == res.value[0] and one.iterations == res.iterations[0]
         np.testing.assert_array_equal(sinkhorn_gradient(one, cfg), sinkhorn_gradient(res, cfg)[0])
@@ -397,7 +397,7 @@ class TestScaledSweepEqualsPerRowSweep:
 class TestSinkhornGradient:
     def test_uniform_binary_symmetric(self):
         cfg = SinkhornConfig(lam=10.0)
-        res = sinkhorn_distance([0.5, 0.5], [0.5, 0.5], binary_matrix(2), cfg)
+        res = solve_one([0.5, 0.5], [0.5, 0.5], binary_matrix(2), cfg)
         grad = center_gradient(sinkhorn_gradient(res, cfg))
         np.testing.assert_allclose(grad, [0.0, 0.0], atol=1e-12)
 
@@ -410,9 +410,9 @@ class TestSinkhornGradient:
             r2 = random_simplex(rng, k, floor=0.02)
 
             def reg_value(x):
-                return sinkhorn_distance(r1, x, m, cfg).reg_value
+                return solve_one(r1, x, m, cfg).reg_value
 
-            res = sinkhorn_distance(r1, r2, m, cfg)
+            res = solve_one(r1, r2, m, cfg)
             grad = center_gradient(sinkhorn_gradient(res, cfg))
             fd = fd_gradient(reg_value, r2, step=1e-5)
             assert np.linalg.norm(grad - fd) <= 1e-3 * np.linalg.norm(fd)
@@ -422,14 +422,14 @@ class TestSinkhornGradient:
         # label must raise the distance, so off-label components dominate.
         cfg = SinkhornConfig(lam=10.0)
         f = np.array([0.98, 0.01, 0.01])
-        res = sinkhorn_distance(one_hot(0, 3), f, binary_matrix(3), cfg)
+        res = solve_one(one_hot(0, 3), f, binary_matrix(3), cfg)
         grad = center_gradient(sinkhorn_gradient(res, cfg))
         assert grad[1] > grad[0]
         assert grad[2] > grad[0]
 
     def test_requires_convergence(self):
         cfg = SinkhornConfig(lam=100.0, max_iter=1)
-        res = sinkhorn_distance([0.5, 0.5], [0.3, 0.7], binary_matrix(2), cfg)
+        res = solve_one([0.5, 0.5], [0.3, 0.7], binary_matrix(2), cfg)
         with pytest.raises(NumericError):
             sinkhorn_gradient(res, cfg)
 
