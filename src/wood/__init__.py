@@ -16,14 +16,7 @@ from .detect import (
     histogram_csv_lines,
     report_text,
 )
-from .errors import (
-    ConfigError,
-    DimensionError,
-    FormatError,
-    InputError,
-    NumericError,
-    WoodError,
-)
+from .errors import InputError, NumericError, WoodError
 from .geometry import EvalPath, ScoreConfig, binary_matrix, scores
 from .loss import LossValue, loss_and_grad
 from .model import ForwardTrace, MlpModel, backward, forward, init

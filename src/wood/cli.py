@@ -1,10 +1,10 @@
 """Command-line front end: data generation, training, evaluation, scoring.
 
-Exit codes: 0 success, 1 usage error, 2 data/format/config error, 3 numeric
-failure. Configuration precedence is flags > config file > defaults; the
-config file (plain ``key=value`` lines) is echoed verbatim into the output
-directory for provenance. Every command is deterministic given its flags
-and seed.
+Exit codes: 0 success, 1 usage error, 2 data error (a bad value, shape,
+file or setting), 3 numeric failure. Configuration precedence is flags >
+config file > defaults; the config file (plain ``key=value`` lines) is
+echoed verbatim into the output directory for provenance. Every command is
+deterministic given its flags and seed.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ from .data import (
     synth,
 )
 from .detect import (
-    Detector,
     calibrate,
     evaluate,
     evaluate_with_detector,
     histogram_csv_lines,
     report_text,
 )
-from .errors import ConfigError, FormatError, InputError, NumericError, WoodError
+from .errors import InputError, NumericError
 from .geometry import EvalPath, ScoreConfig, scores
 from .model import forward
 from .trainer import (
@@ -164,19 +163,19 @@ def _read_config_file(path: str) -> dict:
     settings = _add_train_settings(_Parser(add_help=False))
     flags = {action.dest: action.option_strings[0] for action in settings._actions}
     values = {}
-    for lineno, line in enumerate(read_text(path, "utf-8", ConfigError).split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path, "utf-8").split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
+            raise InputError(f"{path}:{lineno}: expected key=value")
         key, _, text = (part.strip() for part in stripped.partition("="))
         if key not in flags:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             values[key] = getattr(settings.parse_args([f"{flags[key]}={text}"]), key)
         except _UsageError as exc:
-            raise ConfigError(f"config key {key}: {exc}") from None
+            raise InputError(f"config key {key}: {exc}") from None
     return values
 
 
@@ -186,21 +185,22 @@ def _score_config(matrix: str, eval_path: str, lam: float) -> ScoreConfig:
 
 def _checkpoint_score_config(args, ckpt) -> ScoreConfig:
     """Score configuration for ``evaluate``/``score``: flags override the
-    configuration the checkpoint was trained with."""
-    if None in (args.matrix, args.eval_path, args.lam):
-        try:
+    configuration the checkpoint was trained with. argparse has checked the
+    flags, so a setting that fails here came from the checkpoint."""
+    try:
+        if None in (args.matrix, args.eval_path, args.lam):
             saved = ckpt.train_config["score"]
             trained = {
                 "matrix": CostKind(saved["matrix_kind"]).value,
                 "eval_path": EvalPath(saved["evaluation"]).value,
                 "lam": float(saved["sinkhorn"]["lam"]),
             }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{args.checkpoint}: malformed train_config.score: {exc}") from exc
-        for key, value in trained.items():
-            if getattr(args, key) is None:
-                setattr(args, key, value)
-    return _score_config(args.matrix, args.eval_path, args.lam)
+            for key, value in trained.items():
+                if getattr(args, key) is None:
+                    setattr(args, key, value)
+        return _score_config(args.matrix, args.eval_path, args.lam)
+    except (KeyError, TypeError, ValueError, InputError) as exc:
+        raise InputError(f"{args.checkpoint}: malformed train_config.score: {exc}") from exc
 
 
 def _echo_run_config(out_dir: Path, args) -> None:
@@ -225,11 +225,8 @@ def _prepare_out(args) -> Path:
 
 def _dataset_from_args(path: str, role: Role, n_classes: int | None = None) -> Dataset:
     if not path.endswith(".csv"):
-        raise ConfigError(f"expected a .csv dataset, got {path}")
-    try:
-        return load_dataset_csv(path, role=role, n_classes=n_classes)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+        raise InputError(f"expected a .csv dataset, got {path}")
+    return load_dataset_csv(path, role=role, n_classes=n_classes)
 
 
 # Rows that ``score`` and ``evaluate`` run through the model at once. Only
@@ -305,9 +302,9 @@ def _cmd_train(args) -> int:
     if ind_set.n_classes < 2:
         raise InputError(f"{args.ind}: training needs at least 2 classes, got {ind_set.n_classes}")
     if cfg.b_ood > 0 and ood_set is None:
-        raise ConfigError(f"--b-ood {cfg.b_ood} needs an --ood dataset")
+        raise InputError(f"--b-ood {cfg.b_ood} needs an --ood dataset")
     if ood_set is not None and ood_set.dim != ind_set.dim:
-        raise ConfigError(
+        raise InputError(
             f"{args.ood}: feature dim {ood_set.dim} does not match {args.ind} dim {ind_set.dim}"
         )
     out_dir = _prepare_out(args)
@@ -329,7 +326,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     if not args.calib_on_eval and not 0.0 < args.calib_frac < 1.0:
-        raise ConfigError(f"calib_frac must lie in (0, 1), got {args.calib_frac!r}")
+        raise InputError(f"calib_frac must lie in (0, 1), got {args.calib_frac!r}")
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
     score_cfg = _checkpoint_score_config(args, ckpt)
@@ -338,7 +335,7 @@ def _cmd_evaluate(args) -> int:
     ood_set = _dataset_from_args(args.ood, Role.OOD)
     for ds, name in ((ind_set, "ind"), (ood_set, "ood")):
         if ds.dim != model.input_dim:
-            raise ConfigError(
+            raise InputError(
                 f"{name} feature dim {ds.dim} does not match checkpoint input dim"
                 f" {model.input_dim}"
             )
@@ -358,7 +355,7 @@ def _cmd_evaluate(args) -> int:
         calib_scores = ind_scores[perm[:n_calib]]
         eval_scores = ind_scores[perm[n_calib:]]
         if eval_scores.size == 0:
-            raise ConfigError("calibration fraction leaves no evaluation samples")
+            raise InputError("calibration fraction leaves no evaluation samples")
         det = calibrate(calib_scores, args.tnr)
         report = evaluate_with_detector(det, eval_scores, ood_scores)
 
@@ -387,19 +384,18 @@ def _cmd_score(args) -> int:
     score_cfg = _checkpoint_score_config(args, ckpt)
     ds = _dataset_from_args(args.features, Role.OOD)
     if ds.dim != model.input_dim:
-        raise ConfigError(
+        raise InputError(
             f"feature dim {ds.dim} does not match checkpoint input dim {model.input_dim}"
         )
     values, classes, _ = _score_blocks(model, ds, args.features, score_cfg)
-    det = Detector(args.epsilon, args.tnr) if args.epsilon is not None else None
 
     header = "index,argmin_class,score"
     row = "{},{},{!r}"
     columns = [range(values.size), classes.tolist(), values.tolist()]
-    if det:
+    if args.epsilon is not None:
         header += ",decision"
         row += ",{}"
-        columns.append((values > det.epsilon).astype(np.int8).tolist())
+        columns.append((values > args.epsilon).astype(np.int8).tolist())
     text = header + "\n" + "".join(map((row + "\n").format, *columns))
     out_dir = _prepare_out(args)
     (out_dir / "scores.csv").write_text(text, encoding="ascii")
@@ -535,15 +531,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, ConfigError, InputError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError,) as exc:
+    except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except WoodError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InputError, WoodError
+from .errors import InputError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -126,13 +126,13 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ConfigError(f"need k >= 2 classes, got {self.k}")
+            raise InputError(f"need k >= 2 classes, got {self.k}")
         if self.n_per_class < 1:
-            raise ConfigError(f"need n_per_class >= 1, got {self.n_per_class}")
+            raise InputError(f"need n_per_class >= 1, got {self.n_per_class}")
         if self.dim < 2:
-            raise ConfigError(f"need dim >= 2, got {self.dim}")
+            raise InputError(f"need dim >= 2, got {self.dim}")
         if self.separation <= 0 or self.noise <= 0:
-            raise ConfigError("separation and noise must be positive")
+            raise InputError("separation and noise must be positive")
 
 
 def _blob_centers(k: int, dim: int, separation: float) -> np.ndarray:
@@ -177,36 +177,35 @@ def synth(spec: SyntheticSpec) -> Dataset:
         features = center + spec.noise * rng.standard_normal((n, spec.dim))
         return Dataset(features, None, Role.OOD)
 
-    raise ConfigError(f"unknown synthetic kind {spec.kind!r}")
+    raise InputError(f"unknown synthetic kind {spec.kind!r}")
 
 
-def _open_maybe_gzip(path: str | Path) -> bytes:
-    raw = Path(path).read_bytes()
-    if raw[:2] == b"\x1f\x8b":
-        return gzip.decompress(raw)
-    return raw
-
-
-def _read_idx(blob: bytes, path: str) -> tuple[int, np.ndarray]:
+def _read_idx(path: str | Path, expected_magic: int) -> np.ndarray:
+    """The tensor of the IDX file ``path`` (gzip detected by its magic), whose
+    magic must be ``expected_magic``."""
+    blob = Path(path).read_bytes()
+    if blob[:2] == b"\x1f\x8b":
+        blob = gzip.decompress(blob)
     if len(blob) < 4:
-        raise FormatError(f"{path}: truncated IDX header at byte {len(blob)}")
+        raise InputError(f"{path}: truncated IDX header at byte {len(blob)}")
     (magic,) = struct.unpack(">I", blob[:4])
     ndim = magic & 0xFF
     # Only unsigned-byte tensors of sane rank are valid here; anything else
     # is a wrong or corrupted magic.
     if (magic >> 8) != 0x08 or not 1 <= ndim <= 4:
-        raise FormatError(f"{path}: bad magic 0x{magic:08x}")
+        raise InputError(f"{path}: bad magic 0x{magic:08x}")
     header_len = 4 + 4 * ndim
     if len(blob) < header_len:
-        raise FormatError(f"{path}: truncated IDX header at byte {len(blob)}")
+        raise InputError(f"{path}: truncated IDX header at byte {len(blob)}")
     dims = struct.unpack(f">{ndim}I", blob[4:header_len])
     expected = header_len + int(np.prod(dims))
     if len(blob) < expected:
-        raise FormatError(
+        raise InputError(
             f"{path}: truncated IDX payload at byte {len(blob)} (expected {expected})"
         )
-    data = np.frombuffer(blob[header_len:expected], dtype=np.uint8).reshape(dims)
-    return magic, data
+    if magic != expected_magic:
+        raise InputError(f"{path}: bad magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
+    return np.frombuffer(blob[header_len:expected], dtype=np.uint8).reshape(dims)
 
 
 def load_idx_pair(
@@ -219,23 +218,15 @@ def load_idx_pair(
     Pixels are scaled to [0, 1] and flattened to one row per image. For the
     OOD role (or a missing labels file) labels are dropped entirely.
     """
-    magic, images = _read_idx(_open_maybe_gzip(images_path), str(images_path))
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(
-            f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
-        )
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC)
     n = images.shape[0]
     features = images.reshape(n, -1).astype(np.float64) / 255.0
 
     labels = None
     if labels_path is not None:
-        lmagic, larray = _read_idx(_open_maybe_gzip(labels_path), str(labels_path))
-        if lmagic != IDX_LABELS_MAGIC:
-            raise FormatError(
-                f"{labels_path}: bad magic 0x{lmagic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
-            )
+        larray = _read_idx(labels_path, IDX_LABELS_MAGIC)
         if larray.shape[0] != n:
-            raise FormatError(
+            raise InputError(
                 f"count mismatch: {n} images vs {larray.shape[0]} labels"
             )
         labels = larray.astype(np.int64)
@@ -293,15 +284,16 @@ def save_dataset_csv(ds: Dataset, path: str | Path) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def read_text(path: str | Path, encoding: str, error: type[WoodError] = FormatError) -> str:
+def read_text(path: str | Path, encoding: str) -> str:
     """The text of ``path``, read with universal newlines as a text-mode
-    file reads it. A byte that is not ``encoding`` raises ``error`` naming
-    the path and the byte's offset."""
+    file reads it. A byte that is not ``encoding`` raises ``InputError``
+    naming the path and the byte's offset."""
     try:
         return Path(path).read_text(encoding=encoding)
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
-        raise error(f"{path}: byte 0x{byte:02x} at offset {exc.start} is not {encoding}") from None
+        message = f"{path}: byte 0x{byte:02x} at offset {exc.start} is not {encoding}"
+        raise InputError(message) from None
 
 
 def load_dataset_csv(path: str | Path, role: Role, n_classes: int | None = None) -> Dataset:
@@ -309,14 +301,14 @@ def load_dataset_csv(path: str | Path, role: Role, n_classes: int | None = None)
 
     The file is ASCII text: a header ``f0,...,f{d-1}`` with an optional last
     column ``label``, then one row per line, with no blank lines. Feature
-    cells are what ``float()`` accepts and labels what ``int()`` accepts. A
-    bad row raises ``FormatError`` naming ``path:line``.
+    cells are what ``float()`` accepts and labels what ``int()`` accepts.
+    Every ``InputError`` names the file: a bad row names ``path:line``.
     """
     text = read_text(path, "ascii")
     header, _, body = text.partition("\n")
     header = header.strip()
     if not header:
-        raise FormatError(f"{path}: empty CSV")
+        raise InputError(f"{path}: empty CSV")
     columns = header.split(",")
     has_label = columns[-1] == "label"
     dim = len(columns) - (1 if has_label else 0)
@@ -327,7 +319,10 @@ def load_dataset_csv(path: str | Path, role: Role, n_classes: int | None = None)
     if parsed is None:
         parsed = _parse_rows(path, lines, dim, has_label)
     features, labels = parsed
-    return Dataset(features, labels if role is Role.IND else None, role, n_classes=n_classes)
+    try:
+        return Dataset(features, labels if role is Role.IND else None, role, n_classes=n_classes)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _parse_rows_fast(lines: list[str], dim: int, has_label: bool):
@@ -360,13 +355,13 @@ def _parse_rows(path, lines: list[str], dim: int, has_label: bool):
     for lineno, line in enumerate(lines, start=2):
         cells = line.strip().split(",")
         if len(cells) != n_columns:
-            raise FormatError(f"{path}:{lineno}: expected {n_columns} cells")
+            raise InputError(f"{path}:{lineno}: expected {n_columns} cells")
         try:
             features.append([float(c) for c in cells[:dim]])
             if has_label:
                 labels.append(np.int64(int(cells[dim])))
         except (ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
     if not features:
-        raise FormatError(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
     return np.array(features), (np.array(labels, dtype=np.int64) if has_label else None)

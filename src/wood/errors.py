@@ -1,8 +1,10 @@
 """Exception taxonomy shared across the library.
 
-Class-index violations raise the builtin ``IndexError``; everything else
-derives from :class:`WoodError` so callers can catch library failures in one
-clause.
+Two kinds of failure derive from :class:`WoodError`: :class:`InputError`
+for bad values, shapes, files or settings (the CLI's ``data error:``,
+exit 2) and :class:`NumericError` for a numerical procedure that failed
+(``numeric error:``, exit 3). Class-index violations raise the builtin
+``IndexError``.
 """
 
 
@@ -10,21 +12,9 @@ class WoodError(Exception):
     """Base class for all library-specific errors."""
 
 
-class DimensionError(WoodError):
-    """Shapes or sizes of inputs are inconsistent."""
+class InputError(WoodError):
+    """Inputs violate a contract: a value, a shape, a file or a setting."""
 
 
 class NumericError(WoodError):
     """A numerical procedure failed (overflow, non-convergence, NaN)."""
-
-
-class InputError(WoodError):
-    """Input values violate a contract (negative mass, NaN score, ...)."""
-
-
-class ConfigError(WoodError):
-    """A configuration is invalid or inconsistent with the data."""
-
-
-class FormatError(WoodError):
-    """A file does not conform to its declared on-disk format."""

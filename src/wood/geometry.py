@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import InputError, NumericError
 from .transport import (
     CostKind,
     SinkhornConfig,
@@ -47,7 +47,7 @@ class ScoreConfig:
 def binary_matrix(n_classes: int) -> np.ndarray:
     """``(K, K)`` costs: unit cost for any class change, zero for staying put."""
     if n_classes < 2:
-        raise DimensionError(f"binary matrix needs K >= 2, got {n_classes}")
+        raise InputError(f"binary matrix needs K >= 2, got {n_classes}")
     return np.ones((n_classes, n_classes)) - np.eye(n_classes)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import InputError
 from .geometry import EvalPath, ScoreConfig, _score_rows
 from .transport import CostKind, as_prob_rows, sinkhorn_gradient
 
@@ -64,7 +64,7 @@ def loss_and_grad(
     if beta < 0:
         raise InputError(f"beta must be nonnegative, got {beta}")
     if labels.ndim != 1 or labels.shape[0] > n:
-        raise DimensionError(f"labels of shape {labels.shape} do not fit {n} rows")
+        raise InputError(f"labels of shape {labels.shape} do not fit {n} rows")
     out_of_range = (labels < 0) | (labels >= k)
     if out_of_range.any():
         raise IndexError(f"label {labels[np.argmax(out_of_range)]} out of range for K={k}")

@@ -15,16 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import InputError
 
 
 def _layer_dims(layer_dims) -> tuple[int, ...]:
     """``layer_dims`` as ints: an input and an output width at least, each >= 1."""
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2:
-        raise DimensionError("layer_dims needs at least input and output sizes")
+        raise InputError("layer_dims needs at least input and output sizes")
     if any(d < 1 for d in dims):
-        raise DimensionError(f"layer sizes must be positive, got {dims}")
+        raise InputError(f"layer sizes must be positive, got {dims}")
     return dims
 
 
@@ -58,7 +58,7 @@ class MlpModel:
         self.params, self.weights, self.biases = _flat_layers(self.layer_dims)
         given = [np.shape(w) for w in weights] + [np.shape(b) for b in biases]
         if given != [w.shape for w in self.weights] + [b.shape for b in self.biases]:
-            raise DimensionError(
+            raise InputError(
                 f"parameter shapes {given} disagree with layer_dims {self.layer_dims}"
             )
         for view, value in zip((*self.weights, *self.biases), (*weights, *biases)):
@@ -113,7 +113,7 @@ def forward(model: MlpModel, x) -> ForwardTrace:
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise DimensionError(
+        raise InputError(
             f"input width {x.shape[-1] if x.ndim else '?'} does not match"
             f" model input dim {model.input_dim}"
         )
@@ -159,7 +159,7 @@ def backward(model: MlpModel, trace: ForwardTrace, grad_probs) -> ParamGrads:
     if g.ndim == 1:
         g = g[None, :]
     if g.shape != trace.probs.shape:
-        raise DimensionError(
+        raise InputError(
             f"grad_probs shape {g.shape} does not match probs {trace.probs.shape}"
         )
     return _backward(model, trace, g, ParamGrads(model.layer_dims))

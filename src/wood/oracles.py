@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, InputError, NumericError, WoodError
+from .errors import InputError, NumericError, WoodError
 
 
 class CapacityError(WoodError):
@@ -136,7 +136,7 @@ def lp_transport(r1, r2, M, cap: int = LP_CAP):
     costs = np.asarray(M, dtype=np.float64)
     k = r1.size
     if r2.size != k or costs.shape != (k, k):
-        raise DimensionError("marginals and cost matrix disagree on K")
+        raise InputError("marginals and cost matrix disagree on K")
     if k > cap:
         raise CapacityError(f"oracle limited to K <= {cap}, got K={k}")
 
@@ -191,7 +191,7 @@ def forced_transport(label: int, f, M) -> float:
     costs = np.asarray(M, dtype=np.float64)
     k = f.size
     if costs.shape != (k, k):
-        raise DimensionError("marginal and cost matrix disagree on K")
+        raise InputError("marginal and cost matrix disagree on K")
     if not 0 <= label < k:
         raise IndexError(f"class index {label} out of range for K={k}")
     if np.array_equal(costs, np.ones((k, k)) - np.eye(k)):

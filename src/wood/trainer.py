@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, read_text
-from .errors import ConfigError, DimensionError, FormatError, InputError, NumericError
+from .errors import InputError, NumericError
 from .geometry import ScoreConfig
 from .loss import LossValue, _loss_and_grad
 from .model import MlpModel, ParamGrads, _backward, _forward, init
@@ -48,18 +48,18 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+            raise InputError(f"epochs must be >= 1, got {self.epochs}")
         if self.b_ind < 1:
-            raise ConfigError(f"b_ind must be >= 1, got {self.b_ind}")
+            raise InputError(f"b_ind must be >= 1, got {self.b_ind}")
         if self.b_ood < 0:
-            raise ConfigError(f"b_ood must be >= 0, got {self.b_ood}")
+            raise InputError(f"b_ood must be >= 0, got {self.b_ood}")
         # lr == 0 is allowed as a diagnostic no-op update.
         if not 0.0 <= self.lr < math.inf:
-            raise ConfigError(f"lr must be finite and nonnegative, got {self.lr}")
+            raise InputError(f"lr must be finite and nonnegative, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise InputError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0.0 <= self.beta < math.inf:
-            raise ConfigError(f"beta must be finite and nonnegative, got {self.beta}")
+            raise InputError(f"beta must be finite and nonnegative, got {self.beta}")
 
 
 @dataclass
@@ -82,11 +82,11 @@ def make_batches(ind_set: Dataset, ood_set: Dataset | None, cfg: TrainConfig, ep
     straight into one array, the input of the forward pass.
     """
     if ind_set.n == 0:
-        raise ConfigError("InD dataset is empty")
+        raise InputError("InD dataset is empty")
     if cfg.b_ood > 0 and (ood_set is None or ood_set.n == 0):
-        raise ConfigError("b_ood > 0 requires a non-empty OOD dataset")
+        raise InputError("b_ood > 0 requires a non-empty OOD dataset")
     if cfg.b_ood > 0 and ood_set.dim != ind_set.dim:
-        raise DimensionError(
+        raise InputError(
             f"OOD feature dim {ood_set.dim} does not match InD feature dim {ind_set.dim}"
         )
     perm = epoch_rng.permutation(ind_set.n)
@@ -275,12 +275,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: corrupt checkpoint at byte {exc.pos}: {exc.msg}") from exc
+        raise InputError(f"{path}: corrupt checkpoint at byte {exc.pos}: {exc.msg}") from exc
     if not isinstance(payload, dict):
-        raise FormatError(f"{path}: checkpoint must be a JSON object")
+        raise InputError(f"{path}: checkpoint must be a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version!r}")
+        raise InputError(f"{path}: unsupported version {version!r}")
     try:
         layer_dims = tuple(int(d) for d in payload["layer_dims"])
         weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
@@ -297,19 +297,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             rng_digest=str(payload["rng_digest"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed checkpoint field: {exc}") from exc
+        raise InputError(f"{path}: malformed checkpoint field: {exc}") from exc
     if ckpt.activation != ACTIVATION:
-        raise FormatError(f"{path}: unsupported activation {ckpt.activation!r}")
+        raise InputError(f"{path}: unsupported activation {ckpt.activation!r}")
     try:
         model_from_checkpoint(ckpt)
-    except DimensionError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     if ckpt.n_classes != layer_dims[-1]:
-        raise FormatError(
+        raise InputError(
             f"{path}: n_classes {ckpt.n_classes} disagrees with output width {layer_dims[-1]}"
         )
+    if ckpt.n_classes < 2:
+        raise InputError(f"{path}: a checkpoint needs at least 2 classes, got {ckpt.n_classes}")
     if not all(np.all(np.isfinite(p)) for p in (*ckpt.weights, *ckpt.biases)):
-        raise FormatError(f"{path}: non-finite weights or biases")
+        raise InputError(f"{path}: non-finite weights or biases")
     return ckpt
 
 

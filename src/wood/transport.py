@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, InputError, NumericError
+from .errors import InputError, NumericError
 
 # Absolute tolerance on sum(p) == 1 for probability vectors.
 PROB_SUM_TOL = 1e-9
@@ -51,9 +51,9 @@ def as_prob_rows(values, name: str = "probs") -> np.ndarray:
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D (n, K), got shape {arr.shape}")
+        raise InputError(f"{name} must be 2-D (n, K), got shape {arr.shape}")
     if arr.shape[1] < 2:
-        raise DimensionError(f"{name} needs K >= 2 classes, got K={arr.shape[1]}")
+        raise InputError(f"{name} needs K >= 2 classes, got K={arr.shape[1]}")
     # One pass settles valid input (a NaN or infinite entry fails the sum
     # test); the row checks below only find the row to name. Counts rather
     # than np.all: this runs on every public scores call.
@@ -270,11 +270,11 @@ def sinkhorn_batch(r1, r2, C, cfg: SinkhornConfig) -> TransportResult:
     R1 = as_prob_rows(r1, "r1")
     R2 = as_prob_rows(r2, "r2")
     if R1.shape != R2.shape:
-        raise DimensionError(f"marginals disagree: {R1.shape} vs {R2.shape}")
+        raise InputError(f"marginals disagree: {R1.shape} vs {R2.shape}")
     n, k = R1.shape
     C = np.asarray(C, dtype=np.float64)
     if C.shape not in ((k, k), (n, k, k)):
-        raise DimensionError(f"cost of shape {C.shape} does not fit {n} problems with K={k}")
+        raise InputError(f"cost of shape {C.shape} does not fit {n} problems with K={k}")
     if not (np.isfinite(C).all() and (C >= 0.0).all()):
         raise InputError("cost matrix entries must be finite and nonnegative")
     return _sinkhorn_batch(R1, R2, C.reshape(-1, k, k), cfg)

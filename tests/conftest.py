@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from wood.data import Dataset, Role
-from wood.errors import ConfigError
+from wood.errors import InputError
 from wood.transport import TransportResult, sinkhorn_batch
 
 
@@ -48,11 +48,11 @@ def split(ds, fractions, seed):
     """
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3:
-        raise ConfigError(f"expected 3 fractions, got {len(fractions)}")
+        raise InputError(f"expected 3 fractions, got {len(fractions)}")
     if any(f <= 0 for f in fractions):
-        raise ConfigError(f"fractions must be positive, got {fractions}")
+        raise InputError(f"fractions must be positive, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must sum to 1, got {sum(fractions)!r}")
+        raise InputError(f"fractions must sum to 1, got {sum(fractions)!r}")
 
     rng = np.random.default_rng(seed)
     labeled = ds.role is Role.IND
@@ -63,7 +63,7 @@ def split(ds, fractions, seed):
     parts = [[], [], []]
     for c, idx in enumerate(groups):
         if labeled and idx.size < 3:
-            raise ConfigError(f"class {c} has only {idx.size} samples; cannot stratify into 3 splits")
+            raise InputError(f"class {c} has only {idx.size} samples; cannot stratify into 3 splits")
         idx = rng.permutation(idx)
         start = 0
         for part, count in zip(parts, _stratified_counts(idx.size, fractions)):

@@ -50,6 +50,28 @@ def gen_blobs(out_dir, n=40, seed=7):
     return out_dir / "ind.csv"
 
 
+def data_error_line(capsys, *argv):
+    """Run the CLI on ``argv``, check that it exits 2 with one ``data error:``
+    line on stderr, and return that line."""
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: "), err
+    return err[0]
+
+
+def write_checkpoint(path, model=None):
+    """Save ``model`` (a fresh 2-3-3 network by default) as a checkpoint."""
+    model = init((2, 3, 3), seed=0) if model is None else model
+    save_checkpoint(checkpoint_from_model(model, {}, TrainConfig(epochs=1), "d"), path)
+
+
+def dataset_flags(command, ind_csv, ood_csv):
+    """The dataset flags of ``score`` (the OOD file) or of ``evaluate``."""
+    if command == "score":
+        return ["--features", str(ood_csv)]
+    return ["--ind", str(ind_csv), "--ood", str(ood_csv)]
+
+
 def gen_ring(out_dir, n=60, seed=8):
     code = run_cli(
         "gen-data", "--kind", "ring", "--n", str(n), "--sep", "0.5",
@@ -218,14 +240,11 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"epochs=1\n{line}\n")
         out = tmp_path / "r"
-        code = run_cli(
-            "train", "--ind", str(ind_csv), "--b-ood", "0", "--config", str(cfg), "--out", str(out)
+        err = data_error_line(
+            capsys, "train", "--ind", str(ind_csv), "--b-ood", "0", "--config", str(cfg),
+            "--out", str(out),
         )
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("data error:")
-        assert line.partition("=")[0] in err[0]
+        assert line.partition("=")[0] in err
         # Settings are validated before anything is written.
         assert not out.exists()
 
@@ -279,17 +298,10 @@ class TestUndecodableBytes:
     """A byte the reader cannot decode is one data-error line naming the
     path and the byte's offset, exit 2."""
 
-    def run_one_line(self, capsys, *argv):
-        code = run_cli(*argv)
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        return err[0]
-
     def test_dataset_csv(self, tmp_path, capsys):
         ind_csv = tmp_path / "ind.csv"
         ind_csv.write_bytes(b"f0,f1,label\n1.0,2.0,0\n3.0,\xe94.0,1\n")
-        err = self.run_one_line(
+        err = data_error_line(
             capsys, "train", "--ind", str(ind_csv), "--out", str(tmp_path / "o"),
             "--epochs", "1", "--b-ood", "0", "--b-ind", "2",
         )
@@ -297,12 +309,11 @@ class TestUndecodableBytes:
 
     def test_checkpoint(self, tmp_path, capsys):
         ind_csv = gen_blobs(tmp_path / "data", n=10)
-        ckpt = checkpoint_from_model(init((2, 3, 3), seed=0), {}, TrainConfig(epochs=1), "d")
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(ckpt, path)
+        write_checkpoint(path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-2] + b"\xe9" + raw[-2:])
-        err = self.run_one_line(
+        err = data_error_line(
             capsys, "score", "--checkpoint", str(path), "--features", str(ind_csv),
             "--out", str(tmp_path / "o"),
         )
@@ -312,7 +323,7 @@ class TestUndecodableBytes:
         ind_csv = gen_blobs(tmp_path / "data", n=10)
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"epochs=1\n# caf\xc3\xa9 \xff\n")
-        err = self.run_one_line(
+        err = data_error_line(
             capsys, "train", "--ind", str(ind_csv), "--config", str(cfg),
             "--out", str(tmp_path / "o"),
         )
@@ -326,10 +337,7 @@ class TestNothingWrittenOnFailure:
     def inputs(self, tmp_path):
         ind_csv = gen_blobs(tmp_path / "data", n=10)
         checkpoint = tmp_path / "checkpoint.json"
-        save_checkpoint(
-            checkpoint_from_model(init((2, 3, 3), seed=0), {}, TrainConfig(epochs=1), "d"),
-            checkpoint,
-        )
+        write_checkpoint(checkpoint)
         bad_json = tmp_path / "bad.json"
         bad_json.write_text("{")
         ragged = tmp_path / "ragged.csv"
@@ -338,8 +346,11 @@ class TestNothingWrittenOnFailure:
         one_class.write_text("f0,f1,label\n0.5,1.0,0\n-0.5,2.0,0\n")
         wide = tmp_path / "wide.csv"
         wide.write_text("f0,f1,f2\n0.5,1.0,2.0\n")
+        one_output = tmp_path / "one_output.json"
+        write_checkpoint(one_output, init((2, 4, 1), seed=0))
         return {"ind": str(ind_csv), "ckpt": str(checkpoint), "bad": str(bad_json),
-                "ragged": str(ragged), "one_class": str(one_class), "wide": str(wide)}
+                "ragged": str(ragged), "one_class": str(one_class), "wide": str(wide),
+                "one_output": str(one_output)}
 
     @pytest.mark.parametrize(
         "argv",
@@ -357,13 +368,13 @@ class TestNothingWrittenOnFailure:
              "--calib-frac", "-0.5"],
             ["train", "--ind", "{ind}"],
             ["train", "--ind", "{one_class}", "--b-ood", "0"],
+            ["score", "--checkpoint", "{one_output}", "--features", "{ind}"],
+            ["evaluate", "--checkpoint", "{one_output}", "--ind", "{ind}", "--ood", "{ind}"],
         ],
     )
     def test_data_error_leaves_no_out_dir(self, inputs, argv, tmp_path, capsys):
         out = tmp_path / "out"
-        code = run_cli(*(arg.format(**inputs) for arg in argv), "--out", str(out))
-        assert code == 2
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        data_error_line(capsys, *(arg.format(**inputs) for arg in argv), "--out", str(out))
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -410,10 +421,7 @@ class TestScoringCommands:
     def inputs(self, tmp_path):
         ind_csv = gen_blobs(tmp_path / "data", n=4)
         checkpoint = tmp_path / "checkpoint.json"
-        save_checkpoint(
-            checkpoint_from_model(init((2, 3, 3), seed=0), {}, TrainConfig(epochs=1), "d"),
-            checkpoint,
-        )
+        write_checkpoint(checkpoint)
         return ind_csv, checkpoint
 
     @pytest.mark.parametrize("epsilon", [None, 0.1 + 0.2])
@@ -499,7 +507,7 @@ class TestBlockedScoring:
     def write_checkpoint(path):
         model = init((2, 6, 3), seed=3)
         model.params *= 3.0  # spread the softmax rows away from uniform
-        save_checkpoint(checkpoint_from_model(model, {}, TrainConfig(epochs=1), "d"), path)
+        write_checkpoint(path, model)
         return model_from_checkpoint(load_checkpoint(path))
 
     @settings(max_examples=60, deadline=None)
@@ -564,7 +572,7 @@ class TestBlockedScoring:
         model = init((2, 3, 3), seed=0)
         model.weights[0][...] = 1.0
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(checkpoint_from_model(model, {}, TrainConfig(epochs=1), "d"), path)
+        write_checkpoint(path, model)
         x = np.random.default_rng(5).normal(size=(13, 2))
         x[9] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
@@ -573,10 +581,7 @@ class TestBlockedScoring:
         ind_csv, bad_csv = tmp_path / "ind.csv", tmp_path / "bad.csv"
         save_dataset_csv(Dataset(x[:8], labels[:8], Role.IND), ind_csv)
         save_dataset_csv(Dataset(x, None, Role.OOD), bad_csv)
-        inputs = {
-            "score": ["--features", str(bad_csv)],
-            "evaluate": ["--ind", str(ind_csv), "--ood", str(bad_csv)],
-        }[command]
+        inputs = dataset_flags(command, ind_csv, bad_csv)
         monkeypatch.setattr("wood.cli.SCORE_BLOCK_ROWS", 4)
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
@@ -710,6 +715,23 @@ class TestCheckpointScoreConfig:
         expected = 1.0 - np.array([float(f @ f) for f in probs])
         np.testing.assert_array_equal(self.read_scores(out), expected)
 
+    @pytest.mark.parametrize("lam, shown", [(0, "0.0"), ("nan", "nan")])
+    def test_bad_saved_lambda_names_the_checkpoint(self, binary_run, lam, shown, tmp_path, capsys):
+        ind_csv, checkpoint = binary_run
+        payload = json.loads(checkpoint.read_text())
+        payload["train_config"]["score"]["sinkhorn"]["lam"] = lam
+        checkpoint.write_text(json.dumps(payload))
+        argv = ["score", "--checkpoint", str(checkpoint), "--features", str(ind_csv)]
+        out = tmp_path / "scores"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {checkpoint}: malformed train_config.score:"
+            f" lam must be finite and positive, got {shown}\n"
+        )
+        assert not out.exists()
+        # A --lambda flag replaces the saved value, so the checkpoint still scores.
+        assert run_cli(*argv, "--lambda", "5", "--out", str(out)) == 0
+
     def test_evaluate_echoes_trained_config(self, binary_run, tmp_path):
         ind_csv, checkpoint = binary_run
         out = tmp_path / "eval"
@@ -730,17 +752,13 @@ class TestCheckpointValidation:
         ind_csv = gen_blobs(tmp_path / "data", n=10)
         model = init((2, 3, 3), seed=0)
         model.weights[1][0, 0] = bad
-        ckpt = checkpoint_from_model(model, {"kind": "identity"}, TrainConfig(epochs=1), "d")
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(ckpt, path)
-        code = run_cli(
-            "score", "--checkpoint", str(path), "--features", str(ind_csv),
+        write_checkpoint(path, model)
+        err = data_error_line(
+            capsys, "score", "--checkpoint", str(path), "--features", str(ind_csv),
             "--out", str(tmp_path / "out"),
         )
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert "non-finite" in err[0]
+        assert "non-finite" in err
 
     @pytest.mark.parametrize("command", ["score", "evaluate"])
     def test_diverged_model_is_a_numeric_error(self, command, tmp_path, capsys):
@@ -750,13 +768,9 @@ class TestCheckpointValidation:
         model = init((2, 3, 3), seed=0)
         model.weights[0] *= 1e306
         model.weights[1] *= 1e306
-        ckpt = checkpoint_from_model(model, {"kind": "identity"}, TrainConfig(epochs=1), "d")
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(ckpt, path)
-        inputs = {
-            "score": ["--features", str(ind_csv)],
-            "evaluate": ["--ind", str(ind_csv), "--ood", str(ind_csv)],
-        }[command]
+        write_checkpoint(path, model)
+        inputs = dataset_flags(command, ind_csv, ind_csv)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = run_cli(command, "--checkpoint", str(path), *inputs, "--out", str(tmp_path / "o"))
@@ -782,16 +796,12 @@ class TestCheckpointValidation:
         self, fields, message, command, tmp_path, capsys
     ):
         ind_csv = gen_blobs(tmp_path / "data", n=10)
-        ckpt = checkpoint_from_model(init((2, 3, 3), seed=0), {}, TrainConfig(epochs=1), "d")
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(ckpt, path)
+        write_checkpoint(path)
         payload = json.loads(path.read_text())
         payload.update(fields)
         path.write_text(json.dumps(payload))
-        inputs = {
-            "score": ["--features", str(ind_csv)],
-            "evaluate": ["--ind", str(ind_csv), "--ood", str(ind_csv)],
-        }[command]
+        inputs = dataset_flags(command, ind_csv, ind_csv)
         out = tmp_path / "out"
         assert run_cli(command, "--checkpoint", str(path), *inputs, "--out", str(out)) == 2
         assert capsys.readouterr().err == f"data error: {path}: {message}\n"
@@ -804,14 +814,11 @@ class TestCheckpointValidation:
         ckpt.activation = "tanh"
         path = tmp_path / "checkpoint.json"
         save_checkpoint(ckpt, path)
-        code = run_cli(
-            "score", "--checkpoint", str(path), "--features", str(ind_csv),
+        err = data_error_line(
+            capsys, "score", "--checkpoint", str(path), "--features", str(ind_csv),
             "--out", str(tmp_path / "out"),
         )
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert "unsupported activation 'tanh'" in err[0]
+        assert "unsupported activation 'tanh'" in err
 
 
 # Each optional flag of each subcommand with a small valid value. The fuzz
@@ -845,7 +852,7 @@ FUZZ_HUGE = {
     "--lr", "--beta", "--lambda", "--sep", "--noise", "--momentum", "--epsilon",
     "--calib-frac", "--tnr",
 }
-EXIT_PREFIXES = {1: ("usage error:",), 2: ("data error:", "error:"), 3: ("numeric error:",)}
+EXIT_PREFIXES = {1: ("usage error:",), 2: ("data error:",), 3: ("numeric error:",)}
 
 
 @pytest.fixture(scope="module")
@@ -915,10 +922,7 @@ def test_fuzzed_csv_one_line_and_documented_exit(fuzz_files, command, ind, ood):
     ind_csv, ood_csv, out = run_dir / "ind.csv", run_dir / "ood.csv", run_dir / "out"
     ind_csv.write_bytes(ind.encode("latin-1"))
     ood_csv.write_bytes(ood.encode("latin-1"))
-    inputs = {
-        "score": ["--features", str(ood_csv)],
-        "evaluate": ["--ind", str(ind_csv), "--ood", str(ood_csv)],
-    }[command]
+    inputs = dataset_flags(command, ind_csv, ood_csv)
     checkpoint = files["score"][1]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -21,7 +21,7 @@ from wood.data import (
     synth,
     write_idx,
 )
-from wood.errors import ConfigError, FormatError, InputError
+from wood.errors import InputError
 
 from conftest import csv_texts, split
 
@@ -84,9 +84,9 @@ class TestSynth:
         np.testing.assert_allclose(center, [12.0, 0.0, 0.0], atol=0.15)
 
     def test_invalid_spec(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             SyntheticSpec(SyntheticKind.RING, n_per_class=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             SyntheticSpec(SyntheticKind.GAUSSIAN_BLOBS, separation=-1.0)
 
 
@@ -110,9 +110,9 @@ class TestSplit:
 
     def test_bad_fractions(self):
         ds = synth(blob_spec(n_per_class=10))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             split(ds, (0.5, 0.5, 0.1), seed=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             split(ds, (0.8, 0.2, -0.0), seed=0)
 
     def test_deterministic(self):
@@ -131,7 +131,7 @@ class TestSplit:
         features = np.zeros((4, 2))
         labels = np.array([0, 0, 0, 1])
         ds = Dataset(features, labels, Role.IND)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             split(ds, (0.6, 0.2, 0.2), seed=0)
 
 
@@ -165,13 +165,13 @@ class TestIdx:
         labels = np.zeros(5, dtype=np.uint8)
         lp = tmp_path / "labels.idx"
         write_idx(lp, labels)
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(InputError, match="magic"):
             load_idx_pair(lp, lp)
 
     def test_count_mismatch(self, tmp_path):
         write_idx(tmp_path / "imgs.idx", np.zeros((4, 2, 2), dtype=np.uint8))
         write_idx(tmp_path / "lbls.idx", np.zeros(5, dtype=np.uint8))
-        with pytest.raises(FormatError, match="mismatch"):
+        with pytest.raises(InputError, match="mismatch"):
             load_idx_pair(tmp_path / "imgs.idx", tmp_path / "lbls.idx")
 
     def test_truncation_reports_offset(self, tmp_path):
@@ -179,7 +179,7 @@ class TestIdx:
         write_idx(path, np.zeros((4, 3, 3), dtype=np.uint8))
         raw = path.read_bytes()
         path.write_bytes(raw[:20])
-        with pytest.raises(FormatError, match="byte"):
+        with pytest.raises(InputError, match="byte"):
             load_idx_pair(path, None)
 
     def test_ood_role_drops_labels(self, tmp_path):
@@ -217,13 +217,13 @@ class TestCsv:
     def test_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label\n1.0,2.0\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(InputError):
             load_dataset_csv(path, Role.IND)
 
     def test_non_ascii_byte_names_its_offset(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"f0,f1,label\n1.0,2.0,0\n3.0,\xe94.0,1\n")
-        with pytest.raises(FormatError, match=f"^{path}: byte 0xe9 at offset 26 is not ascii$"):
+        with pytest.raises(InputError, match=f"^{path}: byte 0xe9 at offset 26 is not ascii$"):
             load_dataset_csv(path, Role.IND)
 
     @pytest.mark.parametrize(
@@ -239,7 +239,7 @@ class TestCsv:
     def test_rejected_body_names_the_line(self, tmp_path, body, message):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label\n" + body)
-        with pytest.raises(FormatError) as info:
+        with pytest.raises(InputError) as info:
             load_dataset_csv(path, Role.IND)
         assert str(info.value) == f"{path}{message}"
 
@@ -258,7 +258,7 @@ def _outcome(call):
     """``("ok", value)`` or ``(error class, message)``."""
     try:
         return "ok", call()
-    except (FormatError, InputError) as exc:
+    except InputError as exc:
         return type(exc), str(exc)
 
 
@@ -283,7 +283,7 @@ def test_fast_reader_agrees_with_line_loop(csv_path, data):
     loaded = _outcome(lambda: load_dataset_csv(csv_path, role))
     if 0xE9 in raw:
         offset = raw.index(0xE9)
-        assert loaded == (FormatError, f"{csv_path}: byte 0xe9 at offset {offset} is not ascii")
+        assert loaded == (InputError, f"{csv_path}: byte 0xe9 at offset {offset} is not ascii")
         return
     # The data rows as a text-mode file iterates them.
     lines = [line.rstrip("\n") for line in io.StringIO(text, newline=None)][1:]
@@ -300,7 +300,8 @@ def test_fast_reader_agrees_with_line_loop(csv_path, data):
         return
     expected = _outcome(lambda: Dataset(parsed[0], parsed[1] if role is Role.IND else None, role))
     if expected[0] != "ok":
-        assert loaded == expected
+        # The loader names its file in front of the Dataset's own message.
+        assert loaded == (expected[0], f"{csv_path}: {expected[1]}")
         return
     assert loaded[0] == "ok"
     ds = loaded[1]

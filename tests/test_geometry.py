@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wood.errors import DimensionError, InputError, NumericError
+from wood.errors import InputError, NumericError
 from wood.geometry import (
     EvalPath,
     ScoreConfig,
@@ -36,7 +36,7 @@ class TestBinaryMatrix:
         assert np.sum(m) == 6
 
     def test_degenerate_k(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             binary_matrix(1)
 
 
@@ -152,9 +152,9 @@ class TestWoodScore:
             scores(P, CLOSED_DYNAMIC)
         with pytest.raises(InputError, match="row 0"):
             scores([[np.nan, 1.0]], CLOSED_BINARY)
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             scores([0.5, 0.5], CLOSED_BINARY)
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             scores([[1.0]], CLOSED_BINARY)
 
     def test_sinkhorn_non_convergence_names_the_row(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wood.errors import DimensionError, InputError
+from wood.errors import InputError
 from wood.model import MlpModel, backward, forward, init
 
 
@@ -32,7 +32,7 @@ class TestInit:
         assert model.n_classes == 3
 
     def test_empty_dims_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             init((), seed=0)
 
     def test_bias_zero_weight_scale(self):
@@ -60,9 +60,9 @@ class TestFlatParams:
         np.testing.assert_array_equal(model.params, [1.0, 2.0, 3.0, 4.0])
         model.params[:] = 0.0
         assert w[0, 0] == 1.0
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             MlpModel((1, 2), [w.T], [b])
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             MlpModel((1, 2, 2), [w], [b])
 
     def test_gradients_fill_one_flat_vector_bitwise(self, rng):
@@ -186,7 +186,7 @@ class TestForward:
 
     def test_rejects_wrong_width(self):
         model = init((2, 3), seed=0)
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             forward(model, np.ones(3))
 
 
@@ -221,7 +221,7 @@ class TestBackward:
     def test_shape_mismatch(self, rng):
         model = init((2, 3), seed=5)
         trace = forward(model, rng.normal(size=(3, 2)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             backward(model, trace, np.zeros((2, 3)))
 
     def test_parameter_gradients_match_finite_differences(self, rng):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wood.data import Dataset, Role, SyntheticKind, SyntheticSpec, synth
-from wood.errors import ConfigError, DimensionError, FormatError, InputError, NumericError
+from wood.errors import InputError, NumericError
 from wood.geometry import EvalPath, ScoreConfig, _score_rows, scores
 from wood.loss import loss_and_grad
 from wood.model import ParamGrads, backward, forward, init
@@ -95,22 +95,19 @@ class TestMakeBatches:
     def test_empty_ood_with_positive_b_ood(self):
         ind = blobs()
         cfg = TrainConfig(epochs=1, b_ind=10, b_ood=4)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             list(make_batches(ind, None, cfg, np.random.default_rng(0)))
 
 
 class TestFitInputs:
-    @pytest.mark.parametrize(
-        "labels, b_ood, error",
-        [(np.zeros(6), 0, InputError), (np.arange(6) % 2, 3, ConfigError)],
-    )
-    def test_rejected_before_the_first_step(self, labels, b_ood, error, monkeypatch):
+    @pytest.mark.parametrize("labels, b_ood", [(np.zeros(6), 0), (np.arange(6) % 2, 3)])
+    def test_rejected_before_the_first_step(self, labels, b_ood, monkeypatch):
         def no_step(*args, **kwargs):
             raise AssertionError("fit stepped on inputs it cannot train on")
 
         monkeypatch.setattr("wood.trainer.train_step", no_step)
         ind = Dataset(np.random.default_rng(0).normal(size=(6, 2)), labels, Role.IND)
-        with pytest.raises(error):
+        with pytest.raises(InputError):
             fit(ind, None, TrainConfig(epochs=1, b_ood=b_ood))
 
     def test_ood_width_must_match(self, monkeypatch):
@@ -120,7 +117,7 @@ class TestFitInputs:
         monkeypatch.setattr("wood.trainer.train_step", no_step)
         ind = Dataset(np.zeros((6, 2)), np.arange(6) % 2, Role.IND)
         ood = Dataset(np.zeros((4, 3)), None, Role.OOD)
-        with pytest.raises(DimensionError, match="OOD feature dim 3 does not match InD feature dim 2"):
+        with pytest.raises(InputError, match="OOD feature dim 3 does not match InD feature dim 2"):
             fit(ind, ood, TrainConfig(epochs=1, b_ood=2))
 
 
@@ -480,22 +477,31 @@ class TestCheckpoint:
         _, _, path = self.make(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(FormatError, match="byte"):
+        with pytest.raises(InputError, match="byte"):
             load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path):
         _, ckpt, path = self.make(tmp_path)
         doctored = Checkpoint(**{**ckpt.__dict__, "format_version": 999})
         save_checkpoint(doctored, path)
-        with pytest.raises(FormatError, match="unsupported version"):
+        with pytest.raises(InputError, match="unsupported version"):
             load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         _, ckpt, path = self.make(tmp_path)
         doctored = Checkpoint(**{**ckpt.__dict__, "layer_dims": (3, 5, 2)})
         save_checkpoint(doctored, path)
-        with pytest.raises(FormatError, match="shapes"):
+        with pytest.raises(InputError, match="shapes"):
             load_checkpoint(path)
+
+    def test_one_class_output_rejected(self, tmp_path):
+        # A single softmax output is not a distribution over classes to score.
+        path = tmp_path / "ckpt.json"
+        model = init((2, 4, 1), seed=0)
+        save_checkpoint(checkpoint_from_model(model, {}, TrainConfig(epochs=1), "d"), path)
+        with pytest.raises(InputError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: a checkpoint needs at least 2 classes, got 1"
 
     def test_reloaded_model_scores_identically(self, tmp_path):
         model, _, path = self.make(tmp_path)
@@ -506,16 +512,16 @@ class TestCheckpoint:
 
 class TestTrainConfigValidation:
     def test_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             TrainConfig(epochs=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             TrainConfig(epochs=1, b_ind=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             TrainConfig(epochs=1, momentum=1.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             TrainConfig(epochs=1, lr=-0.1)
         for bad in (math.nan, math.inf):
-            with pytest.raises(ConfigError):
+            with pytest.raises(InputError):
                 TrainConfig(epochs=1, lr=bad)
-            with pytest.raises(ConfigError):
+            with pytest.raises(InputError):
                 TrainConfig(epochs=1, beta=bad)

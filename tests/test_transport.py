@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wood.errors import DimensionError, InputError, NumericError
+from wood.errors import InputError, NumericError
 from wood.geometry import binary_matrix
 from wood.oracles import (
     CapacityError,
@@ -49,9 +49,9 @@ class TestProbVector:
             as_prob_rows([[0.5, 0.6]])
 
     def test_rejects_scalar_and_short(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             as_prob_rows([[1.0]])
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             as_prob_rows([0.5, 0.5])
 
     def test_rejects_nan(self):
@@ -72,7 +72,7 @@ class TestCostMatrix:
             sinkhorn_batch(self.r, self.r, [[0.0, -1.0], [1.0, 0.0]], SinkhornConfig())
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             sinkhorn_batch(self.r, self.r, np.zeros((2, 3)), SinkhornConfig())
 
 
@@ -92,7 +92,7 @@ class TestExactWasserstein:
         assert value == pytest.approx(0.5, abs=1e-15)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             lp_transport([0.5, 0.5], [0.3, 0.3, 0.4], binary_matrix(2))
 
     def test_capacity_cap(self):
@@ -303,9 +303,9 @@ class TestSinkhornBatch:
     def test_rejects_mismatched_shapes(self):
         r = np.full((2, 3), 1.0 / 3)
         cfg = SinkhornConfig()
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             sinkhorn_batch(r, r[:1], np.zeros((3, 3)), cfg)
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError):
             sinkhorn_batch(r, r, np.zeros((3, 3, 3)), cfg)
         with pytest.raises(InputError):
             sinkhorn_batch(r, r, -np.ones((3, 3)), cfg)
