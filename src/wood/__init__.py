@@ -7,12 +7,10 @@ calibration, and FNR/AUROC evaluation. See the README for the CLI.
 
 from .data import Dataset, Role, SyntheticKind, SyntheticSpec, load_idx_pair, synth
 from .detect import (
-    Detector,
     EvalReport,
     auroc_rank,
     calibrate,
     evaluate,
-    evaluate_with_detector,
     histogram_csv_lines,
     report_text,
 )

@@ -29,13 +29,7 @@ from .data import (
     save_dataset_csv,
     synth,
 )
-from .detect import (
-    calibrate,
-    evaluate,
-    evaluate_with_detector,
-    histogram_csv_lines,
-    report_text,
-)
+from .detect import evaluate, histogram_csv_lines, report_text
 from .errors import InputError, NumericError
 from .geometry import EvalPath, ScoreConfig, scores
 from .model import forward
@@ -45,7 +39,6 @@ from .trainer import (
     fit,
     load_checkpoint,
     metrics_csv_lines,
-    model_from_checkpoint,
     save_checkpoint,
 )
 from .transport import CostKind, SinkhornConfig
@@ -317,7 +310,7 @@ def _cmd_train(args) -> int:
     _echo_run_config(out_dir, args)
     last = metrics[-1]
     print(
-        f"trained {ckpt.layer_dims} for {cfg.epochs} epochs:"
+        f"trained {ckpt.model.layer_dims} for {cfg.epochs} epochs:"
         f" total={last.total:.6f} ce={last.ce_term:.6f} ood={last.ood_term:.6f}"
     )
     print(f"wrote {out_dir / 'checkpoint.json'} and {out_dir / 'metrics.csv'}")
@@ -328,10 +321,10 @@ def _cmd_evaluate(args) -> int:
     if not args.calib_on_eval and not 0.0 < args.calib_frac < 1.0:
         raise InputError(f"calib_frac must lie in (0, 1), got {args.calib_frac!r}")
     ckpt = load_checkpoint(args.checkpoint)
-    model = model_from_checkpoint(ckpt)
+    model = ckpt.model
     score_cfg = _checkpoint_score_config(args, ckpt)
 
-    ind_set = _dataset_from_args(args.ind, Role.IND, n_classes=ckpt.n_classes)
+    ind_set = _dataset_from_args(args.ind, Role.IND, n_classes=model.n_classes)
     ood_set = _dataset_from_args(args.ood, Role.OOD)
     for ds, name in ((ind_set, "ind"), (ood_set, "ood")):
         if ds.dim != model.input_dim:
@@ -344,8 +337,7 @@ def _cmd_evaluate(args) -> int:
     ood_scores, _, _ = _score_blocks(model, ood_set, args.ood, score_cfg)
 
     if args.calib_on_eval:
-        report = evaluate(ind_scores, ood_scores, args.tnr)
-        n_calib = ind_scores.size
+        calib_scores = eval_scores = ind_scores
     else:
         # Hold out a calibration slice of the InD test scores so the
         # threshold is never fitted on the evaluated samples.
@@ -356,13 +348,12 @@ def _cmd_evaluate(args) -> int:
         eval_scores = ind_scores[perm[n_calib:]]
         if eval_scores.size == 0:
             raise InputError("calibration fraction leaves no evaluation samples")
-        det = calibrate(calib_scores, args.tnr)
-        report = evaluate_with_detector(det, eval_scores, ood_scores)
+    report = evaluate(calib_scores, eval_scores, ood_scores, args.tnr)
 
     accuracy = float(np.mean(ind_predicted == ind_set.labels))
 
     text = report_text(report)
-    text += f"n_calibration: {n_calib}\n"
+    text += f"n_calibration: {calib_scores.size}\n"
     text += f"ind_accuracy: {accuracy!r}\n"
     out_dir = _prepare_out(args)
     (out_dir / "report.txt").write_text(text, encoding="ascii")
@@ -380,7 +371,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_score(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    model = model_from_checkpoint(ckpt)
+    model = ckpt.model
     score_cfg = _checkpoint_score_config(args, ckpt)
     ds = _dataset_from_args(args.features, Role.OOD)
     if ds.dim != model.input_dim:

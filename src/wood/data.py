@@ -299,10 +299,10 @@ def read_text(path: str | Path, encoding: str) -> str:
 def load_dataset_csv(path: str | Path, role: Role, n_classes: int | None = None) -> Dataset:
     """Load a dataset CSV written by :func:`save_dataset_csv`.
 
-    The file is ASCII text: a header ``f0,...,f{d-1}`` with an optional last
-    column ``label``, then one row per line, with no blank lines. Feature
-    cells are what ``float()`` accepts and labels what ``int()`` accepts.
-    Every ``InputError`` names the file: a bad row names ``path:line``.
+    The file is ASCII text: a header ``f0,...,f{d-1}`` (``d >= 1``) with an
+    optional last column ``label``, then one row per line, no blank lines.
+    Feature cells are what ``float()`` accepts and labels what ``int()``
+    accepts. Every ``InputError`` names the file, and a bad row ``path:line``.
     """
     text = read_text(path, "ascii")
     header, _, body = text.partition("\n")
@@ -312,6 +312,8 @@ def load_dataset_csv(path: str | Path, role: Role, n_classes: int | None = None)
     columns = header.split(",")
     has_label = columns[-1] == "label"
     dim = len(columns) - (1 if has_label else 0)
+    if dim == 0:
+        raise InputError(f"{path}: no feature columns")
     lines = body.split("\n")
     if lines[-1] == "":  # the newline that ends the last row starts no row
         lines.pop()

@@ -1,15 +1,14 @@
-"""Threshold calibration, the thresholded detector, and evaluation metrics.
+"""Threshold calibration and evaluation metrics.
 
-The detector flags a sample as OOD when its score strictly exceeds a
-threshold calibrated as a quantile of in-distribution scores. Evaluation
-reports the achieved TNR, the FNR of OOD samples at that threshold, the
-rank-statistic AUROC (ties counted half), and shared-range score histograms
-for both populations.
+The detector is one threshold ``epsilon``, calibrated as a quantile of
+in-distribution scores; a score strictly above it flags OOD. Evaluation
+reports, at a threshold calibrated on one InD score list, the achieved TNR
+and FNR, the rank-statistic AUROC (ties counted half), and shared-range
+score histograms for both populations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,20 +16,6 @@ import numpy as np
 from .errors import InputError
 
 HISTOGRAM_BINS = 50
-
-
-@dataclass
-class Detector:
-    """Calibrated threshold and the TNR target it was calibrated for."""
-
-    epsilon: float
-    tnr_target: float = 0.95
-
-    def __post_init__(self):
-        if not math.isfinite(self.epsilon):
-            raise InputError(f"epsilon must be finite, got {self.epsilon}")
-        if not 0.0 < self.tnr_target < 1.0:
-            raise InputError(f"tnr_target must be in (0, 1), got {self.tnr_target}")
 
 
 def _as_scores(scores, name: str) -> np.ndarray:
@@ -42,8 +27,8 @@ def _as_scores(scores, name: str) -> np.ndarray:
     return arr
 
 
-def calibrate(ind_scores, tnr_target: float = 0.95) -> Detector:
-    """Threshold at the ``tnr_target`` quantile of InD scores.
+def calibrate(ind_scores, tnr_target: float = 0.95) -> float:
+    """The threshold ``epsilon`` at the ``tnr_target`` quantile of InD scores.
 
     Linear interpolation between order statistics; if the interpolated
     value would keep fewer than ``tnr_target`` of the calibration scores
@@ -58,7 +43,7 @@ def calibrate(ind_scores, tnr_target: float = 0.95) -> Detector:
     if achieved < tnr_target:
         higher = arr[arr > epsilon]
         epsilon = float(np.min(higher))
-    return Detector(epsilon=epsilon, tnr_target=tnr_target)
+    return epsilon
 
 
 def auroc_rank(ind_scores, ood_scores) -> float:
@@ -93,16 +78,18 @@ class EvalReport:
     hist_ood: np.ndarray
 
 
-def evaluate_with_detector(det: Detector, ind_scores, ood_scores) -> EvalReport:
-    """Metrics for both score lists at an already-calibrated threshold.
+def evaluate(calib_scores, ind_scores, ood_scores, tnr_target: float = 0.95) -> EvalReport:
+    """Calibrate the threshold on ``calib_scores`` and report both score lists at it.
 
-    Use this when the threshold was fitted on a held-out calibration slice
-    so the evaluated InD scores never see their own quantile.
+    Pass a held-out calibration slice as ``calib_scores`` so the evaluated
+    InD scores never see their own quantile, or the InD scores themselves
+    to calibrate on the evaluated set.
     """
+    epsilon = calibrate(calib_scores, tnr_target)
     ind = _as_scores(ind_scores, "ind_scores")
     ood = _as_scores(ood_scores, "ood_scores")
-    tn_count = int(np.sum(ind <= det.epsilon))
-    fn_count = int(np.sum(ood <= det.epsilon))
+    tn_count = int(np.sum(ind <= epsilon))
+    fn_count = int(np.sum(ood <= epsilon))
 
     lo = float(min(ind.min(), ood.min()))
     hi = float(max(ind.max(), ood.max()))
@@ -117,20 +104,14 @@ def evaluate_with_detector(det: Detector, ind_scores, ood_scores) -> EvalReport:
         auroc=auroc_rank(ind, ood),
         n_ind=int(ind.size),
         n_ood=int(ood.size),
-        epsilon=det.epsilon,
-        tnr_target=det.tnr_target,
+        epsilon=epsilon,
+        tnr_target=tnr_target,
         tn_count=tn_count,
         fn_count=fn_count,
         bin_edges=edges,
         hist_ind=hist_ind,
         hist_ood=hist_ood,
     )
-
-
-def evaluate(ind_scores, ood_scores, tnr_target: float = 0.95) -> EvalReport:
-    """Calibrate on the InD scores and score the OOD list against them."""
-    det = calibrate(_as_scores(ind_scores, "ind_scores"), tnr_target)
-    return evaluate_with_detector(det, ind_scores, ood_scores)
 
 
 def report_text(report: EvalReport) -> str:

@@ -221,48 +221,24 @@ def _json_fields(pairs) -> dict:
 
 @dataclass
 class Checkpoint:
-    """Serializable model snapshot; round-trips bit-exactly through JSON."""
+    """The trained model with its input normalization, training config and RNG digest."""
 
-    format_version: int
-    layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    activation: str
+    model: MlpModel
     normalization: dict
-    n_classes: int
     train_config: dict
     rng_digest: str
 
 
-def checkpoint_from_model(
-    model: MlpModel, normalization: dict, cfg: TrainConfig, rng_digest: str
-) -> Checkpoint:
-    return Checkpoint(
-        format_version=CHECKPOINT_VERSION,
-        layer_dims=model.layer_dims,
-        weights=[w.copy() for w in model.weights],
-        biases=[b.copy() for b in model.biases],
-        activation=ACTIVATION,
-        normalization=dict(normalization),
-        n_classes=model.n_classes,
-        train_config=asdict(cfg, dict_factory=_json_fields),
-        rng_digest=rng_digest,
-    )
-
-
-def model_from_checkpoint(ckpt: Checkpoint) -> MlpModel:
-    return MlpModel(ckpt.layer_dims, ckpt.weights, ckpt.biases)
-
-
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    model = ckpt.model
     payload = {
-        "format_version": ckpt.format_version,
-        "layer_dims": list(ckpt.layer_dims),
-        "weights": [w.tolist() for w in ckpt.weights],
-        "biases": [b.tolist() for b in ckpt.biases],
-        "activation": ckpt.activation,
+        "format_version": CHECKPOINT_VERSION,
+        "layer_dims": list(model.layer_dims),
+        "weights": [w.tolist() for w in model.weights],
+        "biases": [b.tolist() for b in model.biases],
+        "activation": ACTIVATION,
         "normalization": ckpt.normalization,
-        "n_classes": ckpt.n_classes,
+        "n_classes": model.n_classes,
         "train_config": ckpt.train_config,
         "rng_digest": ckpt.rng_digest,
     }
@@ -270,49 +246,59 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     Path(path).write_text(text, encoding="ascii")
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a float, a bool or a string is malformed."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _numbers(value, what: str) -> np.ndarray:
+    """Nested JSON lists of numbers as a float64 array; a bool, a string or a
+    null among them (or a ragged list) is malformed."""
+    values = np.array(value, dtype=object)
+    if not set(map(type, values.flat)) <= {int, float}:
+        raise TypeError(f"{what} must be lists of numbers")
+    return values.astype(np.float64)
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    text = read_text(path, "ascii")
+    """Read a checkpoint and build its model, checking both once."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(read_text(path, "ascii"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: corrupt checkpoint at byte {exc.pos}: {exc.msg}") from exc
     if not isinstance(payload, dict):
         raise InputError(f"{path}: checkpoint must be a JSON object")
     version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise InputError(f"{path}: unsupported version {version!r}")
     try:
-        layer_dims = tuple(int(d) for d in payload["layer_dims"])
-        weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
-        biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
-        ckpt = Checkpoint(
-            format_version=version,
-            layer_dims=layer_dims,
-            weights=weights,
-            biases=biases,
-            activation=str(payload["activation"]),
-            normalization=dict(payload["normalization"]),
-            n_classes=int(payload["n_classes"]),
-            train_config=dict(payload["train_config"]),
-            rng_digest=str(payload["rng_digest"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        layer_dims = [_integer(d, "a layer_dims entry") for d in payload["layer_dims"]]
+        weights = [_numbers(w, "weights") for w in payload["weights"]]
+        biases = [_numbers(b, "biases") for b in payload["biases"]]
+        activation = str(payload["activation"])
+        normalization = dict(payload["normalization"])
+        n_classes = _integer(payload["n_classes"], "n_classes")
+        train_config = dict(payload["train_config"])
+        rng_digest = str(payload["rng_digest"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed checkpoint field: {exc}") from exc
-    if ckpt.activation != ACTIVATION:
-        raise InputError(f"{path}: unsupported activation {ckpt.activation!r}")
+    if activation != ACTIVATION:
+        raise InputError(f"{path}: unsupported activation {activation!r}")
     try:
-        model_from_checkpoint(ckpt)
+        model = MlpModel(layer_dims, weights, biases)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
-    if ckpt.n_classes != layer_dims[-1]:
+    if n_classes != model.n_classes:
         raise InputError(
-            f"{path}: n_classes {ckpt.n_classes} disagrees with output width {layer_dims[-1]}"
+            f"{path}: n_classes {n_classes} disagrees with output width {model.n_classes}"
         )
-    if ckpt.n_classes < 2:
-        raise InputError(f"{path}: a checkpoint needs at least 2 classes, got {ckpt.n_classes}")
-    if not all(np.all(np.isfinite(p)) for p in (*ckpt.weights, *ckpt.biases)):
+    if n_classes < 2:
+        raise InputError(f"{path}: a checkpoint needs at least 2 classes, got {n_classes}")
+    if not np.isfinite(model.params).all():
         raise InputError(f"{path}: non-finite weights or biases")
-    return ckpt
+    return Checkpoint(model, normalization, train_config, rng_digest)
 
 
 def _rng_digest(rng: np.random.Generator) -> str:
@@ -326,7 +312,8 @@ def fit(
     cfg: TrainConfig,
     hidden: tuple[int, ...] = DEFAULT_HIDDEN,
 ) -> tuple[Checkpoint, list[EpochMetrics]]:
-    """Train a fresh MLP on the datasets; returns checkpoint and epoch log.
+    """Train a fresh MLP on the datasets; returns a checkpoint that holds
+    the trained model itself, and the epoch log.
 
     Architecture is input -> hidden... -> K. Seeding: the config seed is
     split into one stream for weight init and one for batch construction.
@@ -365,5 +352,5 @@ def fit(
                 wall_ms=wall_ms,
             )
         )
-    ckpt = checkpoint_from_model(model, ind_set.normalization, cfg, _rng_digest(rng))
-    return ckpt, metrics
+    train_config = asdict(cfg, dict_factory=_json_fields)
+    return Checkpoint(model, ind_set.normalization, train_config, _rng_digest(rng)), metrics

@@ -1,9 +1,13 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from wood.data import Dataset, Role
 from wood.errors import InputError
+from wood.trainer import Checkpoint, TrainConfig, _json_fields
 from wood.transport import TransportResult, sinkhorn_batch
 
 
@@ -25,6 +29,17 @@ def solve_one(r1, r2, C, cfg):
     every field is that problem's scalar, and ``log_v`` its ``(K,)`` row."""
     result = sinkhorn_batch(np.asarray(r1)[None], np.asarray(r2)[None], C, cfg)
     return TransportResult(**{name: values[0] for name, values in vars(result).items()})
+
+
+def make_checkpoint(model, normalization=None, cfg=None, rng_digest="d"):
+    """A ``Checkpoint`` of ``model`` with the ``train_config`` that ``fit`` records for ``cfg``."""
+    train_config = asdict(cfg or TrainConfig(epochs=1), dict_factory=_json_fields)
+    return Checkpoint(model, normalization or {}, train_config, rng_digest)
+
+
+def edit_json(path, **fields):
+    """Replace top-level fields of the JSON object saved at ``path``."""
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
 
 
 def _stratified_counts(n, fractions):

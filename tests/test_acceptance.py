@@ -15,7 +15,7 @@ import pytest
 
 from wood.cli import main as cli_main
 from wood.data import Role, SyntheticKind, SyntheticSpec, load_idx_pair, synth
-from wood.detect import calibrate, evaluate, evaluate_with_detector
+from wood.detect import calibrate, evaluate
 from wood.geometry import EvalPath, ScoreConfig, binary_matrix, scores
 from wood.model import forward
 from wood.oracles import (
@@ -32,7 +32,6 @@ from wood.trainer import (
     fit,
     load_checkpoint,
     metrics_csv_lines,
-    model_from_checkpoint,
     save_checkpoint,
 )
 from wood.transport import CostKind, SinkhornConfig, sinkhorn_gradient
@@ -199,7 +198,7 @@ def run_synthetic_pipeline():
     )
     started = time.perf_counter()
     ckpt, metrics = fit(ind_train, ood_train, cfg, hidden=(128, 64))
-    model = model_from_checkpoint(ckpt)
+    model = ckpt.model
 
     test_probs = forward(model, ind_test.features).probs
     accuracy = float(np.mean(np.argmax(test_probs, axis=1) == ind_test.labels))
@@ -208,8 +207,7 @@ def run_synthetic_pipeline():
     ood_scores, _ = scores(forward(model, ood_test.features).probs, CLOSED_DYNAMIC)
     # Threshold fitted on the held-out calibration slice; TNR/FNR/AUROC
     # evaluated on the untouched test slices.
-    detector = calibrate(calib_scores, 0.95)
-    report = evaluate_with_detector(detector, ind_scores, ood_scores)
+    report = evaluate(calib_scores, ind_scores, ood_scores, 0.95)
     wall = time.perf_counter() - started
     return {
         "ckpt": ckpt,
@@ -279,11 +277,11 @@ def test_c07_mnist_fashion_run():
             seed=7, score=CLOSED_DYNAMIC,
         )
         ckpt, _ = fit(ind_train, ood_train, cfg, hidden=(128, 64))
-        model = model_from_checkpoint(ckpt)
+        model = ckpt.model
 
         ind_scores, _ = scores(forward(model, ind_test.features).probs, CLOSED_DYNAMIC)
         ood_scores, _ = scores(forward(model, ood_test.features).probs, CLOSED_DYNAMIC)
-        report = evaluate(ind_scores, ood_scores, 0.95)
+        report = evaluate(ind_scores, ind_scores, ood_scores, 0.95)
         elapsed = time.perf_counter() - started
         print(
             f"  mnist: auroc={report.auroc:.4f} fnr={report.fnr_at_tnr:.4f}"
@@ -306,17 +304,17 @@ def test_c08_metrics_oracle_equivalence():
             else:
                 ind = rng.normal(size=n_ind)
                 ood = rng.normal(size=n_ood)
-            report = evaluate(ind, ood, 0.95)
+            report = evaluate(ind, ind, ood, 0.95)
             assert report.auroc == pairwise_auroc(ind, ood)
             target = float(rng.uniform(0.5, 0.99))
-            det = calibrate(rng.normal(size=n_ind), target)
+            calibrate(rng.normal(size=n_ind), target)
             # re-draw is independent: recompute band on the calibration list
         for _ in range(50):
             n = int(rng.integers(10, 400))
             scores = rng.normal(size=n)
             target = float(rng.uniform(0.5, 0.99))
-            det = calibrate(scores, target)
-            achieved = float(np.mean(scores <= det.epsilon))
+            epsilon = calibrate(scores, target)
+            achieved = float(np.mean(scores <= epsilon))
             assert target <= achieved <= target + 1.0 / n + 1e-12
 
 
@@ -368,8 +366,8 @@ def test_c10_determinism_and_persistence(synthetic_run, tmp_path):
         save_checkpoint(reloaded, path)
         assert path.read_bytes() == first_bytes
 
-        model = model_from_checkpoint(synthetic_run["ckpt"])
-        restored = model_from_checkpoint(reloaded)
+        model = synthetic_run["ckpt"].model
+        restored = reloaded.model
         features = synthetic_run["features"]
         np.testing.assert_array_equal(
             forward(model, features).probs, forward(restored, features).probs

@@ -27,14 +27,12 @@ from wood.model import forward, init
 from wood.trainer import (
     DEFAULT_HIDDEN,
     TrainConfig,
-    checkpoint_from_model,
     load_checkpoint,
-    model_from_checkpoint,
     save_checkpoint,
 )
 from wood.transport import CostKind, SinkhornConfig
 
-from conftest import csv_texts
+from conftest import csv_texts, edit_json, make_checkpoint
 
 
 def run_cli(*argv):
@@ -62,7 +60,7 @@ def data_error_line(capsys, *argv):
 def write_checkpoint(path, model=None):
     """Save ``model`` (a fresh 2-3-3 network by default) as a checkpoint."""
     model = init((2, 3, 3), seed=0) if model is None else model
-    save_checkpoint(checkpoint_from_model(model, {}, TrainConfig(epochs=1), "d"), path)
+    save_checkpoint(make_checkpoint(model), path)
 
 
 def dataset_flags(command, ind_csv, ood_csv):
@@ -256,7 +254,7 @@ class TestConfigFile:
         assert code == 0
         saved = json.loads((out / "checkpoint.json").read_text())
         model = init((2, *DEFAULT_HIDDEN, 3), seed=0)
-        library = checkpoint_from_model(model, {}, TrainConfig(epochs=50), "d")
+        library = make_checkpoint(model, cfg=TrainConfig(epochs=50))
         assert saved["train_config"] == library.train_config
         assert saved["layer_dims"] == list(model.layer_dims)
 
@@ -346,11 +344,13 @@ class TestNothingWrittenOnFailure:
         one_class.write_text("f0,f1,label\n0.5,1.0,0\n-0.5,2.0,0\n")
         wide = tmp_path / "wide.csv"
         wide.write_text("f0,f1,f2\n0.5,1.0,2.0\n")
+        no_features = tmp_path / "no_features.csv"
+        no_features.write_text("label\n0\n1\n")
         one_output = tmp_path / "one_output.json"
         write_checkpoint(one_output, init((2, 4, 1), seed=0))
         return {"ind": str(ind_csv), "ckpt": str(checkpoint), "bad": str(bad_json),
                 "ragged": str(ragged), "one_class": str(one_class), "wide": str(wide),
-                "one_output": str(one_output)}
+                "one_output": str(one_output), "no_features": str(no_features)}
 
     @pytest.mark.parametrize(
         "argv",
@@ -370,6 +370,7 @@ class TestNothingWrittenOnFailure:
             ["train", "--ind", "{one_class}", "--b-ood", "0"],
             ["score", "--checkpoint", "{one_output}", "--features", "{ind}"],
             ["evaluate", "--checkpoint", "{one_output}", "--ind", "{ind}", "--ood", "{ind}"],
+            ["train", "--ind", "{no_features}", "--b-ood", "0"],
         ],
     )
     def test_data_error_leaves_no_out_dir(self, inputs, argv, tmp_path, capsys):
@@ -385,6 +386,8 @@ class TestNothingWrittenOnFailure:
              "data error: {one_class}: training needs at least 2 classes, got 1"),
             (["--ind", "{ind}", "--ood", "{wide}"],
              "data error: {wide}: feature dim 3 does not match {ind} dim 2"),
+            (["--ind", "{no_features}", "--b-ood", "0"],
+             "data error: {no_features}: no feature columns"),
         ],
     )
     def test_train_input_error_names_the_flag_or_file(self, inputs, argv, line, tmp_path, capsys):
@@ -508,7 +511,7 @@ class TestBlockedScoring:
         model = init((2, 6, 3), seed=3)
         model.params *= 3.0  # spread the softmax rows away from uniform
         write_checkpoint(path, model)
-        return model_from_checkpoint(load_checkpoint(path))
+        return load_checkpoint(path).model
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -560,7 +563,7 @@ class TestBlockedScoring:
         np.testing.assert_allclose(written_values, full_values, rtol=0, atol=1e-12)
 
         ind_values, _, ind_predicted = per_block_reference(model, ind_x, block, cfg)
-        want = report_text(evaluate(ind_values, ood_values, 0.95))
+        want = report_text(evaluate(ind_values, ind_values, ood_values, 0.95))
         want += f"n_calibration: {n_ind}\n"
         want += f"ind_accuracy: {float(np.mean(ind_predicted == labels))!r}\n"
         assert report == want
@@ -685,7 +688,7 @@ class TestCheckpointScoreConfig:
         return ind_csv, run_dir / "checkpoint.json"
 
     def probs(self, ind_csv, checkpoint):
-        model = model_from_checkpoint(load_checkpoint(checkpoint))
+        model = load_checkpoint(checkpoint).model
         return forward(model, load_dataset_csv(ind_csv, role=Role.IND).features).probs
 
     def read_scores(self, out):
@@ -789,6 +792,19 @@ class TestCheckpointValidation:
             ({"layer_dims": [2, 0, 3], "weights": [[[], []], []], "biases": [[], [0, 0, 0]]},
              "layer sizes must be positive, got (2, 0, 3)"),
             ({"n_classes": 7}, "n_classes 7 disagrees with output width 3"),
+            ({"layer_dims": [2.7, 3, 3.2]},
+             "malformed checkpoint field: a layer_dims entry must be an integer, got 2.7"),
+            ({"n_classes": "3"},
+             "malformed checkpoint field: n_classes must be an integer, got '3'"),
+            ({"n_classes": 3.9},
+             "malformed checkpoint field: n_classes must be an integer, got 3.9"),
+            ({"format_version": True}, "unsupported version True"),
+            ({"weights": [[["0.5"] * 3] * 2, [["1"] * 3] * 3]},
+             "malformed checkpoint field: weights must be lists of numbers"),
+            ({"biases": [[0, True, 0], [0, 0, 0]]},
+             "malformed checkpoint field: biases must be lists of numbers"),
+            ({"biases": [[0, 0, 0], [0, 0, 10**400]]},
+             "malformed checkpoint field: int too large to convert to float"),
         ],
     )
     @pytest.mark.parametrize("command", ["score", "evaluate"])
@@ -798,9 +814,7 @@ class TestCheckpointValidation:
         ind_csv = gen_blobs(tmp_path / "data", n=10)
         path = tmp_path / "checkpoint.json"
         write_checkpoint(path)
-        payload = json.loads(path.read_text())
-        payload.update(fields)
-        path.write_text(json.dumps(payload))
+        edit_json(path, **fields)
         inputs = dataset_flags(command, ind_csv, ind_csv)
         out = tmp_path / "out"
         assert run_cli(command, "--checkpoint", str(path), *inputs, "--out", str(out)) == 2
@@ -810,10 +824,9 @@ class TestCheckpointValidation:
     def test_unknown_activation_is_a_data_error(self, tmp_path, capsys):
         ind_csv = gen_blobs(tmp_path / "data", n=10)
         model = init((2, 3, 3), seed=0)
-        ckpt = checkpoint_from_model(model, {"kind": "identity"}, TrainConfig(epochs=1), "d")
-        ckpt.activation = "tanh"
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(ckpt, path)
+        save_checkpoint(make_checkpoint(model, {"kind": "identity"}), path)
+        edit_json(path, activation="tanh")
         err = data_error_line(
             capsys, "score", "--checkpoint", str(path), "--features", str(ind_csv),
             "--out", str(tmp_path / "out"),

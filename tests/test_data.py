@@ -220,6 +220,12 @@ class TestCsv:
         with pytest.raises(InputError):
             load_dataset_csv(path, Role.IND)
 
+    def test_header_without_feature_columns(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("label\n0\n1\n")
+        with pytest.raises(InputError, match=f"^{path}: no feature columns$"):
+            load_dataset_csv(path, Role.IND)
+
     def test_non_ascii_byte_names_its_offset(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"f0,f1,label\n1.0,2.0,0\n3.0,\xe94.0,1\n")
@@ -325,11 +331,11 @@ class TestIdxTrainingFlow:
         ds = load_idx_pair(tmp_path / "imgs.gz", tmp_path / "lbls.gz")
 
         from wood.model import forward
-        from wood.trainer import TrainConfig, fit, model_from_checkpoint
+        from wood.trainer import TrainConfig, fit
 
         cfg = TrainConfig(epochs=5, b_ind=30, b_ood=0, seed=0)
         ckpt, _ = fit(ds, None, cfg, hidden=(16,))
-        model = model_from_checkpoint(ckpt)
+        model = ckpt.model
         preds = np.argmax(forward(model, ds.features).probs, axis=1)
         assert np.mean(preds == ds.labels) >= 0.95
         assert ckpt.normalization == {"kind": "pixel_scale", "scale": 255.0}

@@ -23,17 +23,17 @@ from conftest import random_simplex
 class TestCalibrate:
     def test_interpolated_quantile(self):
         scores = np.arange(1.0, 101.0)
-        det = calibrate(scores, 0.95)
-        assert det.epsilon == pytest.approx(95.05)
-        assert np.mean(scores <= det.epsilon) >= 0.95
+        epsilon = calibrate(scores, 0.95)
+        assert epsilon == pytest.approx(95.05)
+        assert np.mean(scores <= epsilon) >= 0.95
 
     def test_all_equal_scores(self):
-        det = calibrate([3.0, 3.0, 3.0], 0.95)
-        assert det.epsilon == 3.0
-        assert not 3.0 > det.epsilon
+        epsilon = calibrate([3.0, 3.0, 3.0], 0.95)
+        assert epsilon == 3.0
+        assert not 3.0 > epsilon
 
     def test_single_score(self):
-        assert calibrate([0.7], 0.95).epsilon == 0.7
+        assert calibrate([0.7], 0.95) == 0.7
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
@@ -49,15 +49,15 @@ class TestCalibrate:
             n = int(rng.integers(20, 400))
             scores = rng.normal(size=n)
             target = float(rng.uniform(0.5, 0.99))
-            det = calibrate(scores, target)
-            achieved = float(np.mean(scores <= det.epsilon))
+            epsilon = calibrate(scores, target)
+            achieved = float(np.mean(scores <= epsilon))
             assert target <= achieved <= target + 1.0 / n + 1e-12
 
     def test_small_sample_guarantee(self):
         # Interpolation alone would undershoot the target here; the
         # threshold must be bumped to the next order statistic.
-        det = calibrate([0.0, 1.0], 0.95)
-        assert np.mean(np.array([0.0, 1.0]) <= det.epsilon) >= 0.95
+        epsilon = calibrate([0.0, 1.0], 0.95)
+        assert np.mean(np.array([0.0, 1.0]) <= epsilon) >= 0.95
 
 
 @settings(max_examples=100, deadline=None)
@@ -70,23 +70,23 @@ class TestCalibrate:
     target=st.floats(0.01, 0.99),
 )
 def test_calibration_never_undershoots_target(scores, target):
-    det = calibrate(scores, target)
-    achieved = float(np.mean(np.asarray(scores) <= det.epsilon))
+    epsilon = calibrate(scores, target)
+    achieved = float(np.mean(np.asarray(scores) <= epsilon))
     assert achieved >= target
 
 
 class TestEvaluate:
     def test_perfect_separation(self):
-        report = evaluate([0.1, 0.2], [0.8, 0.9], 0.95)
+        report = evaluate([0.1, 0.2], [0.1, 0.2], [0.8, 0.9], 0.95)
         assert report.auroc == 1.0
         assert report.fnr_at_tnr == 0.0
 
     def test_identical_multisets(self):
-        report = evaluate([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 0.95)
+        report = evaluate([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 0.95)
         assert report.auroc == 0.5
 
     def test_hand_counted_auroc(self):
-        report = evaluate([1, 2, 3, 4], [2.5, 5], 0.95)
+        report = evaluate([1, 2, 3, 4], [1, 2, 3, 4], [2.5, 5], 0.95)
         assert report.auroc == 0.75
 
     def test_rank_auroc_equals_pairwise_oracle_exactly(self, rng):
@@ -105,8 +105,8 @@ class TestEvaluate:
     def test_monotone_transform_invariance(self, rng):
         ind = rng.normal(size=60)
         ood = rng.normal(loc=0.5, size=40)
-        base = evaluate(ind, ood, 0.9)
-        transformed = evaluate(np.exp(ind), np.exp(ood), 0.9)
+        base = evaluate(ind, ind, ood, 0.9)
+        transformed = evaluate(np.exp(ind), np.exp(ind), np.exp(ood), 0.9)
         assert base.auroc == transformed.auroc
         # Per-sample decisions at the recalibrated threshold are unchanged.
         np.testing.assert_array_equal(
@@ -119,19 +119,24 @@ class TestEvaluate:
     def test_histograms_shared_range(self, rng):
         ind = rng.normal(size=100)
         ood = rng.normal(loc=2.0, size=50)
-        report = evaluate(ind, ood, 0.95)
+        report = evaluate(ind, ind, ood, 0.95)
         assert report.hist_ind.sum() == 100
         assert report.hist_ood.sum() == 50
         assert len(report.hist_ind) == 50
         assert len(report.bin_edges) == 51
 
     def test_degenerate_range_guarded(self):
-        report = evaluate([1.0, 1.0], [1.0], 0.95)
+        report = evaluate([1.0, 1.0], [1.0, 1.0], [1.0], 0.95)
         assert report.hist_ind.sum() == 2
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            evaluate([], [1.0], 0.95)
+            evaluate([], [], [1.0], 0.95)
+
+    def test_threshold_comes_from_the_calibration_list(self):
+        report = evaluate([0.0, 10.0], [1.0, 2.0, 12.0], [5.0, 11.0], 0.5)
+        assert report.epsilon == calibrate([0.0, 10.0], 0.5)
+        assert (report.n_ind, report.tn_count, report.fn_count) == (3, 2, 1)
 
 
 class TestMaxSoftmaxScore:
@@ -158,20 +163,20 @@ class TestMaxSoftmaxScore:
 
 class TestRendering:
     def test_report_text_fields(self):
-        report = evaluate([0.1, 0.2, 0.3], [0.8, 0.9], 0.9)
+        report = evaluate([0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [0.8, 0.9], 0.9)
         text = report_text(report)
         for key in ("tnr:", "fnr_at_tnr:", "auroc:", "n_ind: 3", "n_ood: 2"):
             assert key in text
 
     def test_histogram_csv_lines(self):
-        report = evaluate([0.1, 0.2, 0.3], [0.8, 0.9], 0.9)
+        report = evaluate([0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [0.8, 0.9], 0.9)
         lines = histogram_csv_lines(report, "ind")
         assert lines[0] == "bin_center,count"
         assert len(lines) == 51
         assert sum(int(line.split(",")[1]) for line in lines[1:]) == 3
 
     def test_rendered_text_is_plain_floats(self):
-        report = evaluate([0.1, 0.2, 0.3], [0.8, 0.9], 0.9)
+        report = evaluate([0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [0.8, 0.9], 0.9)
         text = report_text(report) + "\n".join(histogram_csv_lines(report, "ood"))
         assert "np.float64" not in text
         center = float(histogram_csv_lines(report, "ind")[1].split(",")[0])

@@ -15,24 +15,23 @@ from wood.data import Dataset, Role, SyntheticKind, SyntheticSpec, synth
 from wood.errors import InputError, NumericError
 from wood.geometry import EvalPath, ScoreConfig, _score_rows, scores
 from wood.loss import loss_and_grad
-from wood.model import ParamGrads, backward, forward, init
+from wood.model import MlpModel, ParamGrads, backward, forward, init
 from wood.trainer import (
     Batch,
-    Checkpoint,
     MomentumState,
     TrainConfig,
     _all_finite,
     _check_finite,
-    checkpoint_from_model,
     fit,
     load_checkpoint,
     make_batches,
     metrics_csv_lines,
-    model_from_checkpoint,
     save_checkpoint,
     train_step,
 )
 from wood.transport import CostKind, SinkhornConfig
+
+from conftest import edit_json, make_checkpoint
 
 PROB_FLOOR = 1e-12
 
@@ -263,9 +262,9 @@ class TestFitEqualsPlainCrossEntropyTrainer:
                 grads = backward(model, trace, grad_probs)
                 reference_update(model, grads, vel_w, vel_b, cfg)
 
-        for got, want in zip(ckpt.weights, model.weights):
+        for got, want in zip(ckpt.model.weights, model.weights):
             np.testing.assert_array_equal(got, want)
-        for got, want in zip(ckpt.biases, model.biases):
+        for got, want in zip(ckpt.model.biases, model.biases):
             np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
@@ -338,7 +337,7 @@ class TestFitEqualsPlainCrossEntropyTrainer:
         other = TrainConfig(epochs=2, b_ind=10, b_ood=0, seed=5, beta=0.9)
         ckpt_a, _ = fit(ind, None, base, hidden=(4,))
         ckpt_b, _ = fit(ind, None, other, hidden=(4,))
-        for wa, wb in zip(ckpt_a.weights, ckpt_b.weights):
+        for wa, wb in zip(ckpt_a.model.weights, ckpt_b.model.weights):
             np.testing.assert_array_equal(wa, wb)
 
 
@@ -419,8 +418,7 @@ class TestFitMetrics:
         ckpt_ce, _ = fit(ind, None, ce_only, hidden=(64, 32))
 
         def mean_ood_score(ckpt):
-            model = model_from_checkpoint(ckpt)
-            probs = forward(model, ood.features).probs
+            probs = forward(ckpt.model, ood.features).probs
             return float(np.mean(scores(probs, score_cfg)[0]))
 
         assert mean_ood_score(ckpt_mixed) > mean_ood_score(ckpt_ce) + 0.05
@@ -438,59 +436,64 @@ class TestFitMetrics:
 class TestCheckpoint:
     def make(self, tmp_path):
         model = init((3, 4, 2), seed=42)
-        cfg = TrainConfig(epochs=1)
-        ckpt = checkpoint_from_model(model, {"kind": "identity"}, cfg, "digest")
         path = tmp_path / "ckpt.json"
-        save_checkpoint(ckpt, path)
-        return model, ckpt, path
+        save_checkpoint(make_checkpoint(model, {"kind": "identity"}, rng_digest="digest"), path)
+        return model, path
 
     def test_round_trip_bytes_identical(self, tmp_path):
-        _, _, path = self.make(tmp_path)
+        _, path = self.make(tmp_path)
         first = path.read_bytes()
         reloaded = load_checkpoint(path)
         save_checkpoint(reloaded, path)
         assert path.read_bytes() == first
 
     def test_round_trip_parameters_bitwise(self, tmp_path):
-        model, _, path = self.make(tmp_path)
-        restored = model_from_checkpoint(load_checkpoint(path))
+        model, path = self.make(tmp_path)
+        restored = load_checkpoint(path).model
         for a, b in zip(model.weights, restored.weights):
             np.testing.assert_array_equal(a, b)
 
-    def test_model_checkpoint_model_bitwise(self):
+    def test_model_checkpoint_model_bitwise(self, tmp_path):
         model = init((3, 5, 4, 2), seed=8)
         model.params[:] = np.random.default_rng(1).normal(size=model.params.size) * 1e-3
         cfg = TrainConfig(epochs=1)
-        ckpt = checkpoint_from_model(model, {"kind": "identity"}, cfg, "digest")
-        restored = model_from_checkpoint(ckpt)
+        ckpt = make_checkpoint(model, {"kind": "identity"}, cfg, "digest")
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        restored = load_checkpoint(path).model
         assert restored.layer_dims == model.layer_dims
         assert restored.params.tobytes() == model.params.tobytes()
-        again = checkpoint_from_model(restored, {"kind": "identity"}, cfg, "digest")
-        for a, b in zip((*ckpt.weights, *ckpt.biases), (*again.weights, *again.biases)):
-            assert a.tobytes() == b.tobytes()
-        # The checkpoint holds copies: training on after saving leaves it alone.
-        model.params += 1.0
-        for a, b in zip(ckpt.weights, again.weights):
-            assert a.tobytes() == b.tobytes()
+        again = make_checkpoint(restored, {"kind": "identity"}, cfg, "digest")
+        assert again.model.params.tobytes() == ckpt.model.params.tobytes()
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        # Literal weights, not an RNG draw: only a change of the file format moves the digest.
+        model = MlpModel(
+            (2, 3, 2),
+            [[[0.5, -1.25, 2.0], [0.1, 0.2, -0.3]], [[1.0, -1.0], [0.25, 0.75], [-2.5, 3.0]]],
+            [[0.0, 0.125, -0.0], [1e-3, -7.0]],
+        )
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(make_checkpoint(model, {"kind": "identity"}, rng_digest="digest"), path)
+        digest = "577d58688a2b39caff817a38d0c2b86f5e8e29e110d13a77fa5053845e67440e"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_truncated_file(self, tmp_path):
-        _, _, path = self.make(tmp_path)
+        _, path = self.make(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(InputError, match="byte"):
             load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path):
-        _, ckpt, path = self.make(tmp_path)
-        doctored = Checkpoint(**{**ckpt.__dict__, "format_version": 999})
-        save_checkpoint(doctored, path)
+        _, path = self.make(tmp_path)
+        edit_json(path, format_version=999)
         with pytest.raises(InputError, match="unsupported version"):
             load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        _, ckpt, path = self.make(tmp_path)
-        doctored = Checkpoint(**{**ckpt.__dict__, "layer_dims": (3, 5, 2)})
-        save_checkpoint(doctored, path)
+        _, path = self.make(tmp_path)
+        edit_json(path, layer_dims=[3, 5, 2])
         with pytest.raises(InputError, match="shapes"):
             load_checkpoint(path)
 
@@ -498,14 +501,14 @@ class TestCheckpoint:
         # A single softmax output is not a distribution over classes to score.
         path = tmp_path / "ckpt.json"
         model = init((2, 4, 1), seed=0)
-        save_checkpoint(checkpoint_from_model(model, {}, TrainConfig(epochs=1), "d"), path)
+        save_checkpoint(make_checkpoint(model), path)
         with pytest.raises(InputError) as info:
             load_checkpoint(path)
         assert str(info.value) == f"{path}: a checkpoint needs at least 2 classes, got 1"
 
     def test_reloaded_model_scores_identically(self, tmp_path):
-        model, _, path = self.make(tmp_path)
-        restored = model_from_checkpoint(load_checkpoint(path))
+        model, path = self.make(tmp_path)
+        restored = load_checkpoint(path).model
         x = np.random.default_rng(0).normal(size=(10, 3))
         np.testing.assert_array_equal(forward(model, x).probs, forward(restored, x).probs)
 
