@@ -6,16 +6,9 @@ calibration, and FNR/AUROC evaluation. See the README for the CLI.
 """
 
 from .data import Dataset, Role, SyntheticKind, SyntheticSpec, load_idx_pair, synth
-from .detect import (
-    EvalReport,
-    auroc_rank,
-    calibrate,
-    evaluate,
-    histogram_csv_lines,
-    report_text,
-)
+from .detect import EvalReport, calibrate, evaluate
 from .errors import InputError, NumericError, WoodError
-from .geometry import EvalPath, ScoreConfig, binary_matrix, scores
+from .geometry import EvalPath, ScoreConfig, scores
 from .loss import LossValue, loss_and_grad
 from .model import ForwardTrace, MlpModel, backward, forward, init
 from .trainer import (
@@ -31,7 +24,6 @@ from .transport import (
     CostKind,
     SinkhornConfig,
     TransportResult,
-    as_prob_rows,
     sinkhorn_batch,
     sinkhorn_gradient,
 )

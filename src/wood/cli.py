@@ -216,10 +216,17 @@ def _prepare_out(args) -> Path:
     return out_dir
 
 
-def _dataset_from_args(path: str, role: Role, n_classes: int | None = None) -> Dataset:
+def _dataset_from_args(
+    path: str, role: Role, n_classes: int | None = None, dim: int | None = None, dim_of: str = ""
+) -> Dataset:
+    """Load a dataset CSV; with ``dim``, its rows must be that wide, as set by
+    ``dim_of`` (the file or checkpoint that the error names)."""
     if not path.endswith(".csv"):
         raise InputError(f"expected a .csv dataset, got {path}")
-    return load_dataset_csv(path, role=role, n_classes=n_classes)
+    ds = load_dataset_csv(path, role=role, n_classes=n_classes)
+    if dim is not None and ds.dim != dim:
+        raise InputError(f"{path}: feature dim {ds.dim} does not match {dim_of} dim {dim}")
+    return ds
 
 
 # Rows that ``score`` and ``evaluate`` run through the model at once. Only
@@ -290,16 +297,14 @@ def _cmd_train(args) -> int:
         score=_score_config(args.matrix, args.eval_path, args.lam),
     )
     ind_set = _dataset_from_args(args.ind, Role.IND)
-    ood_set = _dataset_from_args(args.ood, Role.OOD) if args.ood else None
+    ood_set = None
+    if args.ood:
+        ood_set = _dataset_from_args(args.ood, Role.OOD, dim=ind_set.dim, dim_of=args.ind)
     # fit rejects these as well, but cannot name the files or the flag.
     if ind_set.n_classes < 2:
         raise InputError(f"{args.ind}: training needs at least 2 classes, got {ind_set.n_classes}")
     if cfg.b_ood > 0 and ood_set is None:
         raise InputError(f"--b-ood {cfg.b_ood} needs an --ood dataset")
-    if ood_set is not None and ood_set.dim != ind_set.dim:
-        raise InputError(
-            f"{args.ood}: feature dim {ood_set.dim} does not match {args.ind} dim {ind_set.dim}"
-        )
     out_dir = _prepare_out(args)
 
     ckpt, metrics = fit(ind_set, ood_set, cfg, hidden=args.hidden)
@@ -324,14 +329,11 @@ def _cmd_evaluate(args) -> int:
     model = ckpt.model
     score_cfg = _checkpoint_score_config(args, ckpt)
 
-    ind_set = _dataset_from_args(args.ind, Role.IND, n_classes=model.n_classes)
-    ood_set = _dataset_from_args(args.ood, Role.OOD)
-    for ds, name in ((ind_set, "ind"), (ood_set, "ood")):
-        if ds.dim != model.input_dim:
-            raise InputError(
-                f"{name} feature dim {ds.dim} does not match checkpoint input dim"
-                f" {model.input_dim}"
-            )
+    source = f"{args.checkpoint} input"
+    ind_set = _dataset_from_args(
+        args.ind, Role.IND, model.n_classes, dim=model.input_dim, dim_of=source
+    )
+    ood_set = _dataset_from_args(args.ood, Role.OOD, dim=model.input_dim, dim_of=source)
 
     ind_scores, _, ind_predicted = _score_blocks(model, ind_set, args.ind, score_cfg)
     ood_scores, _, _ = _score_blocks(model, ood_set, args.ood, score_cfg)
@@ -373,11 +375,9 @@ def _cmd_score(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = ckpt.model
     score_cfg = _checkpoint_score_config(args, ckpt)
-    ds = _dataset_from_args(args.features, Role.OOD)
-    if ds.dim != model.input_dim:
-        raise InputError(
-            f"feature dim {ds.dim} does not match checkpoint input dim {model.input_dim}"
-        )
+    ds = _dataset_from_args(
+        args.features, Role.OOD, dim=model.input_dim, dim_of=f"{args.checkpoint} input"
+    )
     values, classes, _ = _score_blocks(model, ds, args.features, score_cfg)
 
     header = "index,argmin_class,score"
@@ -419,11 +419,6 @@ def _median_call_ms(calls, repeats: int) -> list[float]:
 
 
 def _cmd_bench_score(args) -> int:
-    if args.eval_path == "closed":
-        raise _UsageError(
-            "bench-score only measures the sinkhorn path; both matrix kinds"
-            " are O(K) in closed form"
-        )
     rng = np.random.default_rng(args.seed)
     lines = ["K,binary_ms,dynamic_ms,ratio"]
     summary = []
@@ -502,7 +497,6 @@ def _build_parser(train_defaults: dict) -> argparse.ArgumentParser:
         "--k", type=_class_counts, default="10,50,100", help="comma-separated class counts"
     )
     bench.add_argument("--repeats", type=_positive_int, default=5)
-    bench.add_argument("--eval-path", dest="eval_path", choices=["closed", "sinkhorn"], default="sinkhorn")
     bench.add_argument("--lambda", dest="lam", type=_positive_float, default=50.0)
     bench.add_argument("--seed", type=_seed, default=0)
     bench.add_argument("--out", required=True)

@@ -246,10 +246,14 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     Path(path).write_text(text, encoding="ascii")
 
 
-def _integer(value, what: str) -> int:
-    """``value`` if it is a JSON integer; a float, a bool or a string is malformed."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, got {value!r}")
+_JSON_TYPES = {int: "an integer", str: "a string", dict: "an object"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if its JSON type is ``kind``; nothing is converted, so a bool
+    is not an integer and a list of pairs is not an object."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
 
@@ -274,14 +278,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise InputError(f"{path}: unsupported version {version!r}")
     try:
-        layer_dims = [_integer(d, "a layer_dims entry") for d in payload["layer_dims"]]
+        layer_dims = [_typed(d, int, "a layer_dims entry") for d in payload["layer_dims"]]
         weights = [_numbers(w, "weights") for w in payload["weights"]]
         biases = [_numbers(b, "biases") for b in payload["biases"]]
-        activation = str(payload["activation"])
-        normalization = dict(payload["normalization"])
-        n_classes = _integer(payload["n_classes"], "n_classes")
-        train_config = dict(payload["train_config"])
-        rng_digest = str(payload["rng_digest"])
+        activation = _typed(payload["activation"], str, "activation")
+        normalization = _typed(payload["normalization"], dict, "normalization")
+        n_classes = _typed(payload["n_classes"], int, "n_classes")
+        train_config = _typed(payload["train_config"], dict, "train_config")
+        rng_digest = _typed(payload["rng_digest"], str, "rng_digest")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed checkpoint field: {exc}") from exc
     if activation != ACTIVATION:

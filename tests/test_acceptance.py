@@ -326,7 +326,6 @@ def test_c09_complexity_trend(tmp_path):
                 "bench-score",
                 "--k", "10,50,100",
                 "--repeats", "5",
-                "--eval-path", "sinkhorn",
                 "--out", str(out),
             ]
         )

@@ -344,12 +344,17 @@ class TestNothingWrittenOnFailure:
         one_class.write_text("f0,f1,label\n0.5,1.0,0\n-0.5,2.0,0\n")
         wide = tmp_path / "wide.csv"
         wide.write_text("f0,f1,f2\n0.5,1.0,2.0\n")
+        wide_ind = tmp_path / "wide_ind.csv"
+        wide_ind.write_text("f0,f1,f2,label\n0.5,1.0,2.0,0\n")
+        one_row = tmp_path / "one_row.csv"
+        one_row.write_text("f0,f1,label\n0.5,1.0,0\n")
         no_features = tmp_path / "no_features.csv"
         no_features.write_text("label\n0\n1\n")
         one_output = tmp_path / "one_output.json"
         write_checkpoint(one_output, init((2, 4, 1), seed=0))
         return {"ind": str(ind_csv), "ckpt": str(checkpoint), "bad": str(bad_json),
                 "ragged": str(ragged), "one_class": str(one_class), "wide": str(wide),
+                "wide_ind": str(wide_ind), "one_row": str(one_row),
                 "one_output": str(one_output), "no_features": str(no_features)}
 
     @pytest.mark.parametrize(
@@ -393,6 +398,26 @@ class TestNothingWrittenOnFailure:
     def test_train_input_error_names_the_flag_or_file(self, inputs, argv, line, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli("train", *(arg.format(**inputs) for arg in argv), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == line.format(**inputs) + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["score", "--checkpoint", "{ckpt}", "--features", "{wide}"],
+             "data error: {wide}: feature dim 3 does not match {ckpt} input dim 2"),
+            (["evaluate", "--checkpoint", "{ckpt}", "--ind", "{wide_ind}", "--ood", "{ind}"],
+             "data error: {wide_ind}: feature dim 3 does not match {ckpt} input dim 2"),
+            (["evaluate", "--checkpoint", "{ckpt}", "--ind", "{ind}", "--ood", "{wide}"],
+             "data error: {wide}: feature dim 3 does not match {ckpt} input dim 2"),
+            (["evaluate", "--checkpoint", "{ckpt}", "--ind", "{one_row}", "--ood", "{ind}"],
+             "data error: calibration fraction leaves no evaluation samples"),
+        ],
+    )
+    def test_scoring_input_error_line(self, inputs, argv, line, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(*(arg.format(**inputs) for arg in argv), "--out", str(out))
         assert code == 2
         assert capsys.readouterr().err == line.format(**inputs) + "\n"
         assert not out.exists()
@@ -749,6 +774,10 @@ class TestCheckpointScoreConfig:
         assert "lam=50.0" in run_config
 
 
+# A saved score setting that ``evaluate`` and ``score`` can run with.
+SAVED_SCORE = {"matrix_kind": "binary", "evaluation": "closed", "sinkhorn": {"lam": 10.0}}
+
+
 class TestCheckpointValidation:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_weights_are_a_data_error(self, bad, tmp_path, capsys):
@@ -805,6 +834,13 @@ class TestCheckpointValidation:
              "malformed checkpoint field: biases must be lists of numbers"),
             ({"biases": [[0, 0, 0], [0, 0, 10**400]]},
              "malformed checkpoint field: int too large to convert to float"),
+            ({"rng_digest": 5}, "malformed checkpoint field: rng_digest must be a string, got 5"),
+            ({"activation": 5}, "malformed checkpoint field: activation must be a string, got 5"),
+            ({"normalization": [["a", 1]]},
+             "malformed checkpoint field: normalization must be an object, got [['a', 1]]"),
+            ({"train_config": [["score", SAVED_SCORE]]},
+             "malformed checkpoint field: train_config must be an object,"
+             f" got [['score', {SAVED_SCORE!r}]]"),
         ],
     )
     @pytest.mark.parametrize("command", ["score", "evaluate"])
@@ -856,8 +892,7 @@ FUZZ_FLAGS = {
         "--epsilon": "0.2", "--tnr": "0.9",
     },
     "bench-score": {
-        "--k": "3", "--repeats": "1", "--eval-path": "sinkhorn", "--lambda": "10",
-        "--seed": "1",
+        "--k": "3", "--repeats": "1", "--lambda": "10", "--seed": "1",
     },
 }
 # Float flags whose size costs no work also draw a huge finite value.

@@ -169,10 +169,12 @@ class TestIdx:
             load_idx_pair(lp, lp)
 
     def test_count_mismatch(self, tmp_path):
-        write_idx(tmp_path / "imgs.idx", np.zeros((4, 2, 2), dtype=np.uint8))
-        write_idx(tmp_path / "lbls.idx", np.zeros(5, dtype=np.uint8))
-        with pytest.raises(InputError, match="mismatch"):
-            load_idx_pair(tmp_path / "imgs.idx", tmp_path / "lbls.idx")
+        for n_images, n_labels in ((4, 5), (5, 4)):
+            write_idx(tmp_path / "imgs.idx", np.zeros((n_images, 2, 2), dtype=np.uint8))
+            write_idx(tmp_path / "lbls.idx", np.zeros(n_labels, dtype=np.uint8))
+            message = f"^count mismatch: {n_images} images vs {n_labels} labels$"
+            with pytest.raises(InputError, match=message):
+                load_idx_pair(tmp_path / "imgs.idx", tmp_path / "lbls.idx")
 
     def test_truncation_reports_offset(self, tmp_path):
         path = tmp_path / "imgs.idx"
