@@ -306,13 +306,13 @@ def _cmd_train(args) -> int:
     if cfg.b_ood > 0 and ood_set is None:
         raise InputError(f"--b-ood {cfg.b_ood} needs an --ood dataset")
     out_dir = _prepare_out(args)
+    _echo_run_config(out_dir, args)  # before fit, so a diverged run records its settings
 
     ckpt, metrics = fit(ind_set, ood_set, cfg, hidden=args.hidden)
     save_checkpoint(ckpt, out_dir / "checkpoint.json")
     (out_dir / "metrics.csv").write_text(
         "\n".join(metrics_csv_lines(metrics)) + "\n", encoding="ascii"
     )
-    _echo_run_config(out_dir, args)
     last = metrics[-1]
     print(
         f"trained {ckpt.model.layer_dims} for {cfg.epochs} epochs:"

@@ -8,7 +8,10 @@ consume a label it should not have.
 from __future__ import annotations
 
 import gzip
+import mmap
+import os
 import struct
+import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -327,24 +330,117 @@ def load_dataset_csv(path: str | Path, role: Role, n_classes: int | None = None)
         raise InputError(f"{path}: {exc}") from None
 
 
+# A file of at least this many cells parses in two processes. A fork of the
+# loader with a 1000x785 file in memory, and the restart of the BLAS threads
+# that OpenBLAS stops before a fork, cost about 5 ms; 100k cells take about
+# 30 ms to parse, so the half that the child takes over is worth three forks.
+_SPLIT_CELLS = 100_000
+
+
 def _parse_rows_fast(lines: list[str], dim: int, has_label: bool):
     """``(features, labels)`` of the CSV rows ``lines`` parsed by NumPy's C
     reader, or ``None`` where it declines them and :func:`_parse_rows`
     decides. The C reader parses a cell to the same bits as ``float()`` or
     ``int()``. It declines by raising ``ValueError``, by warning (it only
     warns when there are no rows) and by skipping blank lines, which
-    :func:`_parse_rows` rejects: then it returns fewer rows than lines."""
-    fields = [("x", np.float64, (dim,))] + ([("y", np.int64)] if has_label else [])
+    :func:`_parse_rows` rejects: then it returns fewer rows than lines.
+
+    A file of at least ``_SPLIT_CELLS`` cells parses in two processes when
+    this one may run on two CPUs (:func:`_parse_in_two`). Each line parses
+    on its own, so the two halves give the bits of the whole, and the file
+    is declined when either half is."""
+    dtype = np.dtype([("x", np.float64, (dim,))] + ([("y", np.int64)] if has_label else []))
+    features = np.empty((len(lines), dim))
+    labels = np.empty(len(lines), dtype=np.int64) if has_label else None
+
+    def fill(start: int, rows) -> bool:
+        """Copy the structured ``rows`` into place from row ``start``;
+        ``False`` where they were declined (``None``)."""
+        if rows is None:
+            return False
+        features[start : start + len(rows)] = rows["x"]
+        if has_label:
+            labels[start : start + len(rows)] = rows["y"]
+        return True
+
+    if _splits(len(lines), dim + has_label):
+        parsed = _parse_in_two(lines, dtype, fill)
+    else:
+        parsed = fill(0, _parse_in_one(lines, dtype))
+    return (features, labels) if parsed else None
+
+
+def _splits(n_lines: int, n_columns: int) -> bool:
+    """Whether :func:`_parse_rows_fast` parses ``n_lines`` rows of
+    ``n_columns`` cells in two processes."""
+    return (
+        n_lines >= 2
+        and n_lines * n_columns >= _SPLIT_CELLS
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        # Another Python thread could hold a lock that the child then waits
+        # on forever.
+        and threading.active_count() == 1
+    )
+
+
+def _parse_in_one(lines: list[str], dtype: np.dtype):
+    """The structured array of ``lines`` from NumPy's C reader, or ``None``
+    where it declines them."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(lines, dtype=fields, delimiter=",", comments=None, ndmin=1)
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    if rows.shape != (len(lines),):
-        return None
-    labels = np.ascontiguousarray(rows["y"]) if has_label else None
-    return np.ascontiguousarray(rows["x"]), labels
+    return rows if rows.shape == (len(lines),) else None
+
+
+def _parse_in_two(lines: list[str], dtype: np.dtype, fill) -> bool:
+    """``fill`` the rows of ``lines``: the first half parsed here while a
+    forked child parses the second into an anonymous shared mapping. Returns
+    ``False`` where either half declines or the child does not exit with
+    status 0. The child is always waited for. This process copies its own
+    half into place before it reads the child's, so it holds the structured
+    rows of one half at a time."""
+    cut = len(lines) // 2
+    try:
+        shared = mmap.mmap(-1, (len(lines) - cut) * dtype.itemsize)
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that a fork with threads alive may deadlock
+            # the child. _splits forks only when no other Python thread runs,
+            # so the threads left are BLAS workers, which OpenBLAS stops
+            # before a fork; and the child never calls BLAS: it runs the C
+            # reader and leaves by os._exit. The warning has no reader here,
+            # and it must not reach a caller that turns warnings into errors.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no memory or process slot left: parse in one
+        return fill(0, _parse_in_one(lines, dtype))
+    with shared:
+        if pid == 0:
+            # The child only parses, and reports by its exit status. os._exit
+            # keeps it from returning into the caller's code, and from running
+            # atexit handlers or flushing output buffers that it shares with
+            # this process.
+            code = 1
+            try:
+                tail = _parse_in_one(lines[cut:], dtype)
+                if tail is not None:
+                    np.frombuffer(shared, dtype)[:] = tail
+                    code = 0
+            finally:
+                os._exit(code)
+        try:
+            parsed = fill(0, _parse_in_one(lines[:cut], dtype))
+        finally:
+            _, status = os.waitpid(pid, 0)
+        return (
+            parsed
+            and os.waitstatus_to_exitcode(status) == 0
+            and fill(cut, np.frombuffer(shared, dtype))
+        )
 
 
 def _parse_rows(path, lines: list[str], dim: int, has_label: bool):

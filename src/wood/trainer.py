@@ -4,8 +4,9 @@ Each step draws a batch of labeled InD samples (shuffled without
 replacement per epoch) plus a smaller batch of unlabeled OOD samples
 (uniform with replacement), evaluates the combined loss, backpropagates the
 explicit softmax-output gradients, and applies one SGD-with-momentum
-update. Everything is deterministic given (seed, data, config) in
-single-threaded mode.
+update. Everything is deterministic given (seed, data, config) and the
+BLAS thread count: the last bits of a matrix product can differ between
+thread counts. The CPU count that a dataset CSV parses on changes no bit.
 """
 
 from __future__ import annotations

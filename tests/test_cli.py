@@ -1018,11 +1018,16 @@ def test_config_line_accepts_what_the_flag_accepts(fuzz_files, flag, value):
         assert (run_dir / "cfg" / "checkpoint.json").read_bytes() == flag_ckpt
 
 
+def fresh_env():
+    """The environment for a fresh interpreter that imports this ``wood``."""
+    src = str(Path(wood.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_import_loads_no_scipy():
     # NumPy is the only runtime dependency, and the test oracles are not
     # one; a fresh interpreter shows what importing the package pulls in.
-    src = str(Path(wood.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = fresh_env()
     for modules in ("wood.cli", "wood, wood.cli"):
         probe = (
             f"import sys, {modules}; print([m for m in sys.modules"
@@ -1040,9 +1045,27 @@ def test_readme_quickstart_runs():
     readme = (root / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library quickstart", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    src = str(root / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True
+    )
     assert result.returncode == 0, result.stderr
     auroc, fnr = map(float, result.stdout.split())
     assert 0.0 <= fnr <= 1.0 and 0.5 < auroc <= 1.0
+
+
+def test_diverged_train_keeps_its_settings(tmp_path):
+    # The run that most needs explaining is one that diverges: in its own
+    # process, it exits 3 with one line and leaves its settings, but no
+    # checkpoint, under --out.
+    ind_csv = gen_blobs(tmp_path / "data", n=30)
+    out = tmp_path / "run"
+    argv = ["train", "--ind", str(ind_csv), "--b-ood", "0", "--epochs", "5", "--lr", "1e300"]
+    result = subprocess.run(
+        [sys.executable, "-m", "wood.cli", *argv, "--out", str(out)],
+        env=fresh_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == 3
+    err = result.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric error: model diverged: "), err
+    assert [path.name for path in out.iterdir()] == ["run_config.txt"]
+    assert "lr=1e+300\nmomentum=0.9\n" in (out / "run_config.txt").read_text(encoding="utf-8")

@@ -2,12 +2,16 @@
 
 import gzip
 import io
+import os
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wood.data
 from wood.data import (
     Dataset,
     Role,
@@ -279,9 +283,10 @@ def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("csv") / "d.csv"
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_fast_reader_agrees_with_line_loop(csv_path, data):
+def _loader_agrees_with_line_loop(csv_path, data):
+    """Draw a dataset CSV into ``csv_path``, load it, and check the result
+    against :func:`_parse_rows` and ``Dataset``. Returns the role, the data
+    rows (``None`` for a file that is not ASCII) and the loader's outcome."""
     dim = data.draw(st.integers(1, 3))
     has_label = data.draw(st.booleans())
     role = data.draw(st.sampled_from(Role))
@@ -292,7 +297,7 @@ def test_fast_reader_agrees_with_line_loop(csv_path, data):
     if 0xE9 in raw:
         offset = raw.index(0xE9)
         assert loaded == (InputError, f"{csv_path}: byte 0xe9 at offset {offset} is not ascii")
-        return
+        return role, None, loaded
     # The data rows as a text-mode file iterates them.
     lines = [line.rstrip("\n") for line in io.StringIO(text, newline=None)][1:]
     fast = _parse_rows_fast(lines, dim, has_label)
@@ -305,17 +310,138 @@ def test_fast_reader_agrees_with_line_loop(csv_path, data):
             assert fast[1].dtype == parsed[1].dtype
     if status != "ok":
         assert loaded == (status, parsed)
-        return
+        return role, lines, loaded
     expected = _outcome(lambda: Dataset(parsed[0], parsed[1] if role is Role.IND else None, role))
     if expected[0] != "ok":
         # The loader names its file in front of the Dataset's own message.
         assert loaded == (expected[0], f"{csv_path}: {expected[1]}")
-        return
+        return role, lines, loaded
     assert loaded[0] == "ok"
     ds = loaded[1]
     assert _same_bits(ds.features, expected[1].features)
     if role is Role.IND:
         np.testing.assert_array_equal(ds.labels, expected[1].labels)
+    return role, lines, loaded
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fast_reader_agrees_with_line_loop(csv_path, data):
+    _loader_agrees_with_line_loop(csv_path, data)
+
+
+def _same_outcome(a, b):
+    if a[0] != "ok" or b[0] != "ok":
+        return a == b
+    return _same_bits(a[1].features, b[1].features) and (
+        a[1].role is Role.OOD or np.array_equal(a[1].labels, b[1].labels)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_split_reader_agrees_with_line_loop(csv_path, data):
+    # With the threshold at one cell, every file of two or more rows parses
+    # in two processes, so a bad cell, a blank line or an over-long label
+    # often lands in the child's half.
+    real_fork = os.fork
+    forks = []
+
+    def counted_fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    with (
+        mock.patch.object(wood.data, "_SPLIT_CELLS", 1),
+        mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True),
+        mock.patch.object(os, "fork", counted_fork),
+    ):
+        role, lines, split = _loader_agrees_with_line_loop(csv_path, data)
+    with pytest.raises(ChildProcessError):  # every child was waited for
+        os.waitpid(-1, os.WNOHANG)
+    if lines is None:
+        return
+    assert bool(forks) == (len(lines) >= 2)
+    whole = _outcome(lambda: load_dataset_csv(csv_path, role))
+    assert _same_outcome(split, whole), (split, whole)
+
+
+@pytest.fixture(scope="module")
+def big_csv(tmp_path_factory):
+    """A labeled dataset CSV over the two-process threshold, and its data."""
+    rng = np.random.default_rng(5)
+    ds = Dataset(rng.standard_normal((2000, 50)), rng.integers(0, 3, 2000), Role.IND)
+    assert ds.n * (ds.dim + 1) >= wood.data._SPLIT_CELLS
+    path = tmp_path_factory.mktemp("big") / "big.csv"
+    save_dataset_csv(ds, path)
+    return path, ds
+
+
+class TestTwoProcessParse:
+    def test_forks_once_and_keeps_the_bits(self, big_csv, monkeypatch):
+        path, ds = big_csv
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+        back = load_dataset_csv(path, Role.IND)
+        assert len(forks) == 1
+        assert _same_bits(back.features, ds.features) and back.features.flags.c_contiguous
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        assert back.labels.dtype == np.int64
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus, fork_error", [({0}, AssertionError), ({0, 1}, OSError)])
+    def test_parses_in_one_process_without_a_fork(self, big_csv, monkeypatch, cpus, fork_error):
+        # One CPU: the loader must not fork. A fork that fails (no memory or
+        # process slot): it parses in one process.
+        path, ds = big_csv
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+        def failing_fork():
+            raise fork_error("fork")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        back = load_dataset_csv(path, Role.IND)
+        assert _same_bits(back.features, ds.features)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
+    def test_fork_warning_does_not_escape(self, big_csv, monkeypatch):
+        # Python 3.12+ warns in the parent when it forks with threads alive.
+        path, ds = big_csv
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        real_fork = os.fork
+
+        def warning_fork():
+            pid = real_fork()
+            if pid:
+                warnings.warn("use of fork() may lead to deadlocks", DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            back = load_dataset_csv(path, Role.IND)
+        assert caught == []
+        assert _same_bits(back.features, ds.features)
+
+    @pytest.mark.parametrize("row", [0, 999, 1000, 1999])
+    def test_bad_cell_names_its_line_in_either_half(self, big_csv, tmp_path, monkeypatch, row):
+        # The child parses rows 1000 on.
+        path, _ = big_csv
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        lines = path.read_text().split("\n")
+        cells = lines[1 + row].split(",")
+        lines[1 + row] = ",".join(cells[:1] + ["x"] + cells[2:])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines))
+        with pytest.raises(InputError) as info:
+            load_dataset_csv(bad, Role.IND)
+        assert str(info.value) == f"{bad}:{row + 2}: could not convert string to float: 'x'"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestIdxTrainingFlow:
