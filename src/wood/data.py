@@ -8,7 +8,6 @@ consume a label it should not have.
 from __future__ import annotations
 
 import gzip
-import mmap
 import os
 import struct
 import threading
@@ -307,9 +306,9 @@ def load_dataset_csv(path: str | Path, role: Role, n_classes: int | None = None)
     Feature cells are what ``float()`` accepts and labels what ``int()``
     accepts. Every ``InputError`` names the file, and a bad row ``path:line``.
     """
-    text = read_text(path, "ascii")
-    header, _, body = text.partition("\n")
-    header = header.strip()
+    # Only the lines stay referenced: the file's text goes once it is split.
+    lines = read_text(path, "ascii").split("\n")
+    header = lines.pop(0).strip()
     if not header:
         raise InputError(f"{path}: empty CSV")
     columns = header.split(",")
@@ -317,8 +316,7 @@ def load_dataset_csv(path: str | Path, role: Role, n_classes: int | None = None)
     dim = len(columns) - (1 if has_label else 0)
     if dim == 0:
         raise InputError(f"{path}: no feature columns")
-    lines = body.split("\n")
-    if lines[-1] == "":  # the newline that ends the last row starts no row
+    if lines[-1:] == [""]:  # the newline that ends the last row starts no row
         lines.pop()
     parsed = _parse_rows_fast(lines, dim, has_label)
     if parsed is None:
@@ -345,102 +343,102 @@ def _parse_rows_fast(lines: list[str], dim: int, has_label: bool):
     warns when there are no rows) and by skipping blank lines, which
     :func:`_parse_rows` rejects: then it returns fewer rows than lines.
 
-    A file of at least ``_SPLIT_CELLS`` cells parses in two processes when
-    this one may run on two CPUs (:func:`_parse_in_two`). Each line parses
-    on its own, so the two halves give the bits of the whole, and the file
-    is declined when either half is."""
+    A file of at least ``_SPLIT_CELLS`` cells parses in two processes
+    (:func:`_in_two`). Each line parses on its own, so the two halves give
+    the bits of the whole, and the file is declined when either half is."""
     dtype = np.dtype([("x", np.float64, (dim,))] + ([("y", np.int64)] if has_label else []))
+
+    def parse(start: int, stop: int) -> np.ndarray:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                lines[start:stop], dtype=dtype, delimiter=",", comments=None, ndmin=1
+            )
+        if rows.shape != (stop - start,):
+            raise ValueError("the C reader skipped a blank line")
+        return rows
+
+    try:
+        parts = _in_two(parse, len(lines), len(lines) * (dim + has_label) >= _SPLIT_CELLS)
+    except (ValueError, Warning):
+        return None
     features = np.empty((len(lines), dim))
     labels = np.empty(len(lines), dtype=np.int64) if has_label else None
-
-    def fill(start: int, rows) -> bool:
-        """Copy the structured ``rows`` into place from row ``start``;
-        ``False`` where they were declined (``None``)."""
-        if rows is None:
-            return False
+    start = 0
+    for part in parts:
+        rows = np.frombuffer(part, dtype)
         features[start : start + len(rows)] = rows["x"]
         if has_label:
             labels[start : start + len(rows)] = rows["y"]
-        return True
-
-    if _splits(len(lines), dim + has_label):
-        parsed = _parse_in_two(lines, dtype, fill)
-    else:
-        parsed = fill(0, _parse_in_one(lines, dtype))
-    return (features, labels) if parsed else None
+        start += len(rows)
+    return features, labels
 
 
-def _splits(n_lines: int, n_columns: int) -> bool:
-    """Whether :func:`_parse_rows_fast` parses ``n_lines`` rows of
-    ``n_columns`` cells in two processes."""
-    return (
-        n_lines >= 2
-        and n_lines * n_columns >= _SPLIT_CELLS
+def _in_two(render, n: int, big: bool) -> list:
+    """The parts of ``render(0, n)``, whose bytes-like result for items
+    ``[0, n)`` must be its results for ``[0, cut)`` and ``[cut, n)`` joined.
+
+    Where ``big`` is true, ``n >= 2``, this process may run on two or more
+    CPUs and no other Python thread runs, a forked child renders
+    ``[cut, n)`` and sends the bytes back through a pipe while this process
+    renders ``[0, cut)``; the result is ``[head, tail]``. Otherwise, and
+    where the fork fails, it is ``[render(0, n)]``. A child that does not
+    exit with status 0 has its half rendered here. The child is always
+    waited for, and an exception of ``render`` here reaches the caller."""
+    if not (
+        big
+        and n >= 2
         and hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
         # Another Python thread could hold a lock that the child then waits
         # on forever.
         and threading.active_count() == 1
-    )
-
-
-def _parse_in_one(lines: list[str], dtype: np.dtype):
-    """The structured array of ``lines`` from NumPy's C reader, or ``None``
-    where it declines them."""
+    ):
+        return [render(0, n)]
+    cut = n // 2
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, Warning):
-        return None
-    return rows if rows.shape == (len(lines),) else None
-
-
-def _parse_in_two(lines: list[str], dtype: np.dtype, fill) -> bool:
-    """``fill`` the rows of ``lines``: the first half parsed here while a
-    forked child parses the second into an anonymous shared mapping. Returns
-    ``False`` where either half declines or the child does not exit with
-    status 0. The child is always waited for. This process copies its own
-    half into place before it reads the child's, so it holds the structured
-    rows of one half at a time."""
-    cut = len(lines) // 2
-    try:
-        shared = mmap.mmap(-1, (len(lines) - cut) * dtype.itemsize)
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that a fork with threads alive may deadlock
-            # the child. _splits forks only when no other Python thread runs,
-            # so the threads left are BLAS workers, which OpenBLAS stops
-            # before a fork; and the child never calls BLAS: it runs the C
-            # reader and leaves by os._exit. The warning has no reader here,
-            # and it must not reach a caller that turns warnings into errors.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:  # no memory or process slot left: parse in one
-        return fill(0, _parse_in_one(lines, dtype))
-    with shared:
+        r, w = os.pipe()
+    except OSError:  # no file descriptor left: render in one
+        return [render(0, n)]
+    with open(r, "rb", buffering=0) as reader, open(w, "wb") as writer:
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns that a fork with threads alive may
+                # deadlock the child. Only one Python thread runs, so the
+                # threads left are BLAS workers, which OpenBLAS stops before
+                # a fork; and the child only renders, which calls no BLAS,
+                # and leaves by os._exit.
+                # The warning has no reader here, and it must not reach a
+                # caller that turns warnings into errors.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:  # no memory or process slot left: render in one
+            return [render(0, n)]
         if pid == 0:
-            # The child only parses, and reports by its exit status. os._exit
-            # keeps it from returning into the caller's code, and from running
-            # atexit handlers or flushing output buffers that it shares with
-            # this process.
+            # The child only renders, and reports by its exit status.
+            # os._exit keeps it from returning into the caller's code, and
+            # from running atexit handlers or flushing output buffers that it
+            # shares with this process.
             code = 1
             try:
-                tail = _parse_in_one(lines[cut:], dtype)
-                if tail is not None:
-                    np.frombuffer(shared, dtype)[:] = tail
-                    code = 0
+                reader.close()  # so a write fails once this process closes its end
+                writer.write(render(cut, n))
+                writer.flush()
+                code = 0
             finally:
                 os._exit(code)
+        writer.close()  # the child holds the only write end: EOF when it exits
         try:
-            parsed = fill(0, _parse_in_one(lines[:cut], dtype))
+            head = render(0, cut)
+            tail = reader.readall()
         finally:
+            # A child still writing sees the closed pipe and exits.
+            reader.close()
             _, status = os.waitpid(pid, 0)
-        return (
-            parsed
-            and os.waitstatus_to_exitcode(status) == 0
-            and fill(cut, np.frombuffer(shared, dtype))
-        )
+    if os.waitstatus_to_exitcode(status) != 0:
+        tail = render(cut, n)
+    return [head, tail]
 
 
 def _parse_rows(path, lines: list[str], dim: int, has_label: bool):

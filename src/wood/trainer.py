@@ -6,12 +6,16 @@ replacement per epoch) plus a smaller batch of unlabeled OOD samples
 explicit softmax-output gradients, and applies one SGD-with-momentum
 update. Everything is deterministic given (seed, data, config) and the
 BLAS thread count: the last bits of a matrix product can differ between
-thread counts. The CPU count that a dataset CSV parses on changes no bit.
+thread counts. The CPU count changes no bit of any output: a dataset CSV
+parsed, or a checkpoint written, in two processes has the bits of one.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -21,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, read_text
+from .data import Dataset, _in_two, read_text
 from .errors import InputError, NumericError
 from .geometry import ScoreConfig
 from .loss import LossValue, _loss_and_grad
@@ -230,20 +234,53 @@ class Checkpoint:
     rng_digest: str
 
 
+# A checkpoint of at least this many parameters renders in two processes.
+# A parameter takes about 1.5 us to render, so 20k of them take about 30 ms,
+# and the half that a forked child takes over is worth about three forks of
+# a training process (about 5 ms each, with the write faults that follow).
+_SPLIT_PARAMS = 20_000
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    """Write ``ckpt`` as the text of ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` and a newline. Finite parameters are rendered
+    here by ``repr``, as ``json.dumps`` renders them, one weight-matrix row
+    or bias vector at a time; at least ``_SPLIT_PARAMS`` of them in two
+    processes (:func:`wood.data._in_two`)."""
     model = ckpt.model
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "layer_dims": list(model.layer_dims),
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "activation": ACTIVATION,
-        "normalization": ckpt.normalization,
-        "n_classes": model.n_classes,
-        "train_config": ckpt.train_config,
-        "rng_digest": ckpt.rng_digest,
+    dump = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    fields = {
+        "format_version": dump(CHECKPOINT_VERSION),
+        "layer_dims": dump(list(model.layer_dims)),
+        "activation": dump(ACTIVATION),
+        "normalization": dump(ckpt.normalization),
+        "n_classes": dump(model.n_classes),
+        "train_config": dump(ckpt.train_config),
+        "rng_digest": dump(ckpt.rng_digest),
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    if np.isfinite(model.params).all():
+        # The JSON order: the biases, then the rows of each weight matrix.
+        vectors = [*model.biases, *(row for w in model.weights for row in w)]
+        starts = list(itertools.accumulate((v.size for v in vectors[:-1]), initial=0))
+
+        def render(start: int, stop: int) -> bytes:
+            """A ``[...]`` line for each vector that starts at a parameter
+            index in ``[start, stop)``, so the halves split at whole rows."""
+            first, last = bisect.bisect_left(starts, start), bisect.bisect_left(starts, stop)
+            lines = (f"[{','.join(map(repr, v.tolist()))}]\n" for v in vectors[first:last])
+            return "".join(lines).encode("ascii")
+
+        size = model.params.size
+        rendered = b"".join(_in_two(render, size, size >= _SPLIT_PARAMS)).decode("ascii")
+        rows = iter(rendered.split("\n"))
+        fields["biases"] = "[" + ",".join(itertools.islice(rows, len(model.biases))) + "]"
+        matrices = (",".join(itertools.islice(rows, len(w))) for w in model.weights)
+        fields["weights"] = "[" + ",".join(f"[{m}]" for m in matrices) + "]"
+    else:
+        # json.dumps writes NaN and Infinity where repr writes nan and inf.
+        fields["biases"] = dump([b.tolist() for b in model.biases])
+        fields["weights"] = dump([w.tolist() for w in model.weights])
+    text = "{" + ",".join(f"{dump(key)}:{fields[key]}" for key in sorted(fields)) + "}\n"
     Path(path).write_text(text, encoding="ascii")
 
 

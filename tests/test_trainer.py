@@ -1,16 +1,20 @@
 """Batch construction, training mechanics, and checkpoint persistence."""
 
 import hashlib
+import json
 import math
+import os
 import re
 import warnings
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wood.trainer
 from wood.data import Dataset, Role, SyntheticKind, SyntheticSpec, synth
 from wood.errors import InputError, NumericError
 from wood.geometry import EvalPath, ScoreConfig, _score_rows, scores
@@ -477,6 +481,48 @@ class TestCheckpoint:
         save_checkpoint(make_checkpoint(model, {"kind": "identity"}, rng_digest="digest"), path)
         digest = "577d58688a2b39caff817a38d0c2b86f5e8e29e110d13a77fa5053845e67440e"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layer_dims=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+        data=st.data(),
+        non_finite=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+    )
+    def test_split_rendering_is_json_dumps(self, tmp_path_factory, layer_dims, data, non_finite):
+        # With the threshold at one parameter, every finite checkpoint renders
+        # in two processes; a non-finite one goes to json.dumps whole.
+        model = init(layer_dims, seed=0)
+        special = st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 1e-5, 1.7976931348623157e308])
+        value = st.one_of(special, st.floats(allow_nan=False, allow_infinity=False))
+        size = model.params.size
+        model.params[:] = data.draw(st.lists(value, min_size=size, max_size=size))
+        if non_finite is not None:
+            model.params[data.draw(st.integers(0, size - 1))] = non_finite
+        ckpt = make_checkpoint(model, {"kind": "identity"}, rng_digest="digest")
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+        real_fork, forks = os.fork, []
+        with (
+            mock.patch.object(wood.trainer, "_SPLIT_PARAMS", 1),
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True),
+            mock.patch.object(os, "fork", lambda: forks.append(None) or real_fork()),
+        ):
+            save_checkpoint(ckpt, path)
+        with pytest.raises(ChildProcessError):  # every child was waited for
+            os.waitpid(-1, os.WNOHANG)
+        assert len(forks) == (non_finite is None)
+        payload = {
+            "format_version": 1,
+            "layer_dims": list(model.layer_dims),
+            "weights": [w.tolist() for w in model.weights],
+            "biases": [b.tolist() for b in model.biases],
+            "activation": "relu",
+            "normalization": ckpt.normalization,
+            "n_classes": model.n_classes,
+            "train_config": ckpt.train_config,
+            "rng_digest": ckpt.rng_digest,
+        }
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_text(encoding="ascii") == expected
 
     def test_truncated_file(self, tmp_path):
         _, path = self.make(tmp_path)
