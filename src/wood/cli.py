@@ -24,7 +24,6 @@ from .data import (
     Role,
     SyntheticKind,
     SyntheticSpec,
-    _in_two,
     load_dataset_csv,
     read_text,
     save_dataset_csv,
@@ -372,12 +371,6 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-# A ``scores.csv`` of at least this many rows renders in two processes. A row
-# takes about 2.8 us to render, so 10k rows take about 28 ms, and the half
-# that a forked child takes over is worth about three forks (about 4 ms each).
-_SPLIT_ROWS = 10_000
-
-
 def _cmd_score(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = ckpt.model
@@ -394,14 +387,9 @@ def _cmd_score(args) -> int:
         header += ",decision"
         row += ",{}"
         columns.append((values > args.epsilon).astype(np.int8).tolist())
-
-    def render(start: int, stop: int) -> bytes:
-        lines = map((row + "\n").format, *(column[start:stop] for column in columns))
-        return "".join(lines).encode("ascii")
-
-    parts = _in_two(render, values.size, values.size >= _SPLIT_ROWS)
+    text = header + "\n" + "".join(map((row + "\n").format, *columns))
     out_dir = _prepare_out(args)
-    (out_dir / "scores.csv").write_bytes(b"".join([f"{header}\n".encode("ascii"), *parts]))
+    (out_dir / "scores.csv").write_text(text, encoding="ascii")
     print(f"wrote {out_dir / 'scores.csv'} ({ds.n} rows)")
     return EXIT_OK
 

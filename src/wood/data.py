@@ -8,9 +8,7 @@ consume a label it should not have.
 from __future__ import annotations
 
 import gzip
-import os
 import struct
-import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -18,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._split import in_two
 from .errors import InputError
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -344,8 +343,10 @@ def _parse_rows_fast(lines: list[str], dim: int, has_label: bool):
     :func:`_parse_rows` rejects: then it returns fewer rows than lines.
 
     A file of at least ``_SPLIT_CELLS`` cells parses in two processes
-    (:func:`_in_two`). Each line parses on its own, so the two halves give
-    the bits of the whole, and the file is declined when either half is."""
+    (:func:`wood._split.in_two`). Each line parses on its own, so the two
+    halves give the bits of the whole, and the file is declined when either
+    half is. A half that the child declines is parsed again here before the
+    decline reaches the caller: a bad file costs one more half-parse."""
     dtype = np.dtype([("x", np.float64, (dim,))] + ([("y", np.int64)] if has_label else []))
 
     def parse(start: int, stop: int) -> np.ndarray:
@@ -359,7 +360,7 @@ def _parse_rows_fast(lines: list[str], dim: int, has_label: bool):
         return rows
 
     try:
-        parts = _in_two(parse, len(lines), len(lines) * (dim + has_label) >= _SPLIT_CELLS)
+        parts = in_two(parse, len(lines), len(lines) * (dim + has_label) >= _SPLIT_CELLS)
     except (ValueError, Warning):
         return None
     features = np.empty((len(lines), dim))
@@ -372,73 +373,6 @@ def _parse_rows_fast(lines: list[str], dim: int, has_label: bool):
             labels[start : start + len(rows)] = rows["y"]
         start += len(rows)
     return features, labels
-
-
-def _in_two(render, n: int, big: bool) -> list:
-    """The parts of ``render(0, n)``, whose bytes-like result for items
-    ``[0, n)`` must be its results for ``[0, cut)`` and ``[cut, n)`` joined.
-
-    Where ``big`` is true, ``n >= 2``, this process may run on two or more
-    CPUs and no other Python thread runs, a forked child renders
-    ``[cut, n)`` and sends the bytes back through a pipe while this process
-    renders ``[0, cut)``; the result is ``[head, tail]``. Otherwise, and
-    where the fork fails, it is ``[render(0, n)]``. A child that does not
-    exit with status 0 has its half rendered here. The child is always
-    waited for, and an exception of ``render`` here reaches the caller."""
-    if not (
-        big
-        and n >= 2
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        # Another Python thread could hold a lock that the child then waits
-        # on forever.
-        and threading.active_count() == 1
-    ):
-        return [render(0, n)]
-    cut = n // 2
-    try:
-        r, w = os.pipe()
-    except OSError:  # no file descriptor left: render in one
-        return [render(0, n)]
-    with open(r, "rb", buffering=0) as reader, open(w, "wb") as writer:
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12+ warns that a fork with threads alive may
-                # deadlock the child. Only one Python thread runs, so the
-                # threads left are BLAS workers, which OpenBLAS stops before
-                # a fork; and the child only renders, which calls no BLAS,
-                # and leaves by os._exit.
-                # The warning has no reader here, and it must not reach a
-                # caller that turns warnings into errors.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-        except OSError:  # no memory or process slot left: render in one
-            return [render(0, n)]
-        if pid == 0:
-            # The child only renders, and reports by its exit status.
-            # os._exit keeps it from returning into the caller's code, and
-            # from running atexit handlers or flushing output buffers that it
-            # shares with this process.
-            code = 1
-            try:
-                reader.close()  # so a write fails once this process closes its end
-                writer.write(render(cut, n))
-                writer.flush()
-                code = 0
-            finally:
-                os._exit(code)
-        writer.close()  # the child holds the only write end: EOF when it exits
-        try:
-            head = render(0, cut)
-            tail = reader.readall()
-        finally:
-            # A child still writing sees the closed pipe and exits.
-            reader.close()
-            _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
-        tail = render(cut, n)
-    return [head, tail]
 
 
 def _parse_rows(path, lines: list[str], dim: int, has_label: bool):

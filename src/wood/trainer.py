@@ -13,7 +13,6 @@ parsed, or a checkpoint written, in two processes has the bits of one.
 from __future__ import annotations
 
 import bisect
-import functools
 import hashlib
 import itertools
 import json
@@ -25,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, _in_two, read_text
+from ._split import in_two
+from .data import Dataset, read_text
 from .errors import InputError, NumericError
 from .geometry import ScoreConfig
 from .loss import LossValue, _loss_and_grad
@@ -243,12 +243,11 @@ _SPLIT_PARAMS = 20_000
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write ``ckpt`` as the text of ``json.dumps(payload, sort_keys=True,
-    separators=(",", ":"))`` and a newline. Finite parameters are rendered
-    here by ``repr``, as ``json.dumps`` renders them, one weight-matrix row
-    or bias vector at a time; at least ``_SPLIT_PARAMS`` of them in two
-    processes (:func:`wood.data._in_two`)."""
+    separators=(",", ":"))`` and a newline. The parameters are dumped one
+    weight-matrix row or bias vector at a time; at least ``_SPLIT_PARAMS`` of
+    them in two processes (:func:`wood._split.in_two`)."""
     model = ckpt.model
-    dump = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     fields = {
         "format_version": dump(CHECKPOINT_VERSION),
         "layer_dims": dump(list(model.layer_dims)),
@@ -258,28 +257,22 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "train_config": dump(ckpt.train_config),
         "rng_digest": dump(ckpt.rng_digest),
     }
-    if np.isfinite(model.params).all():
-        # The JSON order: the biases, then the rows of each weight matrix.
-        vectors = [*model.biases, *(row for w in model.weights for row in w)]
-        starts = list(itertools.accumulate((v.size for v in vectors[:-1]), initial=0))
+    # The JSON order: the biases, then the rows of each weight matrix.
+    vectors = [*model.biases, *(row for w in model.weights for row in w)]
+    starts = list(itertools.accumulate((v.size for v in vectors[:-1]), initial=0))
 
-        def render(start: int, stop: int) -> bytes:
-            """A ``[...]`` line for each vector that starts at a parameter
-            index in ``[start, stop)``, so the halves split at whole rows."""
-            first, last = bisect.bisect_left(starts, start), bisect.bisect_left(starts, stop)
-            lines = (f"[{','.join(map(repr, v.tolist()))}]\n" for v in vectors[first:last])
-            return "".join(lines).encode("ascii")
+    def render(start: int, stop: int) -> bytes:
+        """A line for each vector that starts at a parameter index in
+        ``[start, stop)``, so the halves split at whole rows."""
+        first, last = bisect.bisect_left(starts, start), bisect.bisect_left(starts, stop)
+        return "".join(f"{dump(v.tolist())}\n" for v in vectors[first:last]).encode("ascii")
 
-        size = model.params.size
-        rendered = b"".join(_in_two(render, size, size >= _SPLIT_PARAMS)).decode("ascii")
-        rows = iter(rendered.split("\n"))
-        fields["biases"] = "[" + ",".join(itertools.islice(rows, len(model.biases))) + "]"
-        matrices = (",".join(itertools.islice(rows, len(w))) for w in model.weights)
-        fields["weights"] = "[" + ",".join(f"[{m}]" for m in matrices) + "]"
-    else:
-        # json.dumps writes NaN and Infinity where repr writes nan and inf.
-        fields["biases"] = dump([b.tolist() for b in model.biases])
-        fields["weights"] = dump([w.tolist() for w in model.weights])
+    size = model.params.size
+    parts = in_two(render, size, size >= _SPLIT_PARAMS)
+    rows = iter(b"".join(parts).decode("ascii").split("\n"))
+    fields["biases"] = "[" + ",".join(itertools.islice(rows, len(model.biases))) + "]"
+    matrices = (",".join(itertools.islice(rows, len(w))) for w in model.weights)
+    fields["weights"] = "[" + ",".join(f"[{m}]" for m in matrices) + "]"
     text = "{" + ",".join(f"{dump(key)}:{fields[key]}" for key in sorted(fields)) + "}\n"
     Path(path).write_text(text, encoding="ascii")
 

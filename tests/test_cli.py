@@ -476,37 +476,6 @@ class TestScoringCommands:
         want = reference_scores_csv(values, classes, epsilon)
         assert (out / "scores.csv").read_bytes() == want.encode("ascii")
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
-        epsilon=st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
-    )
-    def test_split_scores_csv_equals_per_row_rendering(self, values, epsilon):
-        # With the threshold at one row, every file of two or more rows
-        # renders in two processes.
-        values = np.array(values)
-        classes = np.arange(values.size) % 3
-        real_fork, forks = os.fork, []
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            tmp = Path(tmp)
-            write_checkpoint(tmp / "checkpoint.json")
-            features = tmp / "f.csv"
-            features.write_text("f0,f1\n" + "0.5,1.0\n" * values.size)
-            mp.setattr("wood.cli.scores", lambda probs, cfg: (values, classes))
-            mp.setattr("wood.cli._SPLIT_ROWS", 1)
-            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-            mp.setattr(os, "fork", lambda: forks.append(None) or real_fork())
-            argv = ["score", "--checkpoint", str(tmp / "checkpoint.json")]
-            argv += ["--features", str(features), "--out", str(tmp / "out")]
-            if epsilon is not None:
-                argv.append(f"--epsilon={epsilon!r}")
-            assert run_cli(*argv) == 0
-            written = (tmp / "out" / "scores.csv").read_bytes()
-        with pytest.raises(ChildProcessError):  # every child was waited for
-            os.waitpid(-1, os.WNOHANG)
-        assert len(forks) == (values.size >= 2)
-        assert written == reference_scores_csv(values, classes, epsilon).encode("ascii")
-
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
     def test_non_finite_epsilon_is_a_usage_error(self, inputs, epsilon, tmp_path, capsys):
         ind_csv, checkpoint = inputs
