@@ -20,7 +20,7 @@ def _no_child_left():
 
 
 class TestInTwo:
-    N = 100_000  # 300 kB from the child, more than a pipe holds
+    N = 100_000  # about 300 kB from the child
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -36,18 +36,23 @@ class TestInTwo:
         _no_child_left()
 
     @pytest.mark.parametrize(
-        "cpus, big, fork_error",
-        [({0}, True, AssertionError), ({0, 1}, False, AssertionError), ({0, 1}, True, OSError)],
+        "cpus, big, broken, error",
+        [
+            ({0}, True, "fork", AssertionError),
+            ({0, 1}, False, "fork", AssertionError),
+            ({0, 1}, True, "fork", OSError),
+            ({0, 1}, True, "memfd_create", OSError),
+        ],
     )
-    def test_renders_in_one_process_without_a_fork(self, monkeypatch, cpus, big, fork_error):
-        # One CPU or a small job: no fork. A fork that fails (no memory or
-        # process slot): one process.
+    def test_renders_in_one_process_without_a_fork(self, monkeypatch, cpus, big, broken, error):
+        # One CPU or a small job: no fork. A fork or an in-memory file that
+        # fails (no memory, process slot or descriptor): one process.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
-        def failing_fork():
-            raise fork_error("fork")
+        def failing(*args):
+            raise error(broken)
 
-        monkeypatch.setattr(os, "fork", failing_fork)
+        monkeypatch.setattr(os, broken, failing)
         assert in_two(_numbers, self.N, big) == [_numbers(0, self.N)]
         _no_child_left()
 
@@ -66,7 +71,6 @@ class TestInTwo:
         _no_child_left()
 
     def test_an_error_here_waits_for_the_child(self):
-        # The child blocks on a full pipe until this process closes its end.
         parent = os.getpid()
 
         def render(start, stop):
