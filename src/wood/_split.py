@@ -1,31 +1,45 @@
-"""The package's one fork path: a job split between this process and a
-forked child, with the bytes of the job done in one process."""
+"""The package's one fork path: two jobs side by side, one in this process
+and one in a forked child, with the results of running both in one process.
+
+:func:`beside` is the primitive, and :func:`in_two` splits one job into two
+halves on top of it. Large CSV files parse, and large checkpoints render, in
+two halves; ``wood evaluate`` loads its ``--ood`` file beside the checkpoint
+and its ``--ind`` file. A split requested inside either job of a forked
+:func:`beside` runs in one process, so at most two processes run at once."""
 
 from __future__ import annotations
 
 import os
+import signal
 import threading
 import warnings
 
+# True in both jobs of a forked ``beside``: the split of a job nested in one
+# runs in one process.
+_inside = False
 
-def in_two(render, n: int, big: bool) -> list:
-    """The parts of ``render(0, n)``, whose bytes-like result for items
-    ``[0, n)`` must be its results for ``[0, cut)`` and ``[cut, n)`` joined.
 
-    Where ``big`` is true, ``n >= 2``, this process may run on two or more
-    CPUs and no other Python thread runs, a forked child renders
-    ``[cut, n)`` into an anonymous in-memory file while this process renders
-    ``[0, cut)``; the result is ``[head, tail]``. Otherwise, and where the
-    fork fails, it is ``[render(0, n)]``. A child that does not exit with
-    status 0 has its half rendered here. The child is always waited for,
-    and an exception of ``render`` here reaches the caller.
+def beside(here, there, big: bool):
+    """``(here(), there())``, where ``there`` returns bytes-like, run side by
+    side: a forked child writes the bytes of ``there()`` into an anonymous
+    in-memory file while this process runs ``here()``.
+
+    The result is ``None``, and neither job has run, where ``big`` is false,
+    this process may run on one CPU only, another Python thread runs, the
+    call is made inside a job of a forked ``beside``, or the in-memory file
+    or the fork fails; the caller then runs the jobs in one process. A child
+    that does not exit with status 0 has ``there()`` run here after
+    ``here()``, so the jobs' errors reach the caller in the order that one
+    process raises them. The child is always waited for; where ``here``
+    raises, it is killed first, and the exception reaches the caller.
 
     A pipe would hold the child's bytes until this process finished its own
-    half and then pass them over 64 kB at a time: 3 MB took about 12 ms that
+    job and then pass them over 64 kB at a time: 3 MB took about 12 ms that
     way against 3 ms from the file, the wait for the child's exit included."""
+    global _inside
     if not (
         big
-        and n >= 2
+        and not _inside
         and hasattr(os, "fork")
         and hasattr(os, "memfd_create")
         and hasattr(os, "sched_getaffinity")
@@ -34,43 +48,64 @@ def in_two(render, n: int, big: bool) -> list:
         # on forever.
         and threading.active_count() == 1
     ):
-        return [render(0, n)]
-    cut = n // 2
+        return None
     try:
-        fd = os.memfd_create("half")
-    except OSError:  # no file descriptor or memory left: render in one
-        return [render(0, n)]
-    with open(fd, "r+b") as half:
+        fd = os.memfd_create("there")
+    except OSError:  # no file descriptor or memory left: one process
+        return None
+    with open(fd, "r+b") as file:
+        _inside = True
         try:
-            with warnings.catch_warnings():
-                # Python 3.12+ warns that a fork with threads alive may
-                # deadlock the child. Only one Python thread runs, so the
-                # threads left are BLAS workers, which OpenBLAS stops before
-                # a fork; and the child only renders, which calls no BLAS,
-                # and leaves by os._exit.
-                # The warning has no reader here, and it must not reach a
-                # caller that turns warnings into errors.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-        except OSError:  # no memory or process slot left: render in one
-            return [render(0, n)]
-        if pid == 0:
-            # The child only renders, and reports by its exit status.
-            # os._exit keeps it from returning into the caller's code, and
-            # from running atexit handlers or flushing output buffers that it
-            # shares with this process.
-            code = 1
             try:
-                half.write(render(cut, n))
-                half.flush()
-                code = 0
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns that a fork with threads alive may
+                    # deadlock the child. Only one Python thread runs, so the
+                    # threads left are BLAS workers, which OpenBLAS stops
+                    # before a fork; and the child's jobs parse and render,
+                    # which calls no BLAS, and it leaves by os._exit.
+                    # The warning has no reader here, and it must not reach a
+                    # caller that turns warnings into errors.
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # no memory or process slot left: one process
+                return None
+            if pid == 0:
+                # The child only runs ``there``, and reports by its exit
+                # status. os._exit keeps it from returning into the caller's
+                # code, and from running atexit handlers or flushing output
+                # buffers that it shares with this process.
+                code = 1
+                try:
+                    file.write(there())
+                    file.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            try:
+                mine = here()
+            except BaseException:
+                # No one reads the child's bytes, so the error is reported
+                # without waiting for its job.
+                os.kill(pid, signal.SIGKILL)
+                raise
             finally:
-                os._exit(code)
-        try:
-            head = render(0, cut)
+                _, status = os.waitpid(pid, 0)
+            if os.waitstatus_to_exitcode(status) == 0:
+                file.seek(0)
+                return mine, file.read()
+            return mine, there()
         finally:
-            _, status = os.waitpid(pid, 0)
-        if os.waitstatus_to_exitcode(status) == 0:
-            half.seek(0)
-            return [head, half.read()]
-    return [head, render(cut, n)]
+            _inside = False
+
+
+def in_two(render, n: int, big: bool) -> list:
+    """The parts of ``render(0, n)``, whose bytes-like result for items
+    ``[0, n)`` must be its results for ``[0, cut)`` and ``[cut, n)`` joined.
+
+    Where ``big`` is true and ``n >= 2``, a forked child renders
+    ``[cut, n)`` beside this process rendering ``[0, cut)``
+    (:func:`beside`); the result is ``[head, tail]``. Where no child is
+    forked, it is ``[render(0, n)]``."""
+    cut = n // 2
+    both = beside(lambda: render(0, cut), lambda: render(cut, n), big and n >= 2)
+    return [render(0, n)] if both is None else list(both)

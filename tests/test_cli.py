@@ -14,10 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wood
+import wood.cli
 from wood.cli import _median_call_ms, _score_blocks, main
 from wood.data import Dataset, Role, load_dataset_csv, save_dataset_csv
 from wood.detect import evaluate, report_text
@@ -963,8 +966,23 @@ def test_fuzzed_argv_one_line_and_documented_exit(fuzz_files, argv):
     command=st.sampled_from(["score", "evaluate"]),
     ind=csv_texts(2, has_label=True),
     ood=csv_texts(2, has_label=False),
+    side_by_side=st.booleans(),
 )
-def test_fuzzed_csv_one_line_and_documented_exit(fuzz_files, command, ind, ood):
+# Files of similar size that evaluate without error: one fork.
+@example(
+    command="evaluate",
+    ind="f0,f1,label\n0.5,1.0,0\n-1.5,2.0,1\n",
+    ood="f0,f1\n0.25,-0.5\n3.0,1.0\n",
+    side_by_side=True,
+)
+# The InD file more than twice the OOD file: each file loads in turn.
+@example(
+    command="evaluate",
+    ind="f0,f1,label\n" + "0.5,1.0,0\n-1.5,2.0,1\n" * 2,
+    ood="f0,f1\n0.25,-0.5\n",
+    side_by_side=True,
+)
+def test_fuzzed_csv_one_line_and_documented_exit(fuzz_files, command, ind, ood, side_by_side):
     base, files = fuzz_files
     run_dir = Path(tempfile.mkdtemp(dir=base))
     ind_csv, ood_csv, out = run_dir / "ind.csv", run_dir / "ood.csv", run_dir / "out"
@@ -972,16 +990,38 @@ def test_fuzzed_csv_one_line_and_documented_exit(fuzz_files, command, ind, ood):
     ood_csv.write_bytes(ood.encode("latin-1"))
     inputs = dataset_flags(command, ind_csv, ood_csv)
     checkpoint = files["score"][1]
+    argv = [command, "--checkpoint", checkpoint, *inputs]
+    beside_out = run_dir / "beside"
+    forks = []
+    real_fork = os.fork
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, lines = _run_captured(
-            [command, "--checkpoint", checkpoint, *inputs, "--out", str(out)]
-        )
+        code, lines = _run_captured([*argv, "--out", str(out)])
+        if side_by_side:
+            # The same run where evaluate loads files of a few bytes side by
+            # side, as if on two CPUs.
+            with (
+                mock.patch.object(wood.cli, "_BESIDE_BYTES", 1),
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True),
+                mock.patch.object(os, "fork", lambda: forks.append(None) or real_fork()),
+            ):
+                beside_run = _run_captured([*argv, "--out", str(beside_out)])
     assert caught == []
     assert code in (0, 2)
     if code:
         assert len(lines) == 1 and lines[0].startswith("data error:"), lines
         assert not out.exists()
+    if side_by_side:
+        assert beside_run == (code, lines)
+        small, large = sorted(map(os.path.getsize, (ind_csv, ood_csv)))
+        assert len(forks) == (command == "evaluate" and large <= 2 * small)
+        if code:
+            assert not beside_out.exists()
+        elif command == "evaluate":
+            for name in ["report.txt", "hist_ind.csv", "hist_ood.csv", "run_config.txt"]:
+                assert (beside_out / name).read_bytes() == (out / name).read_bytes(), name
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # A config file sets train's settings by the flags' dest names.

@@ -1,12 +1,14 @@
-"""The one fork path: every outcome joins to the one-process bytes, and no
+"""The one fork path: every outcome gives the one-process results, and no
 child outlives the call."""
 
 import os
+import time
 import warnings
 
 import pytest
 
-from wood._split import in_two
+import wood._split
+from wood._split import beside, in_two
 
 
 def _numbers(start, stop):
@@ -17,6 +19,123 @@ def _numbers(start, stop):
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _counted_forks(monkeypatch):
+    """The list that grows by one on each ``os.fork`` call, in this process
+    or in a child forked after the call."""
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+    return forks
+
+
+class TestBeside:
+    N = 100_000
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_child_runs_there_beside_here(self, monkeypatch):
+        forks = _counted_forks(monkeypatch)
+        parent = os.getpid()
+        ran_here = []
+
+        def there():
+            assert os.getpid() != parent
+            return _numbers(0, self.N)
+
+        def here():
+            ran_here.append(os.getpid())
+            return "here"
+
+        assert beside(here, there, True) == ("here", _numbers(0, self.N))
+        assert ran_here == [parent]
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_a_failed_child_has_there_run_here_after_here(self):
+        parent = os.getpid()
+        calls = []
+
+        def there():
+            if os.getpid() != parent:
+                raise RuntimeError("the child fails")
+            calls.append("there")
+            return _numbers(0, self.N)
+
+        def here():
+            calls.append("here")
+            return "here"
+
+        assert beside(here, there, True) == ("here", _numbers(0, self.N))
+        assert calls == ["here", "there"]
+        _no_child_left()
+
+    def test_an_error_here_kills_and_reaps_the_child(self):
+        def here():
+            raise ValueError("declined")
+
+        def there():
+            time.sleep(30)
+            return b""
+
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="declined"):
+            beside(here, there, True)
+        assert time.monotonic() - started < 10
+        _no_child_left()
+        assert not wood._split._inside
+
+    def test_a_split_in_either_job_runs_in_one_process(self, monkeypatch):
+        forks = _counted_forks(monkeypatch)
+        parent = os.getpid()
+
+        def split():
+            parts = in_two(_numbers, self.N, True)
+            assert parts == [_numbers(0, self.N)]
+            return parts[0]
+
+        def there():
+            # The child reports the forks that it has seen: the one that made
+            # it, and any that its split made. A failed child would have this
+            # run here instead.
+            assert os.getpid() != parent
+            return split() + b"|%d" % len(forks)
+
+        here, there_bytes = beside(split, there, True)
+        assert here == _numbers(0, self.N)
+        assert there_bytes == _numbers(0, self.N) + b"|1"
+        assert len(forks) == 1
+        _no_child_left()
+        # Outside a job, a split forks again.
+        assert len(in_two(_numbers, self.N, True)) == 2
+        assert len(forks) == 2
+        _no_child_left()
+
+    @pytest.mark.parametrize(
+        "cpus, big, broken, error",
+        [
+            ({0}, True, "fork", AssertionError),
+            ({0, 1}, False, "fork", AssertionError),
+            ({0, 1}, True, "fork", OSError),
+            ({0, 1}, True, "memfd_create", OSError),
+        ],
+    )
+    def test_no_child_and_no_job_run(self, monkeypatch, cpus, big, broken, error):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+        def failing(*args):
+            raise error(broken)
+
+        def job():
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(os, broken, failing)
+        assert beside(job, job, big) is None
+        assert not wood._split._inside
+        _no_child_left()
 
 
 class TestInTwo:
