@@ -2,9 +2,10 @@
 and one in a forked child, with the results of running both in one process.
 
 :func:`beside` is the primitive, and :func:`in_two` splits one job into two
-halves on top of it. Large CSV files parse, and large checkpoints render, in
-two halves; ``wood evaluate`` loads its ``--ood`` file beside the checkpoint
-and its ``--ind`` file. A split requested inside either job of a forked
+halves on top of it. A large CSV file parses in two byte ranges, and
+``wood score`` loads its checkpoint beside the second; a large checkpoint
+renders in two halves; ``wood evaluate`` loads its ``--ood`` file beside the
+checkpoint and its ``--ind`` file. A split requested inside either job of a forked
 :func:`beside` runs in one process, so at most two processes run at once."""
 
 from __future__ import annotations
@@ -35,7 +36,15 @@ def beside(here, there, big: bool):
 
     A pipe would hold the child's bytes until this process finished its own
     job and then pass them over 64 kB at a time: 3 MB took about 12 ms that
-    way against 3 ms from the file, the wait for the child's exit included."""
+    way against 3 ms from the file, the wait for the child's exit included.
+
+    Neither job may call BLAS, so the model's forward pass stays out of the
+    child. A prototype of ``wood score`` that ran the forward pass, scoring
+    and rendering of the second half of the rows in the child wrote the same
+    bytes, but on the 25k-row ``score`` benchmark files on two vCPUs it took
+    222-238 ms at 2 BLAS threads against 140-168 ms with all of it here, and
+    117-123 ms against 164-177 ms at 1 thread: the two processes' BLAS
+    threads contend for the two CPUs."""
     global _inside
     if not (
         big

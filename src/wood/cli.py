@@ -23,7 +23,7 @@ import numpy as np
 
 from ._split import beside
 from .data import (
-    _SPLIT_CELLS,
+    _SPLIT_BYTES,
     Dataset,
     Role,
     SyntheticKind,
@@ -221,13 +221,23 @@ def _prepare_out(args) -> Path:
 
 
 def _dataset_from_args(
-    path: str, role: Role, n_classes: int | None = None, dim: int | None = None, dim_of: str = ""
+    path: str,
+    role: Role,
+    n_classes: int | None = None,
+    dim: int | None = None,
+    dim_of: str = "",
+    first=lambda: None,
+    first_bytes: int = 0,
 ) -> Dataset:
     """Load a dataset CSV; with ``dim``, its rows must be that wide, as set by
-    ``dim_of`` (the file or checkpoint that the error names)."""
+    ``dim_of`` (the file or checkpoint that the error names). ``first`` runs
+    before any error of the file is raised, as in ``load_dataset_csv``."""
     if not path.endswith(".csv"):
+        first()
         raise InputError(f"expected a .csv dataset, got {path}")
-    ds = load_dataset_csv(path, role=role, n_classes=n_classes)
+    ds = load_dataset_csv(
+        path, role=role, n_classes=n_classes, first=first, first_bytes=first_bytes
+    )
     if dim is not None:
         _check_dim(ds, path, dim, dim_of)
     return ds
@@ -239,13 +249,11 @@ def _check_dim(ds: Dataset, path: str, dim: int, dim_of: str) -> None:
 
 
 # Two dataset files load side by side (``wood._split.beside``) when each has
-# at least this many bytes and the larger at most twice the smaller: as many
-# bytes as ``_SPLIT_CELLS`` cells of 4 bytes ("0.5,"). On pairs of equal
-# 8-column files, ``evaluate`` side by side ran 0.75x as fast as one file
-# after the other at 250 kB of 17-byte cells, 1.07-1.08x at 400 kB of 2- or
-# 17-byte cells, and 1.2-1.3x at 0.6-1.3 MB; with the InD file twice or three
-# times the size of a 1.3 MB OOD file, 1.02x and 1.0x.
-_BESIDE_BYTES = 4 * _SPLIT_CELLS
+# at least ``_SPLIT_BYTES`` bytes and the larger at most twice the smaller.
+# On pairs of equal 8-column files, ``evaluate`` side by side ran 0.75x as
+# fast as one file after the other at 250 kB of 17-byte cells, 1.07-1.08x at
+# 400 kB of 2- or 17-byte cells, and 1.2-1.3x at 0.6-1.3 MB; with the InD
+# file twice or three times the size of a 1.3 MB OOD file, 1.02x and 1.0x.
 
 
 def _side_by_side(first: str, second: str) -> bool:
@@ -255,7 +263,7 @@ def _side_by_side(first: str, second: str) -> bool:
         small, large = sorted(map(os.path.getsize, (first, second)))
     except OSError:  # a missing file fails when it loads
         return False
-    return small >= _BESIDE_BYTES and large <= 2 * small
+    return small >= _SPLIT_BYTES and large <= 2 * small
 
 
 # Rows that ``score`` and ``evaluate`` run through the model at once. Only
@@ -418,12 +426,24 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    model = ckpt.model
-    score_cfg = _checkpoint_score_config(args, ckpt)
+    model = score_cfg = None
+
+    def checkpoint():
+        nonlocal model, score_cfg
+        ckpt = load_checkpoint(args.checkpoint)
+        model, score_cfg = ckpt.model, _checkpoint_score_config(args, ckpt)
+
+    try:
+        checkpoint_bytes = os.path.getsize(args.checkpoint)
+    except OSError:  # a missing checkpoint fails when it loads
+        checkpoint_bytes = 0
+    # The checkpoint loads here while a forked child parses the second byte
+    # range of a large --features file; the cut moves by the checkpoint's
+    # size, so both processes read about as many bytes.
     ds = _dataset_from_args(
-        args.features, Role.OOD, dim=model.input_dim, dim_of=f"{args.checkpoint} input"
+        args.features, Role.OOD, first=checkpoint, first_bytes=checkpoint_bytes
     )
+    _check_dim(ds, args.features, model.input_dim, f"{args.checkpoint} input")
     values, classes, _ = _score_blocks(model, ds, args.features, score_cfg)
 
     header = "index,argmin_class,score"

@@ -8,15 +8,17 @@ consume a label it should not have.
 from __future__ import annotations
 
 import gzip
+import os
 import struct
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from stat import S_ISREG
 
 import numpy as np
 
-from ._split import in_two
+from ._split import beside
 from .errors import InputError
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -297,28 +299,33 @@ def read_text(path: str | Path, encoding: str) -> str:
         raise InputError(message) from None
 
 
-def load_dataset_csv(path: str | Path, role: Role, n_classes: int | None = None) -> Dataset:
+def load_dataset_csv(
+    path: str | Path,
+    role: Role,
+    n_classes: int | None = None,
+    first=lambda: None,
+    first_bytes: int = 0,
+) -> Dataset:
     """Load a dataset CSV written by :func:`save_dataset_csv`.
 
     The file is ASCII text: a header ``f0,...,f{d-1}`` (``d >= 1``) with an
     optional last column ``label``, then one row per line, no blank lines.
     Feature cells are what ``float()`` accepts and labels what ``int()``
     accepts. Every ``InputError`` names the file, and a bad row ``path:line``.
+
+    A file of at least ``_SPLIT_BYTES`` bytes parses in two byte ranges, the
+    second in a forked child (:func:`_parse_rows_fast`). ``first``, a job
+    that reads about ``first_bytes`` bytes, runs once in this process before
+    its own range parses, so its errors come before the file's; the cut moves
+    by ``first_bytes`` so that both processes read about as many bytes.
     """
-    # Only the lines stay referenced: the file's text goes once it is split.
-    lines = read_text(path, "ascii").split("\n")
-    header = lines.pop(0).strip()
-    if not header:
-        raise InputError(f"{path}: empty CSV")
-    columns = header.split(",")
-    has_label = columns[-1] == "label"
-    dim = len(columns) - (1 if has_label else 0)
-    if dim == 0:
-        raise InputError(f"{path}: no feature columns")
-    if lines[-1:] == [""]:  # the newline that ends the last row starts no row
-        lines.pop()
-    parsed = _parse_rows_fast(lines, dim, has_label)
+    parsed = _parse_rows_fast(path, first, first_bytes)
     if parsed is None:
+        # Only the lines stay referenced: the file's text goes once it is split.
+        lines = read_text(path, "ascii").split("\n")
+        dim, has_label = _columns(path, lines.pop(0))
+        if lines[-1:] == [""]:  # the newline that ends the last row starts no row
+            lines.pop()
         parsed = _parse_rows(path, lines, dim, has_label)
     features, labels = parsed
     try:
@@ -327,47 +334,135 @@ def load_dataset_csv(path: str | Path, role: Role, n_classes: int | None = None)
         raise InputError(f"{path}: {exc}") from None
 
 
-# A file of at least this many cells parses in two processes. A fork of the
-# loader with a 1000x785 file in memory, and the restart of the BLAS threads
-# that OpenBLAS stops before a fork, cost about 5 ms; 100k cells take about
-# 30 ms to parse, so the half that the child takes over is worth three forks.
-_SPLIT_CELLS = 100_000
+def _columns(path, header: str) -> tuple[int, bool]:
+    """``(dim, has_label)`` of the header line ``header``."""
+    header = header.strip()
+    if not header:
+        raise InputError(f"{path}: empty CSV")
+    columns = header.split(",")
+    has_label = columns[-1] == "label"
+    dim = len(columns) - has_label
+    if dim == 0:
+        raise InputError(f"{path}: no feature columns")
+    return dim, has_label
 
 
-def _parse_rows_fast(lines: list[str], dim: int, has_label: bool):
-    """``(features, labels)`` of the CSV rows ``lines`` parsed by NumPy's C
-    reader, or ``None`` where it declines them and :func:`_parse_rows`
-    decides. The C reader parses a cell to the same bits as ``float()`` or
-    ``int()``. It declines by raising ``ValueError``, by warning (it only
-    warns when there are no rows) and by skipping blank lines, which
-    :func:`_parse_rows` rejects: then it returns fewer rows than lines.
+# A file of at least this many bytes parses in two processes, and two files
+# of at least this many bytes each load side by side in ``wood evaluate``.
+# A fork of the loader and the restart of the BLAS threads that OpenBLAS
+# stops before a fork cost about 5 ms; 400 kB of 4-byte cells ("0.5,") take
+# about 30 ms to parse, so the half that the child takes over is worth three
+# forks.
+_SPLIT_BYTES = 400_000
 
-    A file of at least ``_SPLIT_CELLS`` cells parses in two processes
-    (:func:`wood._split.in_two`). Each line parses on its own, so the two
-    halves give the bits of the whole, and the file is declined when either
-    half is. A half that the child declines is parsed again here before the
-    decline reaches the caller: a bad file costs one more half-parse."""
+
+class _Declined(Exception):
+    """NumPy's C reader declined a byte range: :func:`_parse_rows` decides."""
+
+
+def _line_end(file, offset: int) -> tuple[bytes, int]:
+    """The bytes of ``file`` from ``offset`` to the first line end (``\\n``,
+    ``\\r\\n`` or ``\\r``, as universal newlines read them) at or after it, and
+    the offset just past that line end (the file's size where there is none)."""
+    file.seek(offset)
+    line = file.readline()  # up to and including the first \n
+    cr = line.find(b"\r")
+    if cr < 0:
+        return line.removesuffix(b"\n"), offset + len(line)
+    return line[:cr], offset + cr + (2 if line[cr + 1 : cr + 2] == b"\n" else 1)
+
+
+def _cut_from(body: int, size: int, first_bytes: int) -> int:
+    """Where the search for the line end that cuts the rows at ``[body,
+    size)`` starts: the middle of the bytes that the two processes read, with
+    ``first_bytes`` on this process's side."""
+    return max(body, (body + size - first_bytes) // 2)
+
+
+def _ranges(path, first_bytes: int):
+    """``(dim, has_label, body, cut, size)`` of the dataset CSV ``path``: the
+    rows are the bytes ``[body, size)``, to be cut at ``cut`` (``size`` for a
+    file under ``_SPLIT_BYTES``). ``None`` where the file cannot be read
+    twice or its header is bad: the one-process load names the error."""
+    try:
+        stat = os.stat(path)
+        if not S_ISREG(stat.st_mode):  # a pipe, which can be opened and read only once
+            return None
+        size = stat.st_size
+        with open(path, "rb") as file:
+            header, body = _line_end(file, 0)
+            dim, has_label = _columns(path, header.decode("ascii"))
+            cut = size
+            if size >= _SPLIT_BYTES:
+                _, cut = _line_end(file, _cut_from(body, size, first_bytes))
+    except (OSError, ValueError, InputError):
+        return None
+    return dim, has_label, body, cut, size
+
+
+def _parse_rows_fast(path, first, first_bytes: int):
+    """``(features, labels)`` of the dataset CSV ``path`` parsed by NumPy's C
+    reader, or ``None`` where it declines them and the one-process
+    :func:`_parse_rows` decides. ``first()`` runs once before either returns,
+    and its exception reaches the caller.
+
+    The rows are cut at the first line end after about the middle of their
+    bytes (:func:`_ranges`). Each range is read, decoded and parsed on its
+    own, the second in a forked child (:func:`wood._split.beside`) beside
+    ``first()`` and the first range here. Each line parses on its own, so the
+    ranges give the bits of the whole. The C reader parses a cell to the
+    same bits as ``float()`` or ``int()``. A range is declined where it is
+    not ASCII, or the C reader raises ``ValueError``, warns (it only warns
+    when there are no rows) or skips blank lines, which :func:`_parse_rows`
+    rejects: then it returns fewer rows than lines. A range that the child
+    declines is parsed again here before the decline reaches the caller: a
+    bad file costs one more range parse."""
+    ranges = _ranges(path, first_bytes)
+    if ranges is None:
+        first()
+        return None
+    dim, has_label, body, cut, size = ranges
     dtype = np.dtype([("x", np.float64, (dim,))] + ([("y", np.int64)] if has_label else []))
 
     def parse(start: int, stop: int) -> np.ndarray:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(
-                lines[start:stop], dtype=dtype, delimiter=",", comments=None, ndmin=1
-            )
-        if rows.shape != (stop - start,):
-            raise ValueError("the C reader skipped a blank line")
+        try:
+            with open(path, "rb") as file:
+                file.seek(start)
+                text = file.read(stop - start).decode("ascii")
+            if "\r" in text:  # universal newlines, as read_text reads them
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            # Only the lines stay referenced: the text goes once it is split.
+            lines = text.split("\n")
+            del text
+            if lines[-1:] == [""]:
+                lines.pop()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning) as exc:
+            raise _Declined from exc
+        if rows.shape != (len(lines),):  # the C reader skipped a blank line
+            raise _Declined
         return rows
 
+    def here() -> np.ndarray:
+        first()
+        return parse(body, cut)
+
     try:
-        parts = in_two(parse, len(lines), len(lines) * (dim + has_label) >= _SPLIT_CELLS)
-    except (ValueError, Warning):
+        both = beside(here, lambda: parse(cut, size), cut < size)
+        if both is None:
+            first()
+            parts = [parse(body, size)]
+        else:
+            parts = [both[0], np.frombuffer(both[1], dtype)]
+    except _Declined:
         return None
-    features = np.empty((len(lines), dim))
-    labels = np.empty(len(lines), dtype=np.int64) if has_label else None
+    n = sum(len(rows) for rows in parts)
+    features = np.empty((n, dim))
+    labels = np.empty(n, dtype=np.int64) if has_label else None
     start = 0
-    for part in parts:
-        rows = np.frombuffer(part, dtype)
+    for rows in parts:
         features[start : start + len(rows)] = rows["x"]
         if has_label:
             labels[start : start + len(rows)] = rows["y"]

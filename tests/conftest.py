@@ -107,8 +107,8 @@ ROW_KINDS = {"plain": 0, "loose": 0, "any": 0, "short": -1, "long": 1}
 @st.composite
 def csv_texts(draw, dim, has_label):
     """Text of a dataset CSV with ``dim`` feature columns: rows of plain,
-    loose or any cells, ragged rows, blank and whitespace-only lines, LF or CRLF
-    line ends, or a header alone."""
+    loose or any cells, ragged rows, blank and whitespace-only lines, LF, CRLF,
+    lone CR or mixed line ends, or a header alone."""
     header = [f"f{i}" for i in range(dim)] + (["label"] if has_label else [])
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 4))):
@@ -124,5 +124,10 @@ def csv_texts(draw, dim, has_label):
             if has_label:
                 cells.append(draw(st.sampled_from(CSV_LABELS[: PLAIN_LABELS + extra])))
             lines.append(",".join(cells))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    ends = [
+        draw(st.sampled_from(["\n", "\r\n", "\r"])) if newline == "mixed" else newline
+        for _ in lines
+    ]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.removesuffix(ends[-1])

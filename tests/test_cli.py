@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import wood
 import wood.cli
+import wood.data
 from wood.cli import _median_call_ms, _score_blocks, main
 from wood.data import Dataset, Role, load_dataset_csv, save_dataset_csv
 from wood.detect import evaluate, report_text
@@ -329,6 +330,85 @@ class TestUndecodableBytes:
             "--out", str(tmp_path / "o"),
         )
         assert err == f"data error: {cfg}: byte 0xff at offset 17 is not utf-8"
+
+
+class TestTwoProcessScore:
+    """``score`` over the two-process threshold: the checkpoint loads here
+    while a forked child parses the second byte range of ``--features``, and
+    the errors are those of one process, in its order."""
+
+    ROWS = 60_000  # of 8 bytes: 480 kB
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+        yield forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def features(self, path, bad=b"0.5,1.0", row=-10):
+        """A file over the threshold whose row ``row`` (by default in the
+        child's range) holds ``bad``, and the offset of ``bad`` in it."""
+        rows = [b"0.5,1.0"] * self.ROWS
+        rows[row] = bad
+        raw = b"f0,f1\n" + b"\n".join(rows) + b"\n"
+        path.write_bytes(raw)
+        assert len(raw) >= wood.data._SPLIT_BYTES
+        return raw.rindex(bad)
+
+    def test_scores_equal_the_one_process_run(self, tmp_path, two_cpus):
+        checkpoint, features = tmp_path / "checkpoint.json", tmp_path / "f.csv"
+        write_checkpoint(checkpoint)
+        self.features(features, bad=b"-2.25,3e-5")
+        argv = ["score", "--checkpoint", str(checkpoint), "--features", str(features)]
+        assert run_cli(*argv, "--out", str(tmp_path / "two")) == 0
+        assert len(two_cpus) == 1
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+            assert run_cli(*argv, "--out", str(tmp_path / "one")) == 0
+        assert len(two_cpus) == 1
+        two = (tmp_path / "two" / "scores.csv").read_bytes()
+        assert two == (tmp_path / "one" / "scores.csv").read_bytes()
+        assert two.count(b"\n") == self.ROWS + 1
+
+    def test_undecodable_byte_in_the_child_range_names_its_offset(
+        self, tmp_path, two_cpus, capsys
+    ):
+        checkpoint, features = tmp_path / "checkpoint.json", tmp_path / "f.csv"
+        write_checkpoint(checkpoint)
+        offset = self.features(features, bad=b"0.5,\xe9")
+        err = data_error_line(
+            capsys, "score", "--checkpoint", str(checkpoint), "--features", str(features),
+            "--out", str(tmp_path / "o"),
+        )
+        assert err == f"data error: {features}: byte 0xe9 at offset {offset + 4} is not ascii"
+        assert offset > features.stat().st_size // 2
+        assert len(two_cpus) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "features", ["bad row here", "bad row in the child", "not a .csv", "empty", "missing"]
+    )
+    def test_bad_checkpoint_is_reported_before_the_bad_file(
+        self, tmp_path, two_cpus, capsys, features
+    ):
+        checkpoint = tmp_path / "checkpoint.json"
+        write_checkpoint(checkpoint)
+        edit_json(checkpoint, rng_digest=5)
+        path = tmp_path / ("f.txt" if features == "not a .csv" else "f.csv")
+        if features == "empty":
+            path.write_bytes(b"")
+        elif features != "missing":
+            self.features(path, bad=b"0.5,x", row=-10 if features.endswith("child") else 10)
+        err = data_error_line(
+            capsys, "score", "--checkpoint", str(checkpoint), "--features", str(path),
+            "--out", str(tmp_path / "o"),
+        )
+        assert err.startswith(f"data error: {checkpoint}: "), err
+        assert len(two_cpus) == features.startswith("bad row")
+        assert not (tmp_path / "o").exists()
 
 
 class TestNothingWrittenOnFailure:
@@ -998,10 +1078,13 @@ def test_fuzzed_csv_one_line_and_documented_exit(fuzz_files, command, ind, ood, 
         warnings.simplefilter("always")
         code, lines = _run_captured([*argv, "--out", str(out)])
         if side_by_side:
-            # The same run where evaluate loads files of a few bytes side by
-            # side, as if on two CPUs.
+            # The same run, as if on two CPUs, where evaluate loads files of a
+            # few bytes side by side and score parses its file in two byte
+            # ranges. The checkpoint outweighs the file, so score's cut is
+            # the first line end of the rows.
+            threshold = wood.data if command == "score" else wood.cli
             with (
-                mock.patch.object(wood.cli, "_BESIDE_BYTES", 1),
+                mock.patch.object(threshold, "_SPLIT_BYTES", 1),
                 mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True),
                 mock.patch.object(os, "fork", lambda: forks.append(None) or real_fork()),
             ):
@@ -1013,8 +1096,13 @@ def test_fuzzed_csv_one_line_and_documented_exit(fuzz_files, command, ind, ood, 
         assert not out.exists()
     if side_by_side:
         assert beside_run == (code, lines)
-        small, large = sorted(map(os.path.getsize, (ind_csv, ood_csv)))
-        assert len(forks) == (command == "evaluate" and large <= 2 * small)
+        if command == "score":
+            assert os.path.getsize(checkpoint) > os.path.getsize(ood_csv)
+            rows = io.StringIO(ood, newline=None).readlines()[1:]
+            assert len(forks) == (len(rows) >= 2)
+        else:
+            small, large = sorted(map(os.path.getsize, (ind_csv, ood_csv)))
+            assert len(forks) == (large <= 2 * small)
         if code:
             assert not beside_out.exists()
         elif command == "evaluate":

@@ -1,8 +1,12 @@
 """Dataset containers, synthetic generators, splits, and IDX ingestion."""
 
+import contextlib
 import gzip
 import io
 import os
+import re
+import signal
+import threading
 import warnings
 from unittest import mock
 
@@ -300,7 +304,7 @@ def _loader_agrees_with_line_loop(csv_path, data):
         return role, None, loaded
     # The data rows as a text-mode file iterates them.
     lines = [line.rstrip("\n") for line in io.StringIO(text, newline=None)][1:]
-    fast = _parse_rows_fast(lines, dim, has_label)
+    fast = _parse_rows_fast(csv_path, lambda: None, 0)
     status, parsed = _outcome(lambda: _parse_rows(csv_path, lines, dim, has_label))
     if fast is not None:
         assert status == "ok"
@@ -338,33 +342,121 @@ def _same_outcome(a, b):
     )
 
 
+# A line end as universal newlines read it.
+LINE_END = re.compile(rb"\r\n|\r|\n")
+
+
+def _cuts(raw, offsets):
+    """How many of the cuts searched for from ``offsets`` fall before the end
+    of ``raw``: the first line end at or after the offset, when a byte
+    follows it."""
+    return sum(bool(m) and m.end() < len(raw) for m in (LINE_END.search(raw, o) for o in offsets))
+
+
+@contextlib.contextmanager
+def _two_processes(cut_from):
+    """Every file over one byte parses in two processes, as if on two CPUs,
+    with the cut searched for from ``cut_from(body, size, first_bytes)``;
+    yields the list of forks."""
+    real_fork = os.fork
+    forks = []
+    with (
+        mock.patch.object(wood.data, "_SPLIT_BYTES", 1),
+        mock.patch.object(wood.data, "_cut_from", cut_from),
+        mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True),
+        mock.patch.object(os, "fork", lambda: forks.append(None) or real_fork()),
+    ):
+        yield forks
+    with pytest.raises(ChildProcessError):  # every child was waited for
+        os.waitpid(-1, os.WNOHANG)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_split_reader_agrees_with_line_loop(csv_path, data):
-    # With the threshold at one cell, every file of two or more rows parses
-    # in two processes, so a bad cell, a blank line or an over-long label
-    # often lands in the child's half.
-    real_fork = os.fork
-    forks = []
+    # Every file parses in two processes, cut at a drawn offset, so a bad
+    # cell, a blank line, an over-long label or a byte that is not ASCII
+    # often lands in the child's range.
+    offsets = []
 
-    def counted_fork():
-        pid = real_fork()
-        forks.append(pid)
-        return pid
+    def cut_from(body, size, first_bytes):
+        offsets.append(data.draw(st.integers(body, size), label="cut from"))
+        return offsets[-1]
 
-    with (
-        mock.patch.object(wood.data, "_SPLIT_CELLS", 1),
-        mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True),
-        mock.patch.object(os, "fork", counted_fork),
-    ):
-        role, lines, split = _loader_agrees_with_line_loop(csv_path, data)
-    with pytest.raises(ChildProcessError):  # every child was waited for
-        os.waitpid(-1, os.WNOHANG)
-    if lines is None:
-        return
-    assert bool(forks) == (len(lines) >= 2)
+    with _two_processes(cut_from) as forks:
+        role, _, split = _loader_agrees_with_line_loop(csv_path, data)
+    assert len(forks) == _cuts(csv_path.read_bytes(), offsets)
     whole = _outcome(lambda: load_dataset_csv(csv_path, role))
     assert _same_outcome(split, whole), (split, whole)
+
+
+# Rows under the header "f0,f1,label\r\n", with a cut searched for from each
+# of their bytes: inside a cell, on a blank line and between \r and \n.
+CUT_BODIES = {
+    "mixed line ends": "0.5,1e-320,0\r\n-2.25, 7 ,1\r3.0,-0.0,2\n",
+    "blank line": "0.5,1.0,0\n\n3.0,4.0,1\r\n",
+    "bad cell": "0.5,1.0,0\r\n3.0,x,1\r\n-2.25,7,1\n",
+    "not ascii": "0.5,1.0,0\r3.0,4.0,1\r-2.25,\xe9,1\r",
+}
+
+
+@pytest.mark.parametrize("body", CUT_BODIES.values(), ids=CUT_BODIES.keys())
+def test_a_cut_at_any_offset_gives_the_one_process_outcome(tmp_path, body):
+    path = tmp_path / "d.csv"
+    header = b"f0,f1,label\r\n"
+    raw = header + body.encode("latin-1")
+    path.write_bytes(raw)
+    whole = _outcome(lambda: load_dataset_csv(path, Role.IND))
+    offsets = range(len(header), len(raw))
+    forks = 0
+    for offset in offsets:
+        with _two_processes(lambda body, size, first_bytes: offset) as forked:
+            split = _outcome(lambda: load_dataset_csv(path, Role.IND))
+            forks += len(forked)
+            # A file that loads is parsed by the C reader on both sides of the cut.
+            accepted = _parse_rows_fast(path, lambda: None, 0) is not None
+        assert _same_outcome(split, whole), (offset, split, whole)
+        assert accepted == (whole[0] == "ok")
+    assert forks == _cuts(raw, offsets) > 0
+
+
+class _Blocked(Exception):
+    """A call blocked past its deadline (not an ``OSError``, which the loader
+    would take for an unreadable file)."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise ``_Blocked`` in a call that blocks for ``seconds``."""
+
+    def expired(signum, frame):
+        raise _Blocked(f"blocked for {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_named_pipe_is_opened_once(tmp_path):
+    fifo = tmp_path / "d.csv"
+    os.mkfifo(fifo)
+    # With no writer, opening the pipe would block: no byte range is looked
+    # for in it, and the one-process load opens it once.
+    with _deadline(10):
+        assert wood.data._ranges(fifo, 0) is None
+    text = "f0,f1\n" + "0.5,1.0\n-2.25,7\n" * 10_000  # more than a pipe holds
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    with _deadline(10):
+        ds = load_dataset_csv(fifo, Role.OOD)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert ds.features.tolist() == [[0.5, 1.0], [-2.25, 7.0]] * 10_000
 
 
 @pytest.fixture(scope="module")
@@ -372,9 +464,9 @@ def big_csv(tmp_path_factory):
     """A labeled dataset CSV over the two-process threshold, and its data."""
     rng = np.random.default_rng(5)
     ds = Dataset(rng.standard_normal((2000, 50)), rng.integers(0, 3, 2000), Role.IND)
-    assert ds.n * (ds.dim + 1) >= wood.data._SPLIT_CELLS
     path = tmp_path_factory.mktemp("big") / "big.csv"
     save_dataset_csv(ds, path)
+    assert path.stat().st_size >= wood.data._SPLIT_BYTES
     return path, ds
 
 
@@ -429,7 +521,6 @@ class TestTwoProcessParse:
 
     @pytest.mark.parametrize("row", [0, 999, 1000, 1999])
     def test_bad_cell_names_its_line_in_either_half(self, big_csv, tmp_path, monkeypatch, row):
-        # The child parses rows 1000 on.
         path, _ = big_csv
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         lines = path.read_text().split("\n")
@@ -437,6 +528,11 @@ class TestTwoProcessParse:
         lines[1 + row] = ",".join(cells[:1] + ["x"] + cells[2:])
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines))
+        # The child parses from row 1000 or 1001 on: rows 0 and 999 are this
+        # process's, rows 1000 and 1999 the child's.
+        cut = wood.data._ranges(bad, 0)[3]
+        first_child_row = bad.read_bytes()[:cut].count(b"\n") - 1
+        assert (row >= first_child_row) == (row >= 1000)
         with pytest.raises(InputError) as info:
             load_dataset_csv(bad, Role.IND)
         assert str(info.value) == f"{bad}:{row + 2}: could not convert string to float: 'x'"
