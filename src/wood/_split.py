@@ -5,8 +5,9 @@ and one in a forked child, with the results of running both in one process.
 halves on top of it. A large CSV file parses in two byte ranges, and
 ``wood score`` loads its checkpoint beside the second; a large checkpoint
 renders in two halves; ``wood evaluate`` loads its ``--ood`` file beside the
-checkpoint and its ``--ind`` file. A split requested inside either job of a forked
-:func:`beside` runs in one process, so at most two processes run at once."""
+checkpoint and its ``--ind`` file. A split requested inside either job of a
+forked :func:`beside` runs in one process, so at most two processes run at
+once."""
 
 from __future__ import annotations
 
@@ -42,9 +43,10 @@ def beside(here, there, big: bool):
     child. A prototype of ``wood score`` that ran the forward pass, scoring
     and rendering of the second half of the rows in the child wrote the same
     bytes, but on the 25k-row ``score`` benchmark files on two vCPUs it took
-    222-238 ms at 2 BLAS threads against 140-168 ms with all of it here, and
-    117-123 ms against 164-177 ms at 1 thread: the two processes' BLAS
-    threads contend for the two CPUs."""
+    222-238 ms at 2 BLAS threads against 140-168 ms with all of it here. At 1
+    thread it took 117-123 ms against 164-177 ms, so the loss is the two
+    processes' BLAS threads contending for the two CPUs, and NumPy has no
+    public control of the thread count."""
     global _inside
     if not (
         big
