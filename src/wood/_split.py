@@ -3,11 +3,10 @@ and one in a forked child, with the results of running both in one process.
 
 :func:`beside` is the primitive, and :func:`in_two` splits one job into two
 halves on top of it. A large CSV file parses in two byte ranges, and
-``wood score`` loads its checkpoint beside the second; a large checkpoint
-renders in two halves; ``wood evaluate`` loads its ``--ood`` file beside the
-checkpoint and its ``--ind`` file. A split requested inside either job of a
-forked :func:`beside` runs in one process, so at most two processes run at
-once."""
+``wood score`` and ``wood evaluate`` load their checkpoint beside the second
+range of the file they load first; a large checkpoint renders in two halves.
+A split requested inside either job of a forked :func:`beside` runs in one
+process, so at most two processes run at once."""
 
 from __future__ import annotations
 

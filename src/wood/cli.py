@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import math
 import os
 import shutil
@@ -21,9 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._split import beside
 from .data import (
-    _SPLIT_BYTES,
     Dataset,
     Role,
     SyntheticKind,
@@ -223,7 +220,6 @@ def _prepare_out(args) -> Path:
 def _dataset_from_args(
     path: str,
     role: Role,
-    n_classes: int | None = None,
     dim: int | None = None,
     dim_of: str = "",
     first=lambda: None,
@@ -235,9 +231,7 @@ def _dataset_from_args(
     if not path.endswith(".csv"):
         first()
         raise InputError(f"expected a .csv dataset, got {path}")
-    ds = load_dataset_csv(
-        path, role=role, n_classes=n_classes, first=first, first_bytes=first_bytes
-    )
+    ds = load_dataset_csv(path, role=role, first=first, first_bytes=first_bytes)
     if dim is not None:
         _check_dim(ds, path, dim, dim_of)
     return ds
@@ -248,22 +242,27 @@ def _check_dim(ds: Dataset, path: str, dim: int, dim_of: str) -> None:
         raise InputError(f"{path}: feature dim {ds.dim} does not match {dim_of} dim {dim}")
 
 
-# Two dataset files load side by side (``wood._split.beside``) when each has
-# at least ``_SPLIT_BYTES`` bytes and the larger at most twice the smaller.
-# On pairs of equal 8-column files, ``evaluate`` side by side ran 0.75x as
-# fast as one file after the other at 250 kB of 17-byte cells, 1.07-1.08x at
-# 400 kB of 2- or 17-byte cells, and 1.2-1.3x at 0.6-1.3 MB; with the InD
-# file twice or three times the size of a 1.3 MB OOD file, 1.02x and 1.0x.
+def _with_checkpoint(args, path: str, role: Role):
+    """``(model, score_cfg, ds)``: the model and score configuration of
+    ``--checkpoint``, and the dataset CSV ``path``. The checkpoint's errors
+    come before the file's.
 
+    The checkpoint loads here while a forked child parses the second byte
+    range of a large file; the cut moves by the checkpoint's size, so both
+    processes read about as many bytes."""
+    model = score_cfg = None
 
-def _side_by_side(first: str, second: str) -> bool:
-    """Whether two files are large enough, and close enough in size, that
-    loading them side by side pays for a fork."""
+    def checkpoint():
+        nonlocal model, score_cfg
+        ckpt = load_checkpoint(args.checkpoint)
+        model, score_cfg = ckpt.model, _checkpoint_score_config(args, ckpt)
+
     try:
-        small, large = sorted(map(os.path.getsize, (first, second)))
-    except OSError:  # a missing file fails when it loads
-        return False
-    return small >= _SPLIT_BYTES and large <= 2 * small
+        checkpoint_bytes = os.path.getsize(args.checkpoint)
+    except OSError:  # a missing checkpoint fails when it loads
+        checkpoint_bytes = 0
+    ds = _dataset_from_args(path, role, first=checkpoint, first_bytes=checkpoint_bytes)
+    return model, score_cfg, ds
 
 
 # Rows that ``score`` and ``evaluate`` run through the model at once. Only
@@ -362,32 +361,15 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     if not args.calib_on_eval and not 0.0 < args.calib_frac < 1.0:
         raise InputError(f"calib_frac must lie in (0, 1), got {args.calib_frac!r}")
-    source = f"{args.checkpoint} input"
-
-    def checkpoint_and_ind():
-        ckpt = load_checkpoint(args.checkpoint)
-        score_cfg = _checkpoint_score_config(args, ckpt)
-        model = ckpt.model
-        ind_set = _dataset_from_args(
-            args.ind, Role.IND, model.n_classes, dim=model.input_dim, dim_of=source
+    model, score_cfg, ind_set = _with_checkpoint(args, args.ind, Role.IND)
+    if ind_set.n_classes > model.n_classes:
+        raise InputError(
+            f"{args.ind}: label {ind_set.n_classes - 1} is out of range"
+            f" for {model.n_classes} classes"
         )
-        return model, score_cfg, ind_set
-
-    def ood_npy():
-        npy = io.BytesIO()
-        np.save(npy, _dataset_from_args(args.ood, Role.OOD).features)
-        return npy.getbuffer()
-
-    # The --ood file parses in a forked child while the checkpoint and the
-    # --ind file load here; the errors come in the order of one process.
-    both = beside(checkpoint_and_ind, ood_npy, _side_by_side(args.ind, args.ood))
-    if both is None:
-        model, score_cfg, ind_set = checkpoint_and_ind()
-        ood_set = _dataset_from_args(args.ood, Role.OOD)
-    else:
-        (model, score_cfg, ind_set), npy = both
-        ood_set = Dataset(np.load(io.BytesIO(npy)), None, Role.OOD)
-    _check_dim(ood_set, args.ood, model.input_dim, source)
+    source = f"{args.checkpoint} input"
+    _check_dim(ind_set, args.ind, model.input_dim, source)
+    ood_set = _dataset_from_args(args.ood, Role.OOD, dim=model.input_dim, dim_of=source)
 
     ind_scores, _, ind_predicted = _score_blocks(model, ind_set, args.ind, score_cfg)
     ood_scores, _, _ = _score_blocks(model, ood_set, args.ood, score_cfg)
@@ -426,23 +408,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    model = score_cfg = None
-
-    def checkpoint():
-        nonlocal model, score_cfg
-        ckpt = load_checkpoint(args.checkpoint)
-        model, score_cfg = ckpt.model, _checkpoint_score_config(args, ckpt)
-
-    try:
-        checkpoint_bytes = os.path.getsize(args.checkpoint)
-    except OSError:  # a missing checkpoint fails when it loads
-        checkpoint_bytes = 0
-    # The checkpoint loads here while a forked child parses the second byte
-    # range of a large --features file; the cut moves by the checkpoint's
-    # size, so both processes read about as many bytes.
-    ds = _dataset_from_args(
-        args.features, Role.OOD, first=checkpoint, first_bytes=checkpoint_bytes
-    )
+    model, score_cfg, ds = _with_checkpoint(args, args.features, Role.OOD)
     _check_dim(ds, args.features, model.input_dim, f"{args.checkpoint} input")
     values, classes, _ = _score_blocks(model, ds, args.features, score_cfg)
 

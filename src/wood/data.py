@@ -302,7 +302,6 @@ def read_text(path: str | Path, encoding: str) -> str:
 def load_dataset_csv(
     path: str | Path,
     role: Role,
-    n_classes: int | None = None,
     first=lambda: None,
     first_bytes: int = 0,
 ) -> Dataset:
@@ -329,7 +328,7 @@ def load_dataset_csv(
         parsed = _parse_rows(path, lines, dim, has_label)
     features, labels = parsed
     try:
-        return Dataset(features, labels if role is Role.IND else None, role, n_classes=n_classes)
+        return Dataset(features, labels if role is Role.IND else None, role)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -347,12 +346,10 @@ def _columns(path, header: str) -> tuple[int, bool]:
     return dim, has_label
 
 
-# A file of at least this many bytes parses in two processes, and two files
-# of at least this many bytes each load side by side in ``wood evaluate``.
-# A fork of the loader and the restart of the BLAS threads that OpenBLAS
-# stops before a fork cost about 5 ms; 400 kB of 4-byte cells ("0.5,") take
-# about 30 ms to parse, so the half that the child takes over is worth three
-# forks.
+# A file of at least this many bytes parses in two processes. A fork of the
+# loader and the restart of the BLAS threads that OpenBLAS stops before a
+# fork cost about 5 ms; 400 kB of 4-byte cells ("0.5,") take about 30 ms to
+# parse, so the half that the child takes over is worth three forks.
 _SPLIT_BYTES = 400_000
 
 

@@ -334,8 +334,9 @@ class TestUndecodableBytes:
 
 class TestTwoProcessScore:
     """``score`` over the two-process threshold: the checkpoint loads here
-    while a forked child parses the second byte range of ``--features``, and
-    the errors are those of one process, in its order."""
+    while a forked child parses the second byte range of ``--features`` (of
+    ``--ind`` for ``evaluate``), and the errors are those of one process, in
+    its order."""
 
     ROWS = 60_000  # of 8 bytes: 480 kB
 
@@ -389,7 +390,15 @@ class TestTwoProcessScore:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "features", ["bad row here", "bad row in the child", "not a .csv", "empty", "missing"]
+        "features",
+        [
+            "bad row here",
+            "bad row in the child",
+            "not a .csv",
+            "empty",
+            "missing",
+            "evaluate: bad row in the child of --ind",
+        ],
     )
     def test_bad_checkpoint_is_reported_before_the_bad_file(
         self, tmp_path, two_cpus, capsys, features
@@ -401,13 +410,16 @@ class TestTwoProcessScore:
         if features == "empty":
             path.write_bytes(b"")
         elif features != "missing":
-            self.features(path, bad=b"0.5,x", row=-10 if features.endswith("child") else 10)
+            self.features(path, bad=b"0.5,x", row=-10 if "child" in features else 10)
+        if features.startswith("evaluate"):
+            inputs = ["evaluate", "--ind", str(path), "--ood", str(path)]
+        else:
+            inputs = ["score", "--features", str(path)]
         err = data_error_line(
-            capsys, "score", "--checkpoint", str(checkpoint), "--features", str(path),
-            "--out", str(tmp_path / "o"),
+            capsys, *inputs, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "o")
         )
         assert err.startswith(f"data error: {checkpoint}: "), err
-        assert len(two_cpus) == features.startswith("bad row")
+        assert len(two_cpus) == ("bad row" in features)
         assert not (tmp_path / "o").exists()
 
 
@@ -429,6 +441,8 @@ class TestNothingWrittenOnFailure:
         wide.write_text("f0,f1,f2\n0.5,1.0,2.0\n")
         wide_ind = tmp_path / "wide_ind.csv"
         wide_ind.write_text("f0,f1,f2,label\n0.5,1.0,2.0,0\n")
+        wide_label = tmp_path / "wide_label.csv"
+        wide_label.write_text("f0,f1,f2,label\n0.5,1.0,2.0,0\n-0.5,2.0,1.0,3\n")
         one_row = tmp_path / "one_row.csv"
         one_row.write_text("f0,f1,label\n0.5,1.0,0\n")
         no_features = tmp_path / "no_features.csv"
@@ -437,7 +451,7 @@ class TestNothingWrittenOnFailure:
         write_checkpoint(one_output, init((2, 4, 1), seed=0))
         return {"ind": str(ind_csv), "ckpt": str(checkpoint), "bad": str(bad_json),
                 "ragged": str(ragged), "one_class": str(one_class), "wide": str(wide),
-                "wide_ind": str(wide_ind), "one_row": str(one_row),
+                "wide_ind": str(wide_ind), "wide_label": str(wide_label), "one_row": str(one_row),
                 "one_output": str(one_output), "no_features": str(no_features)}
 
     @pytest.mark.parametrize(
@@ -496,6 +510,9 @@ class TestNothingWrittenOnFailure:
              "data error: {wide}: feature dim 3 does not match {ckpt} input dim 2"),
             (["evaluate", "--checkpoint", "{ckpt}", "--ind", "{one_row}", "--ood", "{ind}"],
              "data error: calibration fraction leaves no evaluation samples"),
+            # The label check comes before the width check.
+            (["evaluate", "--checkpoint", "{ckpt}", "--ind", "{wide_label}", "--ood", "{ind}"],
+             "data error: {wide_label}: label 3 is out of range for 3 classes"),
         ],
     )
     def test_scoring_input_error_line(self, inputs, argv, line, tmp_path, capsys):
@@ -1041,6 +1058,16 @@ def test_fuzzed_argv_one_line_and_documented_exit(fuzz_files, argv):
         assert lines[0].startswith(EXIT_PREFIXES[code]), lines
 
 
+def _past_line_end(raw: bytes, offset: int) -> int:
+    """The offset just past the first line end (``\\n``, ``\\r\\n`` or
+    ``\\r``) at or after ``offset`` in ``raw``; ``len(raw)`` where there is none."""
+    ends = [i for i in (raw.find(b"\n", offset), raw.find(b"\r", offset)) if i >= 0]
+    if not ends:
+        return len(raw)
+    end = min(ends)
+    return end + (2 if raw[end : end + 2] == b"\r\n" else 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     command=st.sampled_from(["score", "evaluate"]),
@@ -1048,18 +1075,34 @@ def test_fuzzed_argv_one_line_and_documented_exit(fuzz_files, argv):
     ood=csv_texts(2, has_label=False),
     side_by_side=st.booleans(),
 )
-# Files of similar size that evaluate without error: one fork.
+# One InD row, and an OOD file whose middle byte is in its last row: no fork
+# (and no evaluation samples).
+@example(
+    command="evaluate",
+    ind="f0,f1,label\n0.5,1.0,0\n",
+    ood="f0,f1\n1,2\n0.25,-0.5000000\n",
+    side_by_side=True,
+)
+# Two InD rows and one OOD row: the --ind file forks.
+@example(
+    command="evaluate",
+    ind="f0,f1,label\n0.5,1.0,0\n-1.5,2.0,1\n",
+    ood="f0,f1\n0.25,-0.5\n",
+    side_by_side=True,
+)
+# Two rows in each file: each file forks in turn.
 @example(
     command="evaluate",
     ind="f0,f1,label\n0.5,1.0,0\n-1.5,2.0,1\n",
     ood="f0,f1\n0.25,-0.5\n3.0,1.0\n",
     side_by_side=True,
 )
-# The InD file more than twice the OOD file: each file loads in turn.
+# A label beyond the checkpoint's classes: the --ind file forks, and the
+# --ood file does not load.
 @example(
     command="evaluate",
-    ind="f0,f1,label\n" + "0.5,1.0,0\n-1.5,2.0,1\n" * 2,
-    ood="f0,f1\n0.25,-0.5\n",
+    ind="f0,f1,label\n0.5,1.0,0\n-1.5,2.0,5\n",
+    ood="f0,f1\n0.25,-0.5\n3.0,1.0\n",
     side_by_side=True,
 )
 def test_fuzzed_csv_one_line_and_documented_exit(fuzz_files, command, ind, ood, side_by_side):
@@ -1078,13 +1121,10 @@ def test_fuzzed_csv_one_line_and_documented_exit(fuzz_files, command, ind, ood, 
         warnings.simplefilter("always")
         code, lines = _run_captured([*argv, "--out", str(out)])
         if side_by_side:
-            # The same run, as if on two CPUs, where evaluate loads files of a
-            # few bytes side by side and score parses its file in two byte
-            # ranges. The checkpoint outweighs the file, so score's cut is
-            # the first line end of the rows.
-            threshold = wood.data if command == "score" else wood.cli
+            # The same run, as if on two CPUs, where each file of a few bytes
+            # parses in two byte ranges.
             with (
-                mock.patch.object(threshold, "_SPLIT_BYTES", 1),
+                mock.patch.object(wood.data, "_SPLIT_BYTES", 1),
                 mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True),
                 mock.patch.object(os, "fork", lambda: forks.append(None) or real_fork()),
             ):
@@ -1096,13 +1136,18 @@ def test_fuzzed_csv_one_line_and_documented_exit(fuzz_files, command, ind, ood, 
         assert not out.exists()
     if side_by_side:
         assert beside_run == (code, lines)
-        if command == "score":
-            assert os.path.getsize(checkpoint) > os.path.getsize(ood_csv)
-            rows = io.StringIO(ood, newline=None).readlines()[1:]
-            assert len(forks) == (len(rows) >= 2)
-        else:
-            small, large = sorted(map(os.path.getsize, (ind_csv, ood_csv)))
-            assert len(forks) == (large <= 2 * small)
+        # The checkpoint loads beside the first file that loads, and outweighs
+        # it, so that file's cut is the first line end of its rows.
+        first = ood if command == "score" else ind
+        assert os.path.getsize(checkpoint) > len(first)
+        want = len(io.StringIO(first, newline=None).readlines()[1:]) >= 2
+        # evaluate's --ood file loads unless --ind failed, and its cut is the
+        # first line end from the middle of its rows.
+        if command == "evaluate" and not (code and lines[0].startswith(f"data error: {ind_csv}")):
+            raw = ood.encode("latin-1")
+            body = _past_line_end(raw, 0)
+            want += _past_line_end(raw, max(body, (body + len(raw)) // 2)) < len(raw)
+        assert len(forks) == want
         if code:
             assert not beside_out.exists()
         elif command == "evaluate":
