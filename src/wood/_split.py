@@ -45,7 +45,8 @@ def beside(here, there, big: bool):
     222-238 ms at 2 BLAS threads against 140-168 ms with all of it here. At 1
     thread it took 117-123 ms against 164-177 ms, so the loss is the two
     processes' BLAS threads contending for the two CPUs, and NumPy has no
-    public control of the thread count."""
+    public control of the thread count (:func:`wood._blas.blas_info` reads
+    it from the bundled OpenBLAS, and sets nothing)."""
     global _inside
     if not (
         big

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import blas_info
 from .data import (
     Dataset,
     Role,
@@ -198,12 +199,16 @@ def _checkpoint_score_config(args, ckpt) -> ScoreConfig:
 
 
 def _echo_run_config(out_dir: Path, args) -> None:
-    """Write the resolved settings as ``run_config.txt``, one ``dest=value`` line each."""
+    """Write the resolved settings as ``run_config.txt``, one ``dest=value``
+    line each, then the BLAS library, version and thread count that the
+    output bits depend on (``None`` where no OpenBLAS is found)."""
     lines = [
         f"{key}={','.join(map(str, value)) if isinstance(value, tuple) else value}"
         for key, value in vars(args).items()
         if key not in ("out", "config", "func")
     ]
+    blas = blas_info() or dict.fromkeys(["library", "version", "threads"])
+    lines += [f"blas_{key}={value}" for key, value in blas.items()]
     (out_dir / "run_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -6,8 +6,9 @@ replacement per epoch) plus a smaller batch of unlabeled OOD samples
 explicit softmax-output gradients, and applies one SGD-with-momentum
 update. Everything is deterministic given (seed, data, config) and the
 BLAS thread count: the last bits of a matrix product can differ between
-thread counts. The CPU count changes no bit of any output: a dataset CSV
-parsed, or a checkpoint written, in two processes has the bits of one.
+thread counts, so each command's ``run_config.txt`` records the count. The
+CPU count changes no bit of any output: a dataset CSV parsed, or a
+checkpoint written, in two processes has the bits of one.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import wood
 import wood.cli
 import wood.data
+from wood._blas import blas_info
 from wood.cli import _median_call_ms, _score_blocks, main
 from wood.data import Dataset, Role, load_dataset_csv, save_dataset_csv
 from wood.detect import evaluate, report_text
@@ -1242,3 +1243,33 @@ def test_diverged_train_keeps_its_settings(tmp_path):
     assert len(err) == 1 and err[0].startswith("numeric error: model diverged: "), err
     assert [path.name for path in out.iterdir()] == ["run_config.txt"]
     assert "lr=1e+300\nmomentum=0.9\n" in (out / "run_config.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="two BLAS threads need two CPUs",
+)
+def test_run_config_records_the_blas_thread_count(tmp_path):
+    # The output bits depend on the BLAS thread count, so each run records the
+    # count that the library reports, and repeats its own checkpoint bytes.
+    if blas_info() is None:
+        pytest.skip("NumPy loaded no bundled OpenBLAS")
+    ind_csv = gen_blobs(tmp_path / "data", n=30)
+    recorded = {"1": set(), "2": set()}
+    checkpoints = {"1": set(), "2": set()}
+    for index, threads in enumerate("1212"):
+        out = tmp_path / f"run{index}"
+        argv = ["train", "--ind", str(ind_csv), "--b-ood", "0", "--epochs", "2", "--out", str(out)]
+        result = subprocess.run(
+            [sys.executable, "-m", "wood.cli", *argv],
+            env={**fresh_env(), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = (out / "run_config.txt").read_text(encoding="utf-8").splitlines()
+        keys = [line.split("=", 1)[0] for line in lines[-3:]]
+        assert keys == ["blas_library", "blas_version", "blas_threads"]
+        recorded[threads].add(lines[-1])
+        checkpoints[threads].add((out / "checkpoint.json").read_bytes())
+    assert recorded == {"1": {"blas_threads=1"}, "2": {"blas_threads=2"}}
+    assert [len(found) for found in checkpoints.values()] == [1, 1]

@@ -3,26 +3,30 @@
 import contextlib
 import gzip
 import io
+import math
 import os
 import re
 import signal
+import struct
 import threading
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wood.data
 from wood.data import (
+    IDX_IMAGES_MAGIC,
     Dataset,
     Role,
     SyntheticKind,
     SyntheticSpec,
     _parse_rows,
     _parse_rows_fast,
+    _read_idx,
     load_dataset_csv,
     load_idx_pair,
     save_dataset_csv,
@@ -191,6 +195,37 @@ class TestIdx:
         path.write_bytes(raw[:20])
         with pytest.raises(InputError, match="byte"):
             load_idx_pair(path, None)
+
+    def test_write_idx_bytes(self, tmp_path, rng):
+        # The same tensor gives the same bytes, and the gzip file holds the
+        # plain file's bytes.
+        images = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
+        for name in ("a.idx", "b.idx", "a.gz", "b.gz"):
+            write_idx(tmp_path / name, images)
+        plain = (tmp_path / "a.idx").read_bytes()
+        assert (tmp_path / "b.idx").read_bytes() == plain
+        assert (tmp_path / "b.gz").read_bytes() == (tmp_path / "a.gz").read_bytes()
+        assert gzip.decompress((tmp_path / "a.gz").read_bytes()) == plain
+
+    @pytest.mark.parametrize("role", list(Role))
+    def test_zero_images(self, tmp_path, role):
+        path = tmp_path / "imgs.gz"
+        write_idx(path, np.zeros((0, 28, 28), dtype=np.uint8))
+        write_idx(tmp_path / "lbls.gz", np.zeros(0, dtype=np.uint8))
+        with pytest.raises(InputError, match=f"^{path}: no images$"):
+            load_idx_pair(path, tmp_path / "lbls.gz", role=role)
+
+    @pytest.mark.parametrize(
+        "dims", [(1 << 22, 1 << 21, 1 << 21), ((1 << 32) - 1,) * 3]
+    )
+    def test_payload_size_is_exact(self, tmp_path, dims):
+        # Both products reach 2**64 or more, which an int64 product wraps.
+        path = tmp_path / "imgs.idx"
+        path.write_bytes(struct.pack(">4I", IDX_IMAGES_MAGIC, *dims))
+        expected = 16 + math.prod(dims)
+        message = f"^{path}: truncated IDX payload at byte 16 \\(expected {expected}\\)$"
+        with pytest.raises(InputError, match=message):
+            load_idx_pair(path, None, role=Role.OOD)
 
     def test_ood_role_drops_labels(self, tmp_path):
         write_idx(tmp_path / "imgs.idx", np.zeros((2, 2, 2), dtype=np.uint8))
@@ -538,6 +573,61 @@ class TestTwoProcessParse:
         assert str(info.value) == f"{bad}:{row + 2}: could not convert string to float: 'x'"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def idx_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("idx") / "drawn.idx"
+
+
+# The most payload bytes a drawn IDX file holds: a larger payload is cut to
+# this many, so no case allocates the payload that its header asks for.
+_PAYLOAD_CAP = 1 << 12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dims=st.lists(
+        st.one_of(
+            st.integers(0, 5),
+            st.integers(0, (1 << 32) - 1),
+            st.sampled_from([1 << 21, 1 << 22, 1 << 31, (1 << 32) - 1]),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    payload=st.sampled_from(["exact", "short", "absent"]),
+)
+@example(dims=[0, (1 << 32) - 1, (1 << 32) - 1], payload="exact")  # empty, but too large
+@example(dims=[3, 4, 5], payload="exact")
+def test_read_idx_any_header(idx_path, dims, payload):
+    # Any header of rank 1 to 4, even one whose dims multiply to 2**64 or
+    # more: the tensor of exactly that shape, or an InputError.
+    magic = 0x0800 | len(dims)
+    size = math.prod(dims)
+    wanted = {"exact": size, "short": size - 1, "absent": 0}[payload]
+    held = min(max(wanted, 0), _PAYLOAD_CAP)  # an empty tensor has no short payload
+    header = struct.pack(f">{len(dims) + 1}I", magic, *dims)
+    idx_path.write_bytes(header + bytes(held))
+    try:
+        tensor = _read_idx(idx_path, magic)
+    except InputError as exc:
+        message = str(exc)
+    else:
+        message = None
+        assert tensor.shape == tuple(dims) and tensor.dtype == np.uint8
+    if held < size:
+        expected = len(header) + size
+        assert message == (
+            f"{idx_path}: truncated IDX payload at byte {len(header) + held}"
+            f" (expected {expected})"
+        )
+    # NumPy holds an empty tensor only where its other dims multiply to at
+    # most the largest intp.
+    elif math.prod(d for d in dims if d) > np.iinfo(np.intp).max:
+        assert message == f"{idx_path}: IDX dims {tuple(dims)} are too large for one array"
+    else:
+        assert message is None
 
 
 class TestIdxTrainingFlow:
