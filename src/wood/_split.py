@@ -1,12 +1,13 @@
 """The package's one fork path: two jobs side by side, one in this process
 and one in a forked child, with the results of running both in one process.
 
-:func:`beside` is the primitive, and :func:`in_two` splits one job into two
-halves on top of it. A large CSV file parses in two byte ranges, and
-``wood score`` and ``wood evaluate`` load their checkpoint beside the second
-range of the file they load first; a large checkpoint renders in two halves.
-A split requested inside either job of a forked :func:`beside` runs in one
-process, so at most two processes run at once."""
+:func:`beside` returns ``(here(), there())`` on every path. A large CSV file
+parses in two byte ranges, and ``wood score`` and ``wood evaluate`` load
+their checkpoint beside the second range of the file they load first; a
+large checkpoint renders its rows in two halves. Where no child is forked,
+this process runs ``here`` and then ``there``. A :func:`beside` called
+inside either job of a forked one runs in one process, so at most two
+processes run at once."""
 
 from __future__ import annotations
 
@@ -15,24 +16,25 @@ import signal
 import threading
 import warnings
 
-# True in both jobs of a forked ``beside``: the split of a job nested in one
-# runs in one process.
+# True in both jobs of a forked ``beside``: a ``beside`` nested in one runs
+# in one process.
 _inside = False
 
 
-def beside(here, there, big: bool):
-    """``(here(), there())``, where ``there`` returns bytes-like, run side by
-    side: a forked child writes the bytes of ``there()`` into an anonymous
-    in-memory file while this process runs ``here()``.
+def beside(here, there, big: bool) -> tuple:
+    """``(here(), there())``, where ``there`` returns bytes-like, with the
+    results, errors and error order of one process running ``here`` and then
+    ``there``.
 
-    The result is ``None``, and neither job has run, where ``big`` is false,
-    this process may run on one CPU only, another Python thread runs, the
-    call is made inside a job of a forked ``beside``, or the in-memory file
-    or the fork fails; the caller then runs the jobs in one process. A child
-    that does not exit with status 0 has ``there()`` run here after
-    ``here()``, so the jobs' errors reach the caller in the order that one
-    process raises them. The child is always waited for; where ``here``
-    raises, it is killed first, and the exception reaches the caller.
+    Where ``big`` is true, a forked child writes the bytes of ``there()``
+    into an anonymous in-memory file while this process runs ``here()``.
+    No child is forked where ``big`` is false, this process may run on one
+    CPU only, another Python thread runs, the call is made inside a job of a
+    forked ``beside``, or the in-memory file or the fork fails; this process
+    then runs ``here`` and then ``there``. A child that does not exit with
+    status 0 has ``there()`` run here after ``here()``. The child is always
+    waited for; where ``here`` raises, it is killed first, and the exception
+    reaches the caller.
 
     A pipe would hold the child's bytes until this process finished its own
     job and then pass them over 64 kB at a time: 3 MB took about 12 ms that
@@ -59,11 +61,12 @@ def beside(here, there, big: bool):
         # on forever.
         and threading.active_count() == 1
     ):
-        return None
+        return here(), there()
     try:
         fd = os.memfd_create("there")
     except OSError:  # no file descriptor or memory left: one process
-        return None
+        return here(), there()
+    pid = None
     with open(fd, "r+b") as file:
         _inside = True
         try:
@@ -79,7 +82,7 @@ def beside(here, there, big: bool):
                     warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
             except OSError:  # no memory or process slot left: one process
-                return None
+                pass
             if pid == 0:
                 # The child only runs ``there``, and reports by its exit
                 # status. os._exit keeps it from returning into the caller's
@@ -92,31 +95,20 @@ def beside(here, there, big: bool):
                     code = 0
                 finally:
                     os._exit(code)
-            try:
-                mine = here()
-            except BaseException:
-                # No one reads the child's bytes, so the error is reported
-                # without waiting for its job.
-                os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                _, status = os.waitpid(pid, 0)
-            if os.waitstatus_to_exitcode(status) == 0:
-                file.seek(0)
-                return mine, file.read()
-            return mine, there()
+            if pid is not None:
+                try:
+                    mine = here()
+                except BaseException:
+                    # No one reads the child's bytes, so the error is
+                    # reported without waiting for its job.
+                    os.kill(pid, signal.SIGKILL)
+                    raise
+                finally:
+                    _, status = os.waitpid(pid, 0)
+                if os.waitstatus_to_exitcode(status) == 0:
+                    file.seek(0)
+                    return mine, file.read()
         finally:
             _inside = False
-
-
-def in_two(render, n: int, big: bool) -> list:
-    """The parts of ``render(0, n)``, whose bytes-like result for items
-    ``[0, n)`` must be its results for ``[0, cut)`` and ``[cut, n)`` joined.
-
-    Where ``big`` is true and ``n >= 2``, a forked child renders
-    ``[cut, n)`` beside this process rendering ``[0, cut)``
-    (:func:`beside`); the result is ``[head, tail]``. Where no child is
-    forked, it is ``[render(0, n)]``."""
-    cut = n // 2
-    both = beside(lambda: render(0, cut), lambda: render(cut, n), big and n >= 2)
-    return [render(0, n)] if both is None else list(both)
+    # No child, or a child that failed: this process runs what is left.
+    return (here() if pid is None else mine), there()

@@ -223,24 +223,26 @@ def load_idx_pair(
     """Load a big-endian IDX image/label file pair (gzip detected by magic).
 
     Pixels are scaled to [0, 1] and flattened to one row per image. For the
-    OOD role (or a missing labels file) labels are dropped entirely.
+    OOD role (or a missing labels file) labels are dropped entirely. Every
+    ``InputError`` names the file it is about.
     """
     images = _read_idx(images_path, IDX_IMAGES_MAGIC)
     n = images.shape[0]
     if n == 0:
         raise InputError(f"{images_path}: no images")
+    if images.size == 0:
+        raise InputError(f"{images_path}: images have no pixels, dims {images.shape}")
     features = images.reshape(n, -1) / 255.0
 
     labels = None
     if labels_path is not None:
         larray = _read_idx(labels_path, IDX_LABELS_MAGIC)
         if larray.shape[0] != n:
-            raise InputError(
-                f"count mismatch: {n} images vs {larray.shape[0]} labels"
-            )
+            message = f"{larray.shape[0]} labels for {n} images in {images_path}"
+            raise InputError(f"{labels_path}: {message}")
         labels = larray.astype(np.int64)
     elif role is Role.IND:
-        raise InputError("InD IDX pair requires a labels file")
+        raise InputError(f"{images_path}: InD IDX pair requires a labels file")
 
     return Dataset(
         features,
@@ -320,11 +322,13 @@ def load_dataset_csv(
     Feature cells are what ``float()`` accepts and labels what ``int()``
     accepts. Every ``InputError`` names the file, and a bad row ``path:line``.
 
-    A file of at least ``_SPLIT_BYTES`` bytes parses in two byte ranges, the
-    second in a forked child (:func:`_parse_rows_fast`). ``first``, a job
-    that reads about ``first_bytes`` bytes, runs once in this process before
-    its own range parses, so its errors come before the file's; the cut moves
-    by ``first_bytes`` so that both processes read about as many bytes.
+    A file of at least ``_SPLIT_BYTES`` bytes has its rows cut at a line end
+    into two byte ranges, the second parsed in a forked child
+    (:func:`_parse_rows_fast`); where no child is forked, one process parses
+    both ranges in turn. ``first``, a job that reads about ``first_bytes``
+    bytes, runs once in this process before its own range parses, so its
+    errors come before the file's; the cut moves by ``first_bytes`` so that
+    both processes read about as many bytes.
     """
     parsed = _parse_rows_fast(path, first, first_bytes)
     if parsed is None:
@@ -414,14 +418,15 @@ def _parse_rows_fast(path, first, first_bytes: int):
     The rows are cut at the first line end after about the middle of their
     bytes (:func:`_ranges`). Each range is read, decoded and parsed on its
     own, the second in a forked child (:func:`wood._split.beside`) beside
-    ``first()`` and the first range here. Each line parses on its own, so the
-    ranges give the bits of the whole. The C reader parses a cell to the
-    same bits as ``float()`` or ``int()``. A range is declined where it is
-    not ASCII, or the C reader raises ``ValueError``, warns (it only warns
-    when there are no rows) or skips blank lines, which :func:`_parse_rows`
-    rejects: then it returns fewer rows than lines. A range that the child
-    declines is parsed again here before the decline reaches the caller: a
-    bad file costs one more range parse."""
+    ``first()`` and the first range here; a file that is not cut has an
+    empty second range. Each line parses on its own, so the ranges give the
+    bits of the whole. The C reader parses a cell to the same bits as
+    ``float()`` or ``int()``. A range is declined where it is not ASCII, or
+    the C reader raises ``ValueError``, warns (it only warns when there are
+    no rows) or skips blank lines, which :func:`_parse_rows` rejects: then it
+    returns fewer rows than lines. A range that the child declines is parsed
+    again here before the decline reaches the caller: a bad file costs one
+    more range parse."""
     ranges = _ranges(path, first_bytes)
     if ranges is None:
         first()
@@ -454,25 +459,16 @@ def _parse_rows_fast(path, first, first_bytes: int):
         first()
         return parse(body, cut)
 
+    def there() -> np.ndarray:  # an empty part where the file is not cut
+        return parse(cut, size) if cut < size else np.empty(0, dtype)
+
     try:
-        both = beside(here, lambda: parse(cut, size), cut < size)
-        if both is None:
-            first()
-            parts = [parse(body, size)]
-        else:
-            parts = [both[0], np.frombuffer(both[1], dtype)]
+        mine, theirs = beside(here, there, cut < size)
     except _Declined:
         return None
-    n = sum(len(rows) for rows in parts)
-    features = np.empty((n, dim))
-    labels = np.empty(n, dtype=np.int64) if has_label else None
-    start = 0
-    for rows in parts:
-        features[start : start + len(rows)] = rows["x"]
-        if has_label:
-            labels[start : start + len(rows)] = rows["y"]
-        start += len(rows)
-    return features, labels
+    parts = (mine, np.frombuffer(theirs, dtype))
+    labels = np.concatenate([rows["y"] for rows in parts]) if has_label else None
+    return np.concatenate([rows["x"] for rows in parts]), labels
 
 
 def _parse_rows(path, lines: list[str], dim: int, has_label: bool):

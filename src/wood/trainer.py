@@ -19,13 +19,13 @@ import itertools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from ._split import in_two
+from ._split import beside
 from .data import Dataset, read_text
 from .errors import InputError, NumericError
 from .geometry import ScoreConfig
@@ -203,20 +203,7 @@ METRICS_COLUMNS = ("epoch", "ce_term", "ood_term", "total", "alpha_M", "m", "wal
 def metrics_csv_lines(metrics: list[EpochMetrics]) -> list[str]:
     """Render the per-epoch log as CSV lines (repr floats, exact reload)."""
     lines = [",".join(METRICS_COLUMNS)]
-    for row in metrics:
-        lines.append(
-            ",".join(
-                [
-                    str(row.epoch),
-                    repr(row.ce_term),
-                    repr(row.ood_term),
-                    repr(row.total),
-                    repr(row.alpha_m),
-                    repr(row.m),
-                    repr(row.wall_ms),
-                ]
-            )
-        )
+    lines += (",".join(map(repr, astuple(row))) for row in metrics)
     return lines
 
 
@@ -245,8 +232,11 @@ _SPLIT_PARAMS = 20_000
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write ``ckpt`` as the text of ``json.dumps(payload, sort_keys=True,
     separators=(",", ":"))`` and a newline. The parameters are dumped one
-    weight-matrix row or bias vector at a time; at least ``_SPLIT_PARAMS`` of
-    them in two processes (:func:`wood._split.in_two`)."""
+    weight-matrix row or bias vector at a time, and the rows are cut at the
+    first that starts at or after half the parameters. At least
+    ``_SPLIT_PARAMS`` of them render the two halves in two processes
+    (:func:`wood._split.beside`); where no child is forked, one process
+    renders both halves in turn."""
     model = ckpt.model
     dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     fields = {
@@ -261,16 +251,16 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     # The JSON order: the biases, then the rows of each weight matrix.
     vectors = [*model.biases, *(row for w in model.weights for row in w)]
     starts = list(itertools.accumulate((v.size for v in vectors[:-1]), initial=0))
-
-    def render(start: int, stop: int) -> bytes:
-        """A line for each vector that starts at a parameter index in
-        ``[start, stop)``, so the halves split at whole rows."""
-        first, last = bisect.bisect_left(starts, start), bisect.bisect_left(starts, stop)
-        return "".join(f"{dump(v.tolist())}\n" for v in vectors[first:last]).encode("ascii")
-
     size = model.params.size
-    parts = in_two(render, size, size >= _SPLIT_PARAMS)
-    rows = iter(b"".join(parts).decode("ascii").split("\n"))
+    cut = bisect.bisect_left(starts, size // 2)
+
+    def render(part) -> bytes:
+        return "".join(f"{dump(v.tolist())}\n" for v in part).encode("ascii")
+
+    halves = beside(
+        lambda: render(vectors[:cut]), lambda: render(vectors[cut:]), size >= _SPLIT_PARAMS
+    )
+    rows = iter(b"".join(halves).decode("ascii").split("\n"))
     fields["biases"] = "[" + ",".join(itertools.islice(rows, len(model.biases))) + "]"
     matrices = (",".join(itertools.islice(rows, len(w))) for w in model.weights)
     fields["weights"] = "[" + ",".join(f"[{m}]" for m in matrices) + "]"

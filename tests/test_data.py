@@ -184,7 +184,8 @@ class TestIdx:
         for n_images, n_labels in ((4, 5), (5, 4)):
             write_idx(tmp_path / "imgs.idx", np.zeros((n_images, 2, 2), dtype=np.uint8))
             write_idx(tmp_path / "lbls.idx", np.zeros(n_labels, dtype=np.uint8))
-            message = f"^count mismatch: {n_images} images vs {n_labels} labels$"
+            message = f"{n_labels} labels for {n_images} images in {tmp_path}/imgs.idx"
+            message = f"^{tmp_path}/lbls.idx: {message}$"
             with pytest.raises(InputError, match=message):
                 load_idx_pair(tmp_path / "imgs.idx", tmp_path / "lbls.idx")
 
@@ -214,6 +215,22 @@ class TestIdx:
         write_idx(tmp_path / "lbls.gz", np.zeros(0, dtype=np.uint8))
         with pytest.raises(InputError, match=f"^{path}: no images$"):
             load_idx_pair(path, tmp_path / "lbls.gz", role=role)
+
+    @pytest.mark.parametrize("role", list(Role))
+    @pytest.mark.parametrize("dims", [(4, 0, 5), (4, 5, 0)])
+    def test_images_without_pixels(self, tmp_path, role, dims):
+        path = tmp_path / "imgs.gz"
+        write_idx(path, np.zeros(dims, dtype=np.uint8))
+        write_idx(tmp_path / "lbls.gz", np.zeros(4, dtype=np.uint8))
+        message = f"{path}: images have no pixels, dims {dims}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_idx_pair(path, tmp_path / "lbls.gz", role=role)
+
+    def test_ind_without_labels_file(self, tmp_path):
+        path = tmp_path / "imgs.idx"
+        write_idx(path, np.zeros((2, 2, 2), dtype=np.uint8))
+        with pytest.raises(InputError, match=f"^{path}: InD IDX pair requires a labels file$"):
+            load_idx_pair(path, None)
 
     @pytest.mark.parametrize(
         "dims", [(1 << 22, 1 << 21, 1 << 21), ((1 << 32) - 1,) * 3]

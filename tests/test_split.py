@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 import wood._split
-from wood._split import beside, in_two
+from wood._split import beside
 
 
 def _numbers(start, stop):
@@ -91,11 +91,10 @@ class TestBeside:
     def test_a_split_in_either_job_runs_in_one_process(self, monkeypatch):
         forks = _counted_forks(monkeypatch)
         parent = os.getpid()
+        half = self.N // 2
 
         def split():
-            parts = in_two(_numbers, self.N, True)
-            assert parts == [_numbers(0, self.N)]
-            return parts[0]
+            return b"".join(beside(lambda: _numbers(0, half), lambda: _numbers(half, self.N), True))
 
         def there():
             # The child reports the forks that it has seen: the one that made
@@ -110,7 +109,7 @@ class TestBeside:
         assert len(forks) == 1
         _no_child_left()
         # Outside a job, a split forks again.
-        assert len(in_two(_numbers, self.N, True)) == 2
+        assert split() == _numbers(0, self.N)
         assert len(forks) == 2
         _no_child_left()
 
@@ -123,47 +122,7 @@ class TestBeside:
             ({0, 1}, True, "memfd_create", OSError),
         ],
     )
-    def test_no_child_and_no_job_run(self, monkeypatch, cpus, big, broken, error):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-
-        def failing(*args):
-            raise error(broken)
-
-        def job():
-            raise AssertionError("a job ran")
-
-        monkeypatch.setattr(os, broken, failing)
-        assert beside(job, job, big) is None
-        assert not wood._split._inside
-        _no_child_left()
-
-
-class TestInTwo:
-    N = 100_000  # about 300 kB from the child
-
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-    def test_child_renders_the_second_half(self, monkeypatch):
-        forks = []
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
-        parts = in_two(_numbers, self.N, True)
-        assert len(forks) == 1
-        assert parts == [_numbers(0, self.N // 2), _numbers(self.N // 2, self.N)]
-        _no_child_left()
-
-    @pytest.mark.parametrize(
-        "cpus, big, broken, error",
-        [
-            ({0}, True, "fork", AssertionError),
-            ({0, 1}, False, "fork", AssertionError),
-            ({0, 1}, True, "fork", OSError),
-            ({0, 1}, True, "memfd_create", OSError),
-        ],
-    )
-    def test_renders_in_one_process_without_a_fork(self, monkeypatch, cpus, big, broken, error):
+    def test_one_process_runs_both(self, monkeypatch, cpus, big, broken, error):
         # One CPU or a small job: no fork. A fork or an in-memory file that
         # fails (no memory, process slot or descriptor): one process.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -172,33 +131,29 @@ class TestInTwo:
             raise error(broken)
 
         monkeypatch.setattr(os, broken, failing)
-        assert in_two(_numbers, self.N, big) == [_numbers(0, self.N)]
-        _no_child_left()
-
-    def test_a_failed_child_has_its_half_rendered_here(self):
         parent = os.getpid()
         calls = []
 
-        def render(start, stop):
-            if os.getpid() != parent:
-                raise RuntimeError("the child fails")
-            calls.append((start, stop))
-            return _numbers(start, stop)
+        def here():
+            calls.append(("here", os.getpid(), wood._split._inside))
+            return "here"
 
-        assert b"".join(in_two(render, self.N, True)) == _numbers(0, self.N)
-        assert calls == [(0, self.N // 2), (self.N // 2, self.N)]
-        _no_child_left()
+        def there():
+            calls.append(("there", os.getpid(), wood._split._inside))
+            return _numbers(0, self.N)
 
-    def test_an_error_here_waits_for_the_child(self):
-        parent = os.getpid()
+        assert beside(here, there, big) == ("here", _numbers(0, self.N))
+        assert calls == [("here", parent, False), ("there", parent, False)]
+        assert not wood._split._inside
 
-        def render(start, stop):
-            if os.getpid() == parent:
-                raise ValueError("declined")
-            return _numbers(start, stop)
+        def declined():
+            raise ValueError("declined")
 
+        calls.clear()
         with pytest.raises(ValueError, match="declined"):
-            in_two(render, self.N, True)
+            beside(declined, there, big)
+        assert calls == []
+        assert not wood._split._inside
         _no_child_left()
 
     def test_fork_warning_does_not_escape(self, monkeypatch):
@@ -214,7 +169,7 @@ class TestInTwo:
         monkeypatch.setattr(os, "fork", warning_fork)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            parts = in_two(_numbers, self.N, True)
+            both = beside(lambda: b"here", lambda: _numbers(0, self.N), True)
         assert caught == []
-        assert b"".join(parts) == _numbers(0, self.N)
+        assert both == (b"here", _numbers(0, self.N))
         _no_child_left()

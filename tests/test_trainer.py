@@ -22,6 +22,7 @@ from wood.loss import loss_and_grad
 from wood.model import MlpModel, ParamGrads, backward, forward, init
 from wood.trainer import (
     Batch,
+    EpochMetrics,
     MomentumState,
     TrainConfig,
     _all_finite,
@@ -435,6 +436,17 @@ class TestFitMetrics:
         assert lines[0].startswith("epoch,ce_term,ood_term,total,alpha_M,m,wall_ms")
         cells = lines[1].split(",")
         assert float(cells[3]) == metrics[0].total
+
+    def test_metrics_csv_lines_text(self):
+        rows = [
+            EpochMetrics(0, 0.5, 1e-17, 0.1 + 0.2, 0.0, -2.5, 12.0),
+            EpochMetrics(11, *[1.0] * 6),
+        ]
+        assert metrics_csv_lines(rows) == [
+            "epoch,ce_term,ood_term,total,alpha_M,m,wall_ms",
+            "0,0.5,1e-17,0.30000000000000004,0.0,-2.5,12.0",
+            "11,1.0,1.0,1.0,1.0,1.0,1.0",
+        ]
 
 
 class TestCheckpoint:
