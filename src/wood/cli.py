@@ -198,10 +198,17 @@ def _checkpoint_score_config(args, ckpt) -> ScoreConfig:
         raise InputError(f"{args.checkpoint}: malformed train_config.score: {exc}") from exc
 
 
-def _echo_run_config(out_dir: Path, args) -> None:
-    """Write the resolved settings as ``run_config.txt``, one ``dest=value``
+def _prepare_out(args) -> Path:
+    """Create ``--out``, copy a ``--config`` file there as ``config.txt``,
+    and write ``run_config.txt``: the resolved settings, one ``dest=value``
     line each, then the BLAS library, version and thread count that the
-    output bits depend on (``None`` where no OpenBLAS is found)."""
+    output bits depend on (``None`` where no OpenBLAS is found). Every
+    command calls it once its inputs have loaded and validated, so a run
+    that fails on its inputs writes nothing."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if getattr(args, "config", None):
+        shutil.copyfile(args.config, out_dir / "config.txt")
     lines = [
         f"{key}={','.join(map(str, value)) if isinstance(value, tuple) else value}"
         for key, value in vars(args).items()
@@ -210,15 +217,6 @@ def _echo_run_config(out_dir: Path, args) -> None:
     blas = blas_info() or dict.fromkeys(["library", "version", "threads"])
     lines += [f"blas_{key}={value}" for key, value in blas.items()]
     (out_dir / "run_config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _prepare_out(args) -> Path:
-    """Create ``--out``. Commands call it once their inputs have loaded and
-    validated, so a run that fails on its inputs writes nothing."""
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if getattr(args, "config", None):
-        shutil.copyfile(args.config, out_dir / "config.txt")
     return out_dir
 
 
@@ -249,8 +247,9 @@ def _check_dim(ds: Dataset, path: str, dim: int, dim_of: str) -> None:
 
 def _with_checkpoint(args, path: str, role: Role):
     """``(model, score_cfg, ds)``: the model and score configuration of
-    ``--checkpoint``, and the dataset CSV ``path``. The checkpoint's errors
-    come before the file's.
+    ``--checkpoint``, and the dataset CSV ``path``, checked against the
+    model: an InD file's labels must be in its class range, and every row
+    as wide as its input. The checkpoint's errors come before the file's.
 
     The checkpoint loads here while a forked child parses the second byte
     range of a large file; the cut moves by the checkpoint's size, so both
@@ -267,6 +266,11 @@ def _with_checkpoint(args, path: str, role: Role):
     except OSError:  # a missing checkpoint fails when it loads
         checkpoint_bytes = 0
     ds = _dataset_from_args(path, role, first=checkpoint, first_bytes=checkpoint_bytes)
+    if role is Role.IND and ds.n_classes > model.n_classes:
+        raise InputError(
+            f"{path}: label {ds.n_classes - 1} is out of range for {model.n_classes} classes"
+        )
+    _check_dim(ds, path, model.input_dim, f"{args.checkpoint} input")
     return model, score_cfg, ds
 
 
@@ -321,7 +325,6 @@ def _cmd_gen_data(args) -> int:
     out_dir = _prepare_out(args)
     name = "ind.csv" if ds.role is Role.IND else "ood.csv"
     save_dataset_csv(ds, out_dir / name)
-    _echo_run_config(out_dir, args)
     print(f"wrote {out_dir / name}: {ds.n} rows, dim={ds.dim}, role={ds.role.value}")
     return EXIT_OK
 
@@ -346,8 +349,7 @@ def _cmd_train(args) -> int:
         raise InputError(f"{args.ind}: training needs at least 2 classes, got {ind_set.n_classes}")
     if cfg.b_ood > 0 and ood_set is None:
         raise InputError(f"--b-ood {cfg.b_ood} needs an --ood dataset")
-    out_dir = _prepare_out(args)
-    _echo_run_config(out_dir, args)  # before fit, so a diverged run records its settings
+    out_dir = _prepare_out(args)  # before fit, so a diverged run records its settings
 
     ckpt, metrics = fit(ind_set, ood_set, cfg, hidden=args.hidden)
     save_checkpoint(ckpt, out_dir / "checkpoint.json")
@@ -367,14 +369,9 @@ def _cmd_evaluate(args) -> int:
     if not args.calib_on_eval and not 0.0 < args.calib_frac < 1.0:
         raise InputError(f"calib_frac must lie in (0, 1), got {args.calib_frac!r}")
     model, score_cfg, ind_set = _with_checkpoint(args, args.ind, Role.IND)
-    if ind_set.n_classes > model.n_classes:
-        raise InputError(
-            f"{args.ind}: label {ind_set.n_classes - 1} is out of range"
-            f" for {model.n_classes} classes"
-        )
-    source = f"{args.checkpoint} input"
-    _check_dim(ind_set, args.ind, model.input_dim, source)
-    ood_set = _dataset_from_args(args.ood, Role.OOD, dim=model.input_dim, dim_of=source)
+    ood_set = _dataset_from_args(
+        args.ood, Role.OOD, dim=model.input_dim, dim_of=f"{args.checkpoint} input"
+    )
 
     ind_scores, _, ind_predicted = _score_blocks(model, ind_set, args.ind, score_cfg)
     ood_scores, _, _ = _score_blocks(model, ood_set, args.ood, score_cfg)
@@ -406,7 +403,6 @@ def _cmd_evaluate(args) -> int:
     (out_dir / "hist_ood.csv").write_text(
         "\n".join(histogram_csv_lines(report, "ood")) + "\n", encoding="ascii"
     )
-    _echo_run_config(out_dir, args)
     print(text, end="")
     print(f"wrote {out_dir / 'report.txt'}")
     return EXIT_OK
@@ -414,7 +410,6 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_score(args) -> int:
     model, score_cfg, ds = _with_checkpoint(args, args.features, Role.OOD)
-    _check_dim(ds, args.features, model.input_dim, f"{args.checkpoint} input")
     values, classes, _ = _score_blocks(model, ds, args.features, score_cfg)
 
     header = "index,argmin_class,score"

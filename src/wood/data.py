@@ -284,17 +284,14 @@ def save_dataset_csv(ds: Dataset, path: str | Path) -> None:
     Floats are rendered with ``repr`` so files are deterministic and values
     reload exactly.
     """
-    labeled = ds.role is Role.IND
-    with open(path, "w", encoding="ascii") as fh:
-        header = [f"f{i}" for i in range(ds.dim)]
-        if labeled:
-            header.append("label")
-        fh.write(",".join(header) + "\n")
-        for i in range(ds.n):
-            row = [repr(float(x)) for x in ds.features[i]]
-            if labeled:
-                row.append(str(int(ds.labels[i])))
-            fh.write(",".join(row) + "\n")
+    header = [f"f{i}" for i in range(ds.dim)]
+    rows = ds.features.tolist()
+    if ds.role is Role.IND:
+        header.append("label")
+        rows = [[*row, label] for row, label in zip(rows, ds.labels.tolist())]
+    lines = [",".join(header)]
+    lines += (",".join(map(repr, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def read_text(path: str | Path, encoding: str) -> str:

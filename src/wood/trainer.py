@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -203,7 +203,7 @@ METRICS_COLUMNS = ("epoch", "ce_term", "ood_term", "total", "alpha_M", "m", "wal
 def metrics_csv_lines(metrics: list[EpochMetrics]) -> list[str]:
     """Render the per-epoch log as CSV lines (repr floats, exact reload)."""
     lines = [",".join(METRICS_COLUMNS)]
-    lines += (",".join(map(repr, astuple(row))) for row in metrics)
+    lines += (",".join(map(repr, vars(row).values())) for row in metrics)
     return lines
 
 
@@ -358,14 +358,10 @@ def fit(
     metrics: list[EpochMetrics] = []
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        losses: list[LossValue] = []
-        alpha_m = 0.0
-        m_floor = 1.0
-        for batch_id, batch in enumerate(make_batches(ind_set, ood_set, cfg, rng)):
-            loss_value = train_step(model, batch, cfg, state, batch_id=(epoch, batch_id))
-            losses.append(loss_value)
-            alpha_m = max(alpha_m, loss_value.alpha_m)
-            m_floor = min(m_floor, loss_value.m)
+        losses = [
+            train_step(model, batch, cfg, state, batch_id=(epoch, batch_id))
+            for batch_id, batch in enumerate(make_batches(ind_set, ood_set, cfg, rng))
+        ]
         wall_ms = (time.perf_counter() - started) * 1000.0
         metrics.append(
             EpochMetrics(
@@ -373,8 +369,8 @@ def fit(
                 ce_term=float(np.mean([l.ce_term for l in losses])),
                 ood_term=float(np.mean([l.ood_term for l in losses])),
                 total=float(np.mean([l.total for l in losses])),
-                alpha_m=alpha_m,
-                m=m_floor,
+                alpha_m=max(l.alpha_m for l in losses),
+                m=min(l.m for l in losses),
                 wall_ms=wall_ms,
             )
         )

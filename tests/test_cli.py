@@ -1273,3 +1273,26 @@ def test_run_config_records_the_blas_thread_count(tmp_path):
         checkpoints[threads].add((out / "checkpoint.json").read_bytes())
     assert recorded == {"1": {"blas_threads=1"}, "2": {"blas_threads=2"}}
     assert [len(found) for found in checkpoints.values()] == [1, 1]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "evaluate", "score", "bench-score"])
+def test_every_command_records_its_run(command, tmp_path):
+    # Every output's bits may depend on the BLAS thread count, so every
+    # command leaves its settings and the count beside its outputs.
+    ind_csv = gen_blobs(tmp_path / "data", n=10)
+    ood_csv = gen_ring(tmp_path / "data", n=10)
+    checkpoint = tmp_path / "checkpoint.json"
+    write_checkpoint(checkpoint)
+    flags = {
+        "gen-data": ["--kind", "ring", "--n", "5"],
+        "train": ["--ind", str(ind_csv), "--b-ood", "0", "--epochs", "1", "--hidden", "3"],
+        "evaluate": ["--checkpoint", str(checkpoint), *dataset_flags(command, ind_csv, ood_csv)],
+        "score": ["--checkpoint", str(checkpoint), *dataset_flags(command, ind_csv, ood_csv)],
+        "bench-score": ["--k", "3", "--repeats", "1"],
+    }[command]
+    out = tmp_path / "out"
+    assert run_cli(command, *flags, "--out", str(out)) == 0
+    lines = (out / "run_config.txt").read_text(encoding="utf-8").splitlines()
+    assert f"command={command}" in lines
+    keys = [line.split("=", 1)[0] for line in lines[-3:]]
+    assert keys == ["blas_library", "blas_version", "blas_threads"]

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import wood.data
 from wood.data import (
@@ -337,6 +338,38 @@ def _same_bits(a, b):
 @pytest.fixture(scope="module")
 def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("csv") / "d.csv"
+
+
+def _csv_text_row_by_row(ds):
+    """The text of ``save_dataset_csv(ds)``, rendered one row and one value
+    at a time."""
+    labeled = ds.role is Role.IND
+    lines = [",".join([f"f{i}" for i in range(ds.dim)] + (["label"] if labeled else []))]
+    for i in range(ds.n):
+        row = [repr(float(x)) for x in ds.features[i]]
+        if labeled:
+            row.append(str(int(ds.labels[i])))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    role=st.sampled_from(Role),
+    features=arrays(
+        np.float64,
+        st.tuples(st.integers(0, 5), st.integers(0, 4)),
+        elements=st.sampled_from([-0.0, 5e-324, 1e300])
+        | st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    labels=st.lists(st.integers(0, 5), min_size=5, max_size=5),
+)
+@example(role=Role.IND, features=np.array([[-0.0, 5e-324, 1e300]]), labels=[5] * 5)
+@example(role=Role.OOD, features=np.array([[-0.0], [5e-324], [1e300]]), labels=[0] * 5)
+def test_csv_writer_matches_row_by_row_text(csv_path, role, features, labels):
+    ds = Dataset(features, labels[: len(features)], role, n_classes=6)
+    save_dataset_csv(ds, csv_path)
+    assert csv_path.read_text(encoding="ascii") == _csv_text_row_by_row(ds)
 
 
 def _loader_agrees_with_line_loop(csv_path, data):

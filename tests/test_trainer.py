@@ -411,6 +411,39 @@ class TestFitMetrics:
             assert row.alpha_m > 0
             assert 0 < row.m <= 1
 
+    def test_epoch_metrics_fold_the_epoch_losses(self):
+        # fit replayed by hand: the same seed streams, init, batches and
+        # steps. Each epoch's row is the means of its steps' loss terms, the
+        # largest alpha_M and the smallest m, to the bit.
+        ind = blobs(n_per_class=30, k=2, seed=6)
+        ood = ring(n=30, seed=7)
+        score_cfg = ScoreConfig(CostKind.DYNAMIC, EvalPath.CLOSED_FORM)
+        cfg = TrainConfig(epochs=3, b_ind=20, b_ood=5, seed=1, score=score_cfg)
+        _, metrics = fit(ind, ood, cfg, hidden=(8,))
+        init_seed, batch_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+        model = init((ind.dim, 8, ind.n_classes), init_seed)
+        rng = np.random.default_rng(batch_seed)
+        state = MomentumState(model)
+        expected = []
+        for epoch, row in enumerate(metrics):
+            losses = [
+                train_step(model, batch, cfg, state, batch_id=(epoch, batch_id))
+                for batch_id, batch in enumerate(make_batches(ind, ood, cfg, rng))
+            ]
+            assert len({l.alpha_m for l in losses}) > 1 and len({l.m for l in losses}) > 1
+            expected.append(
+                EpochMetrics(
+                    epoch=epoch,
+                    ce_term=float(np.mean([l.ce_term for l in losses])),
+                    ood_term=float(np.mean([l.ood_term for l in losses])),
+                    total=float(np.mean([l.total for l in losses])),
+                    alpha_m=max(l.alpha_m for l in losses),
+                    m=min(l.m for l in losses),
+                    wall_ms=row.wall_ms,
+                )
+            )
+        assert metrics_csv_lines(metrics) == metrics_csv_lines(expected)
+
     def test_ood_term_beats_pure_cross_entropy_baseline(self):
         # The mechanism claim: the score penalty leaves OOD softmax outputs
         # measurably flatter than cross-entropy-only training does.
