@@ -55,10 +55,19 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; the CLI contract wants 1.
     def error(self, message):
         raise _UsageError(message)
+
+    # With error overridden, argparse exits only after printing --help;
+    # main returns EXIT_OK instead of raising SystemExit.
+    def exit(self, status=0, message=None):
+        raise _HelpShown
 
 
 def _tnr_value(text: str) -> float:
@@ -473,13 +482,7 @@ def _cmd_bench_score(args) -> int:
     return EXIT_OK
 
 
-def _build_parser(train_defaults: dict) -> argparse.ArgumentParser:
-    """The CLI parser; ``train_defaults`` (converted config-file values)
-    replace the declared defaults of ``train``'s settings."""
-    parser = _Parser(prog="wood", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen-data", help="write synthetic datasets as CSV")
+def _declare_gen_data(gen) -> None:
     gen.add_argument("--kind", required=True, choices=[k.value for k in SyntheticKind])
     gen.add_argument("--k", type=int, default=3)
     gen.add_argument("--n", type=int, default=200)
@@ -490,15 +493,17 @@ def _build_parser(train_defaults: dict) -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen_data)
 
-    train = sub.add_parser("train", help="train a classifier with the mixed-batch loss")
+
+def _declare_train(train) -> None:
     train.add_argument("--ind", required=True, help="labeled InD training CSV")
     train.add_argument("--ood", default=None, help="unlabeled OOD training CSV")
     train.add_argument("--out", required=True)
     train.add_argument("--config", default=None, help="key=value config file")
     _add_train_settings(train)
-    train.set_defaults(func=_cmd_train, **train_defaults)
+    train.set_defaults(func=_cmd_train)
 
-    ev = sub.add_parser("evaluate", help="calibrate and report FNR/AUROC")
+
+def _declare_evaluate(ev) -> None:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--ind", required=True, help="labeled InD test CSV")
     ev.add_argument("--ood", required=True, help="unlabeled OOD test CSV")
@@ -515,7 +520,8 @@ def _build_parser(train_defaults: dict) -> argparse.ArgumentParser:
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=_cmd_evaluate)
 
-    sc = sub.add_parser("score", help="per-sample scores for a feature CSV")
+
+def _declare_score(sc) -> None:
     sc.add_argument("--checkpoint", required=True)
     sc.add_argument("--features", required=True)
     _add_score_flags(sc)
@@ -524,7 +530,8 @@ def _build_parser(train_defaults: dict) -> argparse.ArgumentParser:
     sc.add_argument("--out", required=True)
     sc.set_defaults(func=_cmd_score)
 
-    bench = sub.add_parser("bench-score", help="time binary vs dynamic sinkhorn scoring")
+
+def _declare_bench_score(bench) -> None:
     bench.add_argument(
         "--k", type=_class_counts, default="10,50,100", help="comma-separated class counts"
     )
@@ -534,17 +541,56 @@ def _build_parser(train_defaults: dict) -> argparse.ArgumentParser:
     bench.add_argument("--out", required=True)
     bench.set_defaults(func=_cmd_bench_score)
 
+
+# Each command's help line and the function that declares its flags, in the
+# order the top-level help lists them.
+_COMMANDS = {
+    "gen-data": ("write synthetic datasets as CSV", _declare_gen_data),
+    "train": ("train a classifier with the mixed-batch loss", _declare_train),
+    "evaluate": ("calibrate and report FNR/AUROC", _declare_evaluate),
+    "score": ("per-sample scores for a feature CSV", _declare_score),
+    "bench-score": ("time binary vs dynamic sinkhorn scoring", _declare_bench_score),
+}
+
+
+def _build_parser(train_defaults: dict, command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``train_defaults`` (converted config-file values)
+    replace the declared defaults of ``train``'s settings.
+
+    When ``command`` names one of the five commands, only that command and
+    its flags are declared: no command's flags, defaults, help or errors
+    depend on the others, so an argument list that starts with its name
+    parses as with the full parser, and ``wood score`` does not pay for
+    declaring ``train``. Otherwise (no command, ``--help`` or an unknown
+    name) all five are declared, so the top-level help and the
+    invalid-choice error list every command."""
+    parser = _Parser(prog="wood", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, declare = _COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        declare(subparser)
+        if name == "train":
+            subparser.set_defaults(**train_defaults)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit code; ``--help`` prints and returns ``EXIT_OK``. Only the
+    flags of the command named by ``argv[0]`` are declared (see
+    ``_build_parser``)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
     try:
-        args = _build_parser({}).parse_args(argv)
+        args = _build_parser({}, command).parse_args(argv)
         if getattr(args, "config", None):
             # flags > config file > defaults: the file's values become the
             # defaults, and the command line is parsed again over them.
-            args = _build_parser(_read_config_file(args.config)).parse_args(argv)
+            args = _build_parser(_read_config_file(args.config), command).parse_args(argv)
         return args.func(args)
+    except _HelpShown:
+        return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

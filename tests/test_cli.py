@@ -1296,3 +1296,85 @@ def test_every_command_records_its_run(command, tmp_path):
     assert f"command={command}" in lines
     keys = [line.split("=", 1)[0] for line in lines[-3:]]
     assert keys == ["blas_library", "blas_version", "blas_threads"]
+
+
+@pytest.mark.parametrize("command", [[]] + [[name] for name in wood.cli._COMMANDS])
+def test_help_returns_ok(command, capsys):
+    assert main([*command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["usage: wood", *command]) + " [-h]")
+
+
+# The one-command parser that main builds for an argument list starting with
+# a command name must parse that list as the parser of all five commands does.
+PARSE_VALUES = ["1", "0.5", "-1", "nan", "x", "a.csv", ""]
+
+
+def _declared_options(command):
+    """The option actions of ``command`` in the parser of all five commands."""
+    subparsers = wood.cli._build_parser({})._subparsers._group_actions[0]
+    return [action for action in subparsers.choices[command]._actions if action.option_strings]
+
+
+def _parse_outcome(parser, argv):
+    """What ``parser`` makes of ``argv``: the namespace (by ``repr``, so that
+    nan equals nan and the key order counts), the usage error or the help."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(argv)
+    except wood.cli._UsageError as exc:
+        return "usage error", str(exc)
+    except wood.cli._HelpShown:
+        return "help", out.getvalue()
+    return "namespace", repr(vars(args))
+
+
+@st.composite
+def command_argv(draw, command):
+    actions = _declared_options(command)
+    flags = [
+        flag for action in actions if action.dest != "help" for flag in action.option_strings
+    ] + ["--unknown"]
+    values = PARSE_VALUES + [choice for action in actions for choice in action.choices or ()]
+    argv = [command]
+    if draw(st.integers(0, 3)):  # every required flag, so that a namespace can come out
+        for action in actions:
+            if action.required:
+                argv += [action.option_strings[0], (action.choices or ["a.csv"])[0]]
+    for flag, value in draw(
+        st.lists(st.tuples(st.sampled_from(flags), st.none() | st.sampled_from(values)), max_size=4)
+    ):
+        argv += [flag] if value is None else [flag, value]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["-h", "--help"])))
+    return argv
+
+
+@pytest.mark.parametrize("command", list(wood.cli._COMMANDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), train_defaults=st.sampled_from([{}, {"epochs": 3, "lam": 2.0}]))
+def test_one_command_parser_agrees_with_the_full_one(command, data, train_defaults):
+    argv = data.draw(command_argv(command))
+    one = _parse_outcome(wood.cli._build_parser(train_defaults, command), argv)
+    full = _parse_outcome(wood.cli._build_parser(train_defaults), argv)
+    assert one == full
+
+
+@pytest.mark.parametrize(
+    "argv, kind, text",
+    [
+        ([], "usage error", "the following arguments are required: command"),
+        (["--help"], "help", "{gen-data,train,evaluate,score,bench-score}"),
+        (["-h", "score"], "help", "{gen-data,train,evaluate,score,bench-score}"),
+        (["bogus"], "usage error", "argument command: invalid choice: 'bogus'"),
+        (["--bogus"], "usage error", "the following arguments are required: command"),
+    ],
+)
+def test_no_command_name_first_declares_every_command(argv, kind, text):
+    # None of these starts with a command name, so main builds all five
+    # commands, and the help and the errors list them.
+    outcome = _parse_outcome(wood.cli._build_parser({}, *argv[:1]), argv)
+    assert outcome == _parse_outcome(wood.cli._build_parser({}), argv)
+    assert outcome[0] == kind
+    assert text in outcome[1]
