@@ -1,6 +1,7 @@
 """Loss decomposition and explicit softmax-output gradients."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wood.errors import InputError, NumericError
-from wood.geometry import EvalPath, ScoreConfig, binary_matrix, scores
-from wood.loss import PROB_FLOOR, loss_and_grad
+from wood.geometry import EvalPath, ScoreConfig, _score_rows, binary_matrix, scores
+from wood.loss import PROB_FLOOR, LossValue, loss_and_grad
 from wood.oracles import dynamic_matrix, fd_gradient, lp_transport, one_hot
-from wood.transport import CostKind, SinkhornConfig
+from wood.transport import CostKind, SinkhornConfig, sinkhorn_gradient
 
 from conftest import random_simplex, solve_one
 
@@ -305,3 +306,87 @@ class TestBatchProperties:
             # rounding error, about eps / step = 2e-11, which near a
             # stationary point exceeds any relative bound.
             assert np.linalg.norm(grad[j] - fd) <= 1e-6 * np.linalg.norm(fd) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The batch loss against its plain formulas, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_loss_and_grad(P, labels, beta, cfg):
+    """:func:`loss_and_grad` with every intermediate kept: the label entries
+    by fancy indexing, ``m`` and ``alpha_m`` as reductions of whole clamped
+    or complemented arrays, and the OOD gradient centered by a row sum."""
+    n, k = P.shape
+    n_ind = len(labels)
+    n_ood = n - n_ind
+    grad = np.zeros_like(P)
+    ce_term, m = 0.0, 1.0
+    if n_ind:
+        rows = np.arange(n_ind)
+        p_label = np.maximum(P[rows, labels], PROB_FLOOR)
+        ce_term = float((-np.log(p_label)).sum() / n_ind)
+        grad[rows, labels] = -1.0 / (n_ind * p_label)
+        m = float(np.maximum(P[:n_ind], PROB_FLOOR).min())
+    dynamic = cfg.matrix_kind is CostKind.DYNAMIC
+    ood_term, alpha_m = 0.0, 0.0 if dynamic else 1.0
+    if n_ood:
+        Q = P[n_ind:]
+        values, classes, plans = _score_rows(Q, cfg, first_row=n_ind)
+        ood_term = float(values.sum() / n_ood)
+        scale = beta / n_ood
+        if cfg.evaluation is EvalPath.SINKHORN:
+            g = -scale * sinkhorn_gradient(plans, cfg.sinkhorn)
+        elif dynamic:
+            g = scale * (2.0 * Q - 1.0)
+        else:
+            g = np.zeros_like(Q)
+            g[np.arange(n_ood), classes] = scale
+        grad[n_ind:] = g - g.sum(axis=1, keepdims=True) / k
+        if dynamic:
+            alpha_m = float((1.0 - Q.min(axis=1)).max())
+    return LossValue(ce_term - beta * ood_term, ce_term, ood_term, alpha_m, m), grad
+
+
+# Weights of a row before it is normalized: exact zeros, entries that stay
+# below PROB_FLOOR, and ordinary ones.
+ROW_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 0.0, 5e-324, 1e-300, 1e-14, 1e-13]), st.floats(1e-3, 1.0)
+)
+
+
+@st.composite
+def batches_with_zeros(draw, max_n=6, max_k=5):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(2, max_k))
+    P = np.array(draw(st.lists(ROW_WEIGHTS, min_size=n * k, max_size=n * k))).reshape(n, k)
+    P[P.sum(axis=1) == 0.0, draw(st.integers(0, k - 1))] = 1.0
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def outcome(fn, *args):
+    """Gradient bytes and each LossValue field as ``.hex()``, or the error."""
+    try:
+        lv, grad = fn(*args)
+    except NumericError as exc:
+        return repr(exc)
+    return grad.tobytes(), [float(value).hex() for value in astuple(lv)]
+
+
+class TestLossEqualsPlainFormulas:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        P=batches_with_zeros(),
+        cfg=st.sampled_from(CONFIGS),
+        ind=st.sampled_from(["none", "all", "some"]),
+        beta=st.floats(0.0, 2.0),
+        data=st.data(),
+    )
+    def test_bits_equal_the_reference(self, P, cfg, ind, beta, data):
+        n, k = P.shape
+        n_ind = {"none": 0, "all": n, "some": data.draw(st.integers(0, n))}[ind]
+        labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n_ind, max_size=n_ind))
+        labels = np.array(labels, dtype=np.intp)
+        assert outcome(loss_and_grad, P, labels, beta, cfg) == outcome(
+            reference_loss_and_grad, P, labels, beta, cfg
+        )

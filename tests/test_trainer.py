@@ -1,6 +1,8 @@
 """Batch construction, training mechanics, and checkpoint persistence."""
 
+import bisect
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -362,10 +364,19 @@ def blas_fingerprint() -> str:
     return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
 
 
+def stacked_fingerprint() -> str:
+    """sha256 of the stacked ``1xK @ Kx1`` products by which the dynamic
+    closed form scores the six OOD rows of the pinned dynamic steps."""
+    rows = np.random.default_rng(1).random((6, 5))
+    return hashlib.sha256((rows[:, None, :] @ rows[:, :, None]).tobytes()).hexdigest()
+
+
 class TestPinnedTrainingBits:
     """The parameter vector after three binary-Sinkhorn ``train_step``s has
-    the sha256 recorded before the class solve was reworked, so a refactor
-    cannot change the rounding unnoticed. The digests hold for the BLAS and
+    the sha256 recorded before the class solve was reworked, and after three
+    dynamic closed-form steps (the path the c06 and score workloads train on)
+    the one recorded before the step was trimmed, so a refactor cannot change
+    the rounding unnoticed. The digests hold for the BLAS and
     the ``exp``/``log`` they were recorded with (NumPy 2.4.6, OpenBLAS
     0.3.31, x86-64 with AVX-512); elsewhere the test cannot tell a rounding
     change from the platform's own, and skips."""
@@ -395,6 +406,30 @@ class TestPinnedTrainingBits:
             assert plans.domain.tolist() == [domain] * 6
             train_step(model, Batch(x=x, y_ind=y), cfg, state, batch_id=(0, step))
         assert hashlib.sha256(model.params.tobytes()).hexdigest() == digest
+
+    # The dynamic closed form scores each OOD row by a stacked 1xK @ Kx1
+    # product, a shape the fingerprint above does not cover.
+    STACKED_FINGERPRINT = "2273e730bc03c488a03b0acabef74ad9d4e19c42db0a4aa2574b2d38bcc01e29"
+    DYNAMIC_DIGEST = "23727f89c3799ac3aeebeb9d85d2377c9df0e83453fc9b33bcb73fbf2e6bbd25"
+
+    def test_three_dynamic_closed_form_steps(self):
+        if (blas_fingerprint(), stacked_fingerprint()) != (
+            self.FINGERPRINT,
+            self.STACKED_FINGERPRINT,
+        ):
+            pytest.skip("BLAS, exp or log round differently from where the digests were recorded")
+        score = ScoreConfig(CostKind.DYNAMIC, EvalPath.CLOSED_FORM)
+        cfg = TrainConfig(epochs=1, beta=0.5, b_ind=8, b_ood=6, lr=0.05, momentum=0.9, score=score)
+        model = init((12, 16, 8, 5), 7)
+        state = MomentumState(model)
+        rng = np.random.default_rng(11)
+        for step in range(3):
+            x = rng.normal(size=(14, 12))
+            x[8:] *= 3.0
+            y = rng.integers(0, 5, size=8)
+            train_step(model, Batch(x=x, y_ind=y), cfg, state, batch_id=(0, step))
+        digest = hashlib.sha256(model.params.tobytes()).hexdigest()
+        assert digest == self.DYNAMIC_DIGEST
 
 
 class TestFitMetrics:
@@ -482,6 +517,25 @@ class TestFitMetrics:
         ]
 
 
+def cut_place(layer_dims) -> str:
+    """Where :func:`save_checkpoint` cuts the parameters of ``layer_dims`` in
+    two: at the first vector, in the JSON order of the biases and then the
+    rows of each weight matrix, that starts at or after half of them."""
+    pairs = list(zip(layer_dims[:-1], layer_dims[1:]))
+    sizes = [fan_out for _, fan_out in pairs]
+    sizes += [fan_out for fan_in, fan_out in pairs for _ in range(fan_in)]
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    row = bisect.bisect_left(starts, sum(sizes) // 2) - len(pairs)
+    assert row >= 0, "the biases are never cut"
+    for i, (fan_in, _) in enumerate(pairs):
+        if row < fan_in:
+            if row:
+                return "inside the first matrix" if i == 0 else "inside a later matrix"
+            return "between two matrices" if i else "at the first weight row"
+        row -= fan_in
+    raise AssertionError("the second half is never empty")
+
+
 class TestCheckpoint:
     def make(self, tmp_path):
         model = init((3, 4, 2), seed=42)
@@ -565,6 +619,46 @@ class TestCheckpoint:
             "n_classes": model.n_classes,
             "train_config": ckpt.train_config,
             "rng_digest": ckpt.rng_digest,
+        }
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_text(encoding="ascii") == expected
+
+    @pytest.mark.parametrize(
+        "layer_dims, place, non_finite",
+        [
+            ((1, 1, 3), "at the first weight row", False),
+            ((2, 4, 4), "between two matrices", False),
+            ((4, 3, 2), "inside the first matrix", False),
+            ((1, 2, 3, 4), "inside a later matrix", True),
+        ],
+    )
+    def test_split_at_each_kind_of_cut(self, tmp_path, layer_dims, place, non_finite):
+        assert cut_place(layer_dims) == place
+        model = init(layer_dims, seed=0)
+        model.biases[0][0] = 0.25
+        if non_finite:
+            model.weights[0][0, 0] = math.nan
+            model.weights[-1][-1, -1] = -math.inf
+        ckpt = make_checkpoint(model, {"kind": "identity"}, rng_digest="digest")
+        path = tmp_path / "ckpt.json"
+        real_fork, forks = os.fork, []
+        with (
+            mock.patch.object(wood.trainer, "_SPLIT_PARAMS", 1),
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True),
+            mock.patch.object(os, "fork", lambda: forks.append(None) or real_fork()),
+        ):
+            save_checkpoint(ckpt, path)
+        assert len(forks) == 1
+        payload = {
+            "format_version": 1,
+            "layer_dims": list(layer_dims),
+            "weights": [w.tolist() for w in model.weights],
+            "biases": [b.tolist() for b in model.biases],
+            "activation": "relu",
+            "normalization": {"kind": "identity"},
+            "n_classes": layer_dims[-1],
+            "train_config": ckpt.train_config,
+            "rng_digest": "digest",
         }
         expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         assert path.read_text(encoding="ascii") == expected
