@@ -83,11 +83,13 @@ def _loss_and_grad(
     grad = np.zeros_like(P)
     ce_term, m = 0.0, 1.0
     if n_ind:
-        rows = np.arange(n_ind)
-        p_label = np.maximum(P[rows, labels], PROB_FLOOR)
-        ce_term = float((-np.log(p_label)).sum() / n_ind)
-        grad[rows, labels] = -1.0 / (n_ind * p_label)
-        m = float(np.maximum(P[:n_ind], PROB_FLOOR).min())
+        # Row i's label entry, as one index into the flattened rows.
+        flat = np.arange(0, n_ind * k, k) + labels
+        p_label = np.maximum(P.take(flat), PROB_FLOOR)
+        ce_term = float(np.add.reduce(-np.log(p_label)) / n_ind)
+        grad.put(flat, -1.0 / (n_ind * p_label))
+        # The floor commutes with the minimum, as 1 - x below does with it.
+        m = max(float(np.minimum.reduce(P[:n_ind], axis=None)), PROB_FLOOR)
 
     dynamic = cfg.matrix_kind is CostKind.DYNAMIC
     ood_term = 0.0
@@ -95,7 +97,7 @@ def _loss_and_grad(
     if n_ood:
         Q = P[n_ind:]
         values, classes, plans = _score_rows(Q, cfg, first_row=n_ind)
-        ood_term = float(values.sum() / n_ood)
+        ood_term = float(np.add.reduce(values) / n_ood)
         scale = beta / n_ood
         if cfg.evaluation is EvalPath.SINKHORN:
             g = -scale * sinkhorn_gradient(plans, cfg.sinkhorn)
@@ -104,9 +106,9 @@ def _loss_and_grad(
         else:
             g = np.zeros_like(Q)
             g[np.arange(n_ood), classes] = scale
-        grad[n_ind:] = g - g.sum(axis=1, keepdims=True) / k
+        np.subtract(g, np.add.reduce(g, axis=1, keepdims=True) / k, out=grad[n_ind:])
         if dynamic:
-            alpha_m = float((1.0 - Q.min(axis=1)).max())
+            alpha_m = 1.0 - float(np.minimum.reduce(Q, axis=None))
 
     loss = LossValue(
         total=ce_term - beta * ood_term,

@@ -100,9 +100,11 @@ class ForwardTrace:
 
 def _stable_softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax of each row, computed in place in ``logits``."""
-    logits -= logits.max(axis=1, keepdims=True)
+    # The ufunc reductions are what ndarray.max and .sum call, without the
+    # Python call in between.
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
+    logits /= np.add.reduce(logits, axis=1, keepdims=True)
     return logits
 
 
@@ -171,11 +173,11 @@ def _backward(
     """The body of :func:`backward` for a float64 ``g`` shaped like
     ``trace.probs``; every entry of ``grads`` is overwritten."""
     p = trace.probs
-    dz = p * (g - (g * p).sum(axis=1, keepdims=True))
+    dz = p * (g - np.add.reduce(g * p, axis=1, keepdims=True))
     for i in range(len(model.weights) - 1, -1, -1):
         a_prev = trace.activations[i - 1] if i > 0 else trace.inputs
         np.matmul(a_prev.T, dz, out=grads.weights[i])
-        dz.sum(axis=0, out=grads.biases[i])
+        np.add.reduce(dz, axis=0, out=grads.biases[i])
         if i > 0:
             dz = dz @ model.weights[i].T
             # ReLU(z) > 0 exactly where z > 0.

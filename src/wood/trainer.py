@@ -13,9 +13,7 @@ checkpoint written, in two processes has the bits of one.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
-import itertools
 import json
 import math
 import time
@@ -123,7 +121,7 @@ def _all_finite(flat: np.ndarray) -> bool:
     # A NaN or an infinity makes the dot product non-finite, so one BLAS
     # reduction settles the common case; only a non-finite product (which
     # entries above 1e154 give too) pays for the entrywise test.
-    return bool(np.isfinite(flat @ flat)) or bool(np.isfinite(flat).all())
+    return math.isfinite(flat @ flat) or bool(np.isfinite(flat).all())
 
 
 def _check_finite(grads: ParamGrads, grad_probs: np.ndarray, cfg: TrainConfig, batch_id) -> None:
@@ -161,7 +159,9 @@ def train_step(
     solves take them as they are.
     """
     trace = _forward(model, batch.x)
-    if not np.isfinite(trace.probs).all():
+    # A softmax row is finite, or NaN where a logit is not, so one sum settles
+    # it; only a NaN pays for the row scan that names the sample.
+    if not math.isfinite(np.add.reduce(trace.probs, axis=None)):
         bad = ~np.isfinite(trace.probs).all(axis=1)
         raise NumericError(
             "model diverged: non-finite softmax output"
@@ -231,13 +231,14 @@ _SPLIT_PARAMS = 20_000
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write ``ckpt`` as the text of ``json.dumps(payload, sort_keys=True,
-    separators=(",", ":"))`` and a newline. The parameters are dumped one
-    weight-matrix row or bias vector at a time, and the rows are cut at the
-    first that starts at or after half the parameters. At least
-    ``_SPLIT_PARAMS`` of them render the two halves in two processes
+    separators=(",", ":"))`` and a newline. The parameters are cut in two at
+    the first weight-matrix row that starts at or after half of them, in the
+    JSON order: the biases, then the rows of each weight matrix. Each half
+    renders its final bytes, one encoder call per matrix slice. At least
+    ``_SPLIT_PARAMS`` parameters render the two halves in two processes
     (:func:`wood._split.beside`); where no child is forked, one process
     renders both halves in turn."""
-    model = ckpt.model
+    model, weights = ckpt.model, ckpt.model.weights
     dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     fields = {
         "format_version": dump(CHECKPOINT_VERSION),
@@ -247,25 +248,39 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "n_classes": dump(model.n_classes),
         "train_config": dump(ckpt.train_config),
         "rng_digest": dump(ckpt.rng_digest),
+        "biases": dump([b.tolist() for b in model.biases]),
+        # The encoder escapes every control character, so a NUL marks where
+        # the weight rows go.
+        "weights": "[\0]",
     }
-    # The JSON order: the biases, then the rows of each weight matrix.
-    vectors = [*model.biases, *(row for w in model.weights for row in w)]
-    starts = list(itertools.accumulate((v.size for v in vectors[:-1]), initial=0))
-    size = model.params.size
-    cut = bisect.bisect_left(starts, size // 2)
-
-    def render(part) -> bytes:
-        return "".join(f"{dump(v.tolist())}\n" for v in part).encode("ascii")
-
-    halves = beside(
-        lambda: render(vectors[:cut]), lambda: render(vectors[cut:]), size >= _SPLIT_PARAMS
-    )
-    rows = iter(b"".join(halves).decode("ascii").split("\n"))
-    fields["biases"] = "[" + ",".join(itertools.islice(rows, len(model.biases))) + "]"
-    matrices = (",".join(itertools.islice(rows, len(w))) for w in model.weights)
-    fields["weights"] = "[" + ",".join(f"[{m}]" for m in matrices) + "]"
     text = "{" + ",".join(f"{dump(key)}:{fields[key]}" for key in sorted(fields)) + "}\n"
-    Path(path).write_text(text, encoding="ascii")
+    head, tail = text.split("\0")
+    # The biases are at most half the parameters, and the last row is no
+    # longer than they are, so the cut falls in the rows and leaves one at least.
+    size = model.params.size
+    half, start = size // 2, sum(b.size for b in model.biases)
+    for cut, w in enumerate(weights):
+        row = max(0, -((start - half) // w.shape[1]))  # ceil((half - start) / fan_out)
+        if row < len(w):
+            break
+        start += w.size
+
+    def render(slices) -> bytes:
+        # Rows lo:hi of matrix i for each (i, lo, hi), with the comma before
+        # them and without the bracket that the cut leaves to the other half.
+        texts = []
+        for i, lo, hi in slices:
+            rows = dump(weights[i][lo:hi].tolist())
+            if lo or i:
+                rows = "," + rows[1 if lo else 0 :]
+            texts.append(rows if hi == len(weights[i]) else rows[:-1])
+        return "".join(texts).encode("ascii")
+
+    first = [(i, 0, len(w)) for i, w in enumerate(weights[:cut])] + [(cut, 0, row)] * (row > 0)
+    second = [(i, row if i == cut else 0, len(w)) for i, w in enumerate(weights) if i >= cut]
+    halves = beside(lambda: render(first), lambda: render(second), size >= _SPLIT_PARAMS)
+    with open(path, "wb") as file:
+        file.writelines((head.encode("ascii"), *halves, tail.encode("ascii")))
 
 
 _JSON_TYPES = {int: "an integer", str: "a string", dict: "an object"}
