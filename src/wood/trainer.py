@@ -159,8 +159,8 @@ def train_step(
     solves take them as they are.
     """
     trace = _forward(model, batch.x)
-    # A softmax row is finite, or NaN where a logit is not, so one sum settles
-    # it; only a NaN pays for the row scan that names the sample.
+    # With its largest logit subtracted first, a softmax row is finite or all
+    # NaN, so one sum settles it; only a NaN pays for the row scan.
     if not math.isfinite(np.add.reduce(trace.probs, axis=None)):
         bad = ~np.isfinite(trace.probs).all(axis=1)
         raise NumericError(
@@ -223,9 +223,9 @@ class Checkpoint:
 
 
 # A checkpoint of at least this many parameters renders in two processes.
-# A parameter takes about 1.5 us to render, so 20k of them take about 30 ms,
-# and the half that a forked child takes over is worth about three forks of
-# a training process (about 5 ms each, with the write faults that follow).
+# A parameter takes about 1 us to render, 0.8 us of it float repr, so the
+# half of 20k that a forked child takes over is about 10 ms: two forks of a
+# training process (about 5 ms each, with the write faults that follow).
 _SPLIT_PARAMS = 20_000
 
 
