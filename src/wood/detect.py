@@ -49,7 +49,9 @@ def calibrate(ind_scores, tnr_target: float = 0.95) -> float:
 def auroc_rank(ind_scores, ood_scores) -> float:
     """AUROC via the rank statistic: P(OOD score > InD score), ties half."""
     ind = np.sort(_as_scores(ind_scores, "ind_scores"))
-    ood = _as_scores(ood_scores, "ood_scores")
+    # Sorted keys let each binary search start from the last one's place;
+    # the integer sum does not depend on their order.
+    ood = np.sort(_as_scores(ood_scores, "ood_scores"))
     # Mann-Whitney U = #(ind < o) + #(ind == o) / 2 over the OOD scores o,
     # counted as twice U in integers, so it is exact.
     twice_u = (np.searchsorted(ind, ood, "left") + np.searchsorted(ind, ood, "right")).sum()

@@ -26,8 +26,10 @@ from .errors import InputError, NumericError
 # Absolute tolerance on sum(p) == 1 for probability vectors.
 PROB_SUM_TOL = 1e-9
 
-# Floor applied to scaling entries before taking logs in the gradient.
+# The gradient's stand-in for a zero scaling entry (off the support of r2),
+# and the least normal float64, below which a kernel entry keeps too few bits.
 LOG_FLOOR = 1e-300
+_TINY = np.finfo(np.float64).tiny
 
 # ``TransportResult.domain`` entries, repeated once per problem.
 _SCALED = np.array(["scaled"])
@@ -262,7 +264,8 @@ def sinkhorn_batch(r1, r2, C, cfg: SinkhornConfig) -> TransportResult:
     problem ``(B, K, K)``. Every problem runs the scaled iteration and keeps
     its own iteration count and convergence flag; problems are never
     coupled, so each row of the result equals a B=1 call bitwise. Problems
-    whose scalings over/underflow are re-solved together in the log domain
+    whose scalings over/underflow, or whose kernel ``exp(-lam * C)`` has a
+    subnormal entry, are re-solved together in the log domain
     (``domain`` reads ``"log"``), or raise NumericError naming the first of
     them when ``cfg.log_domain`` is false. Non-convergence within
     ``max_iter`` is reported by ``converged``, not raised.
@@ -314,6 +317,10 @@ def _sinkhorn_batch(R1, R2, C, cfg: SinkhornConfig) -> TransportResult:
     # nonnegative, so a finite total proves every one finite.
     if not math.isfinite(value.sum()):
         failed |= ~np.isfinite(value)
+    # A subnormal kernel entry leaves log v too few bits for the dual
+    # gradient, so its problem is re-solved in the log domain too.
+    if kernel.min(initial=1.0) < _TINY:
+        failed |= ((kernel > 0.0) & (kernel < _TINY)).any(axis=(1, 2))
     if np.count_nonzero(failed):
         rows = np.flatnonzero(failed)
         if not cfg.log_domain:
@@ -330,9 +337,11 @@ def sinkhorn_gradient(result: TransportResult, cfg: SinkhornConfig) -> np.ndarra
     """Gradient of the regularized distance w.r.t. the second marginal.
 
     Read per problem from the converged column scaling as
-    ``(log v* + 1/2) / lam``, with ``v*`` floored at ``LOG_FLOOR``; the
-    shape follows ``result.log_v``. The gradient is defined only up to an
-    additive constant (dual gauge); compare gradients after
+    ``(log v* + 1/2) / lam``; the shape follows ``result.log_v``. Only zeros
+    of ``v*`` (off the support of ``r2``) are floored, at ``LOG_FLOOR`` or the
+    row's least nonzero entry if lower: a log-domain iterate's gauge may put
+    entries that carry mass far below ``LOG_FLOOR``. The gradient is defined
+    only up to an additive constant (dual gauge); compare gradients after
     :func:`wood.oracles.center_gradient`.
     """
     if not np.all(result.converged):
@@ -340,4 +349,6 @@ def sinkhorn_gradient(result: TransportResult, cfg: SinkhornConfig) -> np.ndarra
             f"sinkhorn did not converge within {np.max(result.iterations)} iterations;"
             " gradient unavailable"
         )
-    return (np.maximum(result.log_v, np.log(LOG_FLOOR)) + 0.5) / cfg.lam
+    log_v = result.log_v
+    low = np.where(log_v == -np.inf, np.inf, log_v).min(axis=-1, keepdims=True)
+    return (np.maximum(log_v, np.minimum(low, np.log(LOG_FLOOR))) + 0.5) / cfg.lam

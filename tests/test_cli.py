@@ -367,10 +367,12 @@ class TestTwoProcessScore:
         self.features(features, bad=b"-2.25,3e-5")
         argv = ["score", "--checkpoint", str(checkpoint), "--features", str(features)]
         assert run_cli(*argv, "--out", str(tmp_path / "two")) == 0
-        assert len(two_cpus) == 1
+        # Two forks: the parse of the second byte range and the render of the
+        # second half of scores.csv.
+        assert len(two_cpus) == 2
         with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
             assert run_cli(*argv, "--out", str(tmp_path / "one")) == 0
-        assert len(two_cpus) == 1
+        assert len(two_cpus) == 2
         two = (tmp_path / "two" / "scores.csv").read_bytes()
         assert two == (tmp_path / "one" / "scores.csv").read_bytes()
         assert two.count(b"\n") == self.ROWS + 1
@@ -543,6 +545,46 @@ def reference_scores_csv(values, classes, epsilon):
             row += f",{int(score > epsilon)}"
         lines.append(row)
     return "\n".join(lines) + "\n"
+
+
+class TestSplitRender:
+    """``score`` renders ``scores.csv`` in two halves, the second in a forked
+    child; the threshold is patched to one row here, so every file forks."""
+
+    @pytest.mark.parametrize("epsilon", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10])
+    def test_scores_csv_equals_per_row_rendering(self, n, epsilon, tmp_path):
+        model = init((2, 6, 3), seed=3)
+        model.params *= 3.0  # spread the softmax rows, so argmin classes differ
+        checkpoint = tmp_path / "checkpoint.json"
+        write_checkpoint(checkpoint, model)
+        features = tmp_path / "f.csv"
+        x = np.random.default_rng(n).normal(0, 2, (n, 2))
+        save_dataset_csv(Dataset(x, None, Role.OOD), features)
+        saved = load_checkpoint(checkpoint).model
+        probs = forward(saved, load_dataset_csv(features, Role.OOD).features).probs
+        values, classes = scores(probs, ScoreConfig(CostKind.BINARY, EvalPath.CLOSED_FORM))
+        # A threshold at the median value puts decisions of 0 and 1 (and a
+        # value equal to it) on both sides of the cut.
+        threshold = float(np.median(values)) if epsilon else None
+        argv = ["score", "--checkpoint", str(checkpoint), "--features", str(features),
+                "--matrix", "binary", "--eval-path", "closed", "--out", str(tmp_path / "out")]
+        if epsilon:
+            argv += ["--epsilon", repr(threshold)]
+        real_fork, forks = os.fork, []
+        with (
+            mock.patch.object(wood.cli, "_SPLIT_ROWS", 1),
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True),
+            mock.patch.object(os, "fork", lambda: forks.append(None) or real_fork()),
+        ):
+            assert run_cli(*argv) == 0
+        with pytest.raises(ChildProcessError):  # every child was waited for
+            os.waitpid(-1, os.WNOHANG)
+        assert len(forks) == 1
+        want = reference_scores_csv(values, classes, threshold)
+        assert (tmp_path / "out" / "scores.csv").read_bytes() == want.encode("ascii")
+        if n >= 7:
+            assert classes.any()
 
 
 class TestScoringCommands:

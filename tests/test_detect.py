@@ -102,6 +102,23 @@ class TestEvaluate:
                 ood = rng.normal(size=n_ood)
             assert auroc_rank(ind, ood) == pairwise_auroc(ind, ood)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ind=st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 3.0]) | st.floats(-4, 4),
+                     min_size=1, max_size=60),
+        ood=st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 3.0]) | st.floats(-4, 4),
+                     min_size=1, max_size=60),
+        data=st.data(),
+    )
+    def test_sorted_keys_equal_the_unsorted_formula(self, ind, ood, data):
+        # Ties within and across the populations, in any order: the AUROC has
+        # the bits of the rank formula over the OOD scores as given.
+        ood = data.draw(st.permutations(ood))
+        keys = np.sort(np.array(ind))
+        twice_u = (np.searchsorted(keys, ood, "left") + np.searchsorted(keys, ood, "right")).sum()
+        want = float(twice_u) / 2.0 / (len(ind) * len(ood))
+        assert auroc_rank(data.draw(st.permutations(ind)), ood).hex() == want.hex()
+
     def test_monotone_transform_invariance(self, rng):
         ind = rng.normal(size=60)
         ood = rng.normal(loc=0.5, size=40)

@@ -384,8 +384,9 @@ class TestPinnedTrainingBits:
     FINGERPRINT = "abd9f8eccd2bcbbe4c5331dd5687f9ebdfd893ebed621d771987cc12b0a07831"
     DIGESTS = {
         50.0: ("b1cb8e5702dc8773105b200940ce796292810b3468c5e93d18b0375cfec3bf07", "scaled"),
-        # Every OOD row is solved in the log domain at lam=3000.
-        3000.0: ("c4936e64c5bf130d477b8ab95769303c70f6253b2dbf49eb7cbab065c7d0cece", "log"),
+        # Every OOD row is solved in the log domain at lam=3000, where the
+        # gradient keeps the entries below LOG_FLOOR that carry mass.
+        3000.0: ("fbe5a15ea1f14d2dc2cbab5a7244720e184353e077661cff6101fc36856f69aa", "log"),
     }
 
     @pytest.mark.parametrize("lam", sorted(DIGESTS))
@@ -630,6 +631,9 @@ class TestCheckpoint:
             ((2, 4, 4), "between two matrices", False),
             ((4, 3, 2), "inside the first matrix", False),
             ((1, 2, 3, 4), "inside a later matrix", True),
+            # A 300-row matrix cut at row 150, so both halves render 64 rows
+            # at a time from a row that is not a multiple of 64.
+            ((300, 3, 2), "inside the first matrix", False),
         ],
     )
     def test_split_at_each_kind_of_cut(self, tmp_path, layer_dims, place, non_finite):

@@ -10,6 +10,7 @@ from wood.geometry import binary_matrix
 from wood.oracles import (
     CapacityError,
     center_gradient,
+    dynamic_matrix,
     fd_gradient,
     forced_transport,
     lp_transport,
@@ -416,6 +417,61 @@ class TestSinkhornGradient:
             grad = center_gradient(sinkhorn_gradient(res, cfg))
             fd = fd_gradient(reg_value, r2, step=1e-5)
             assert np.linalg.norm(grad - fd) <= 1e-3 * np.linalg.norm(fd)
+
+    def test_matches_finite_differences_in_the_log_domain(self):
+        # At lam=3000 the scaled iteration overflows, and the log-domain
+        # iterate puts the argmin class's entry about 2000 below the others.
+        cfg = SinkhornConfig(lam=3000.0, tol=1e-13)
+        f = np.array([0.2, 0.5, 0.3])
+        r1 = one_hot(1, 3)
+        m = binary_matrix(3)
+        res = solve_one(r1, f, m, cfg)
+        assert res.domain == "log"
+        grad = center_gradient(sinkhorn_gradient(res, cfg))
+        fd = fd_gradient(lambda x: solve_one(r1, x, m, cfg).reg_value, f, step=1e-5)
+        assert np.linalg.norm(grad - fd) <= 1e-3 * np.linalg.norm(fd)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lam=st.sampled_from([1.0, 50.0, 700.0, 750.0, 1000.0, 3000.0, 1e4]),
+        weights=st.lists(
+            st.one_of(
+                st.floats(0.01, 1.0),
+                # Zero and tiny entries. Subnormal ones are left out: a scaled
+                # iterate built from them keeps too few bits for the bound.
+                st.sampled_from([0.0, 1e-300, 1e-250, 1e-100, 1e-20]),
+            ),
+            min_size=2,
+            max_size=50,
+        ),
+        dynamic=st.booleans(),
+        data=st.data(),
+    )
+    def test_one_hot_problem_equals_its_closed_form(self, lam, weights, dynamic, data):
+        # A one-hot r1 = e_c forces the coupling e_c (x) f, so the value is
+        # f @ C[c], the regularized value adds sum f log f / lam, and on the
+        # support of f the centered gradient is the centered C[c] + log f / lam.
+        w = np.array(weights)
+        if w.max() < 0.01:
+            w[0] = 1.0
+        f = w / w.sum()
+        k = f.size
+        c = data.draw(st.integers(0, k - 1))
+        m = dynamic_matrix(f, c) if dynamic else binary_matrix(k)
+        cfg = SinkhornConfig(lam=lam)
+        res = solve_one(one_hot(c, k), f, m, cfg)
+        support = f > 0.0
+        plogp = float(np.sum(f[support] * np.log(f[support])))
+        # A log-domain plan entry is the exp of a sum of terms as large as
+        # lam, so it rounds to about lam * 2.2e-16.
+        tol = max(1e-12, 1e-15 * lam)
+        for got, want in [(res.value, f @ m[c]), (res.reg_value, f @ m[c] + plogp / lam)]:
+            assert abs(got - want) <= tol * max(1.0, abs(want)), (res.domain, got, want)
+        grad = sinkhorn_gradient(res, cfg)
+        assert np.isfinite(grad).all()
+        got = center_gradient(grad[support])
+        want = center_gradient(m[c][support] + np.log(f[support]) / lam)
+        assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max()), res.domain
 
     def test_sign_moving_mass_off_label(self):
         # Label one-hot on the row side; pushing softmax mass away from the
