@@ -2,12 +2,10 @@
 and one in a forked child, with the results of running both in one process.
 
 :func:`beside` returns ``(here(), there())`` on every path. A large CSV file
-parses in two byte ranges, and ``wood score`` and ``wood evaluate`` load
-their checkpoint beside the second range of the file they load first; a
-large checkpoint and a large ``scores.csv`` render their rows in two halves.
-Where no child is forked, this process runs ``here`` and then ``there``. A
-:func:`beside` called inside either job of a forked one runs in one process,
-so at most two processes run at once."""
+parses in two byte ranges; a large checkpoint and a large ``scores.csv``
+render their rows in two halves. Where no child is forked, this process
+runs ``here`` and then ``there``. A :func:`beside` called inside either job
+of a forked one runs in one process, so at most two processes run at once."""
 
 from __future__ import annotations
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import gc
 import math
-import os
 import shutil
 import sys
 import time
@@ -230,21 +229,12 @@ def _prepare_out(args) -> Path:
     return out_dir
 
 
-def _dataset_from_args(
-    path: str,
-    role: Role,
-    dim: int | None = None,
-    dim_of: str = "",
-    first=lambda: None,
-    first_bytes: int = 0,
-) -> Dataset:
+def _dataset_from_args(path: str, role: Role, dim: int | None = None, dim_of: str = "") -> Dataset:
     """Load a dataset CSV; with ``dim``, its rows must be that wide, as set by
-    ``dim_of`` (the file or checkpoint that the error names). ``first`` runs
-    before any error of the file is raised, as in ``load_dataset_csv``."""
+    ``dim_of`` (the file or checkpoint that the error names)."""
     if not path.endswith(".csv"):
-        first()
         raise InputError(f"expected a .csv dataset, got {path}")
-    ds = load_dataset_csv(path, role=role, first=first, first_bytes=first_bytes)
+    ds = load_dataset_csv(path, role=role)
     if dim is not None:
         _check_dim(ds, path, dim, dim_of)
     return ds
@@ -259,23 +249,11 @@ def _with_checkpoint(args, path: str, role: Role):
     """``(model, score_cfg, ds)``: the model and score configuration of
     ``--checkpoint``, and the dataset CSV ``path``, checked against the
     model: an InD file's labels must be in its class range, and every row
-    as wide as its input. The checkpoint's errors come before the file's.
-
-    The checkpoint loads here while a forked child parses the second byte
-    range of a large file; the cut moves by the checkpoint's size, so both
-    processes read about as many bytes."""
-    model = score_cfg = None
-
-    def checkpoint():
-        nonlocal model, score_cfg
-        ckpt = load_checkpoint(args.checkpoint)
-        model, score_cfg = ckpt.model, _checkpoint_score_config(args, ckpt)
-
-    try:
-        checkpoint_bytes = os.path.getsize(args.checkpoint)
-    except OSError:  # a missing checkpoint fails when it loads
-        checkpoint_bytes = 0
-    ds = _dataset_from_args(path, role, first=checkpoint, first_bytes=checkpoint_bytes)
+    as wide as its input. The checkpoint loads first, so its errors come
+    before the file's."""
+    ckpt = load_checkpoint(args.checkpoint)
+    model, score_cfg = ckpt.model, _checkpoint_score_config(args, ckpt)
+    ds = _dataset_from_args(path, role)
     if role is Role.IND and ds.n_classes > model.n_classes:
         raise InputError(
             f"{path}: label {ds.n_classes - 1} is out of range for {model.n_classes} classes"
@@ -366,11 +344,18 @@ def _cmd_train(args) -> int:
         raise InputError(f"--b-ood {cfg.b_ood} needs an --ood dataset")
     out_dir = _prepare_out(args)  # before fit, so a diverged run records its settings
 
-    ckpt, metrics = fit(ind_set, ood_set, cfg, hidden=args.hidden)
+    # Each epoch's line is written as the epoch ends, so a diverged run keeps
+    # the epochs it finished.
+    with open(out_dir / "metrics.csv", "w", encoding="ascii") as log:
+        log.write(metrics_csv_lines([])[0] + "\n")
+        ckpt, metrics = fit(
+            ind_set,
+            ood_set,
+            cfg,
+            hidden=args.hidden,
+            on_epoch=lambda row: log.write(metrics_csv_lines([row])[1] + "\n"),
+        )
     save_checkpoint(ckpt, out_dir / "checkpoint.json")
-    (out_dir / "metrics.csv").write_text(
-        "\n".join(metrics_csv_lines(metrics)) + "\n", encoding="ascii"
-    )
     last = metrics[-1]
     print(
         f"trained {ckpt.model.layer_dims} for {cfg.epochs} epochs:"

@@ -294,24 +294,21 @@ def save_dataset_csv(ds: Dataset, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def read_text(path: str | Path, encoding: str) -> str:
-    """The text of ``path``, read with universal newlines as a text-mode
-    file reads it. A byte that is not ``encoding`` raises ``InputError``
-    naming the path and the byte's offset."""
+def read_text(path: str | Path, encoding: str, raw: bytes | None = None) -> str:
+    """The text of ``path`` (decoded from ``raw``, where its bytes are already
+    read), with universal newlines as a text-mode file reads it. A byte that
+    is not ``encoding`` raises ``InputError`` naming the path and the byte's
+    offset."""
     try:
-        return Path(path).read_text(encoding=encoding)
+        text = (Path(path).read_bytes() if raw is None else raw).decode(encoding)
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         message = f"{path}: byte 0x{byte:02x} at offset {exc.start} is not {encoding}"
         raise InputError(message) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def load_dataset_csv(
-    path: str | Path,
-    role: Role,
-    first=lambda: None,
-    first_bytes: int = 0,
-) -> Dataset:
+def load_dataset_csv(path: str | Path, role: Role) -> Dataset:
     """Load a dataset CSV written by :func:`save_dataset_csv`.
 
     The file is ASCII text: a header ``f0,...,f{d-1}`` (``d >= 1``) with an
@@ -322,12 +319,9 @@ def load_dataset_csv(
     A file of at least ``_SPLIT_BYTES`` bytes has its rows cut at a line end
     into two byte ranges, the second parsed in a forked child
     (:func:`_parse_rows_fast`); where no child is forked, one process parses
-    both ranges in turn. ``first``, a job that reads about ``first_bytes``
-    bytes, runs once in this process before its own range parses, so its
-    errors come before the file's; the cut moves by ``first_bytes`` so that
-    both processes read about as many bytes.
+    both ranges in turn.
     """
-    parsed = _parse_rows_fast(path, first, first_bytes)
+    parsed = _parse_rows_fast(path)
     if parsed is None:
         # Only the lines stay referenced: the file's text goes once it is split.
         lines = read_text(path, "ascii").split("\n")
@@ -378,14 +372,13 @@ def _line_end(file, offset: int) -> tuple[bytes, int]:
     return line[:cr], offset + cr + (2 if line[cr + 1 : cr + 2] == b"\n" else 1)
 
 
-def _cut_from(body: int, size: int, first_bytes: int) -> int:
+def _cut_from(body: int, size: int) -> int:
     """Where the search for the line end that cuts the rows at ``[body,
-    size)`` starts: the middle of the bytes that the two processes read, with
-    ``first_bytes`` on this process's side."""
-    return max(body, (body + size - first_bytes) // 2)
+    size)`` starts: the middle of their bytes."""
+    return (body + size) // 2
 
 
-def _ranges(path, first_bytes: int):
+def _ranges(path):
     """``(dim, has_label, body, cut, size)`` of the dataset CSV ``path``: the
     rows are the bytes ``[body, size)``, to be cut at ``cut`` (``size`` for a
     file under ``_SPLIT_BYTES``). ``None`` where the file cannot be read
@@ -400,33 +393,31 @@ def _ranges(path, first_bytes: int):
             dim, has_label = _columns(path, header.decode("ascii"))
             cut = size
             if size >= _SPLIT_BYTES:
-                _, cut = _line_end(file, _cut_from(body, size, first_bytes))
+                _, cut = _line_end(file, _cut_from(body, size))
     except (OSError, ValueError, InputError):
         return None
     return dim, has_label, body, cut, size
 
 
-def _parse_rows_fast(path, first, first_bytes: int):
+def _parse_rows_fast(path):
     """``(features, labels)`` of the dataset CSV ``path`` parsed by NumPy's C
     reader, or ``None`` where it declines them and the one-process
-    :func:`_parse_rows` decides. ``first()`` runs once before either returns,
-    and its exception reaches the caller.
+    :func:`_parse_rows` decides.
 
     The rows are cut at the first line end after about the middle of their
     bytes (:func:`_ranges`). Each range is read, decoded and parsed on its
-    own, the second in a forked child (:func:`wood._split.beside`) beside
-    ``first()`` and the first range here; a file that is not cut has an
-    empty second range. Each line parses on its own, so the ranges give the
-    bits of the whole. The C reader parses a cell to the same bits as
-    ``float()`` or ``int()``. A range is declined where it is not ASCII, or
-    the C reader raises ``ValueError``, warns (it only warns when there are
-    no rows) or skips blank lines, which :func:`_parse_rows` rejects: then it
-    returns fewer rows than lines. A range that the child declines is parsed
-    again here before the decline reaches the caller: a bad file costs one
-    more range parse."""
-    ranges = _ranges(path, first_bytes)
+    own, the second in a forked child (:func:`wood._split.beside`) while the
+    first parses here; a file that is not cut has an empty second range.
+    Each line parses on its own, so the ranges give the bits of the whole.
+    The C reader parses a cell to the same bits as ``float()`` or ``int()``.
+    A range is declined where it is not ASCII, or the C reader raises
+    ``ValueError``, warns (it only warns when there are no rows) or skips
+    blank lines, which :func:`_parse_rows` rejects: then it returns fewer
+    rows than lines. A range that the child declines is parsed again here
+    before the decline reaches the caller: a bad file costs one more range
+    parse."""
+    ranges = _ranges(path)
     if ranges is None:
-        first()
         return None
     dim, has_label, body, cut, size = ranges
     dtype = np.dtype([("x", np.float64, (dim,))] + ([("y", np.int64)] if has_label else []))
@@ -452,15 +443,11 @@ def _parse_rows_fast(path, first, first_bytes: int):
             raise _Declined
         return rows
 
-    def here() -> np.ndarray:
-        first()
-        return parse(body, cut)
-
     def there() -> np.ndarray:  # an empty part where the file is not cut
         return parse(cut, size) if cut < size else np.empty(0, dtype)
 
     try:
-        mine, theirs = beside(here, there, cut < size)
+        mine, theirs = beside(lambda: parse(body, cut), there, cut < size)
     except _Declined:
         return None
     parts = (mine, np.frombuffer(theirs, dtype))

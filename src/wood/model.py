@@ -28,12 +28,16 @@ def _layer_dims(layer_dims) -> tuple[int, ...]:
     return dims
 
 
-def _flat_layers(dims: tuple[int, ...]):
-    """An uninitialized flat float64 vector for the parameters of ``dims``
-    and its per-layer views, laid out W0 b0 W1 b1 ... (each view
-    C-contiguous)."""
+def _flat_layers(dims: tuple[int, ...], flat: np.ndarray | None = None):
+    """A flat float64 vector for the parameters of ``dims``, uninitialized
+    unless ``flat`` (of exactly that many entries) is given, and its
+    per-layer views, laid out W0 b0 W1 b1 ... (each view C-contiguous)."""
     pairs = list(zip(dims[:-1], dims[1:]))
-    flat = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in pairs))
+    size = sum((fan_in + 1) * fan_out for fan_in, fan_out in pairs)
+    if flat is None:
+        flat = np.empty(size)
+    elif flat.shape != (size,):
+        raise ValueError(f"{flat.size} parameters for layer_dims {dims}, expected {size}")
     weights, biases = [], []
     offset = 0
     for fan_in, fan_out in pairs:

@@ -28,7 +28,7 @@ from .data import Dataset, read_text
 from .errors import InputError, NumericError
 from .geometry import ScoreConfig
 from .loss import LossValue, _loss_and_grad
-from .model import MlpModel, ParamGrads, _backward, _forward, init
+from .model import MlpModel, ParamGrads, _backward, _flat_layers, _forward, init
 
 CHECKPOINT_VERSION = 1
 
@@ -237,7 +237,13 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     renders its final bytes, one encoder call per 64 rows of a matrix. At least
     ``_SPLIT_PARAMS`` parameters render the two halves in two processes
     (:func:`wood._split.beside`); where no child is forked, one process
-    renders both halves in turn."""
+    renders both halves in turn.
+
+    Then write the sidecar ``<path>.params``, which :func:`load_checkpoint`
+    reads instead of parsing the parameters' text: a line with the hex
+    sha256 of the checkpoint's bytes followed by the rest of the sidecar,
+    a line with every field but ``weights`` and ``biases`` as the checkpoint
+    renders them, and ``model.params`` as little-endian float64."""
     model, weights = ckpt.model, ckpt.model.weights
     dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     fields = {
@@ -283,8 +289,17 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     first = [(i, 0, len(w)) for i, w in enumerate(weights[:cut])] + [(cut, 0, row)] * (row > 0)
     second = [(i, row if i == cut else 0, len(w)) for i, w in enumerate(weights) if i >= cut]
     halves = beside(lambda: render(first), lambda: render(second), size >= _SPLIT_PARAMS)
+    parts = (head.encode("ascii"), *halves, tail.encode("ascii"))
     with open(path, "wb") as file:
-        file.writelines((head.encode("ascii"), *halves, tail.encode("ascii")))
+        file.writelines(parts)
+    del fields["weights"], fields["biases"]
+    header = "{" + ",".join(f"{dump(key)}:{fields[key]}" for key in sorted(fields)) + "}\n"
+    rest = (header.encode("ascii"), model.params.astype("<f8", copy=False))
+    digest = hashlib.sha256()
+    for part in (*parts, *rest):
+        digest.update(part)
+    with open(f"{path}.params", "wb") as file:
+        file.writelines((digest.hexdigest().encode("ascii") + b"\n", *rest))
 
 
 _JSON_TYPES = {int: "an integer", str: "a string", dict: "an object"}
@@ -307,12 +322,10 @@ def _numbers(value, what: str) -> np.ndarray:
     return values.astype(np.float64)
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint and build its model, checking both once."""
-    try:
-        payload = json.loads(read_text(path, "ascii"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: corrupt checkpoint at byte {exc.pos}: {exc.msg}") from exc
+def _checkpoint(path, payload, params: np.ndarray | None = None) -> Checkpoint:
+    """The checkpoint that the decoded JSON ``payload`` of ``path`` holds,
+    checked once; ``params``, the parameters in ``_flat_layers`` order,
+    stand in for the payload's ``weights`` and ``biases`` where given."""
     if not isinstance(payload, dict):
         raise InputError(f"{path}: checkpoint must be a JSON object")
     version = payload.get("format_version")
@@ -320,8 +333,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise InputError(f"{path}: unsupported version {version!r}")
     try:
         layer_dims = [_typed(d, int, "a layer_dims entry") for d in payload["layer_dims"]]
-        weights = [_numbers(w, "weights") for w in payload["weights"]]
-        biases = [_numbers(b, "biases") for b in payload["biases"]]
+        if params is None:
+            weights = [_numbers(w, "weights") for w in payload["weights"]]
+            biases = [_numbers(b, "biases") for b in payload["biases"]]
         activation = _typed(payload["activation"], str, "activation")
         normalization = _typed(payload["normalization"], dict, "normalization")
         n_classes = _typed(payload["n_classes"], int, "n_classes")
@@ -332,6 +346,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if activation != ACTIVATION:
         raise InputError(f"{path}: unsupported activation {activation!r}")
     try:
+        if params is not None:
+            # Views of the vector, which the model copies in; a vector of
+            # another length raises ValueError.
+            _, weights, biases = _flat_layers(layer_dims, params)
         model = MlpModel(layer_dims, weights, biases)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
@@ -346,6 +364,29 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(model, normalization, train_config, rng_digest)
 
 
+def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint and build its model, checking both once.
+
+    The parameters come from the sidecar that :func:`save_checkpoint` wrote
+    beside it where the sidecar's digest matches; otherwise, or where the
+    sidecar fails a check, from the checkpoint's text, which alone raises."""
+    raw = Path(path).read_bytes()
+    try:
+        digest, _, rest = Path(f"{path}.params").read_bytes().partition(b"\n")
+        computed = hashlib.sha256(raw)
+        computed.update(rest)
+        if computed.hexdigest().encode("ascii") == digest:
+            header, _, block = rest.partition(b"\n")
+            return _checkpoint(path, json.loads(header), np.frombuffer(block, "<f8"))
+    except (OSError, ValueError, InputError):
+        pass  # a missing or unusable sidecar: the text decides
+    try:
+        payload = json.loads(read_text(path, "ascii", raw))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: corrupt checkpoint at byte {exc.pos}: {exc.msg}") from exc
+    return _checkpoint(path, payload)
+
+
 def _rng_digest(rng: np.random.Generator) -> str:
     state = json.dumps(rng.bit_generator.state, sort_keys=True, default=str)
     return hashlib.sha256(state.encode("ascii")).hexdigest()
@@ -356,9 +397,12 @@ def fit(
     ood_set: Dataset | None,
     cfg: TrainConfig,
     hidden: tuple[int, ...] = DEFAULT_HIDDEN,
+    on_epoch=lambda row: None,
 ) -> tuple[Checkpoint, list[EpochMetrics]]:
     """Train a fresh MLP on the datasets; returns a checkpoint that holds
-    the trained model itself, and the epoch log.
+    the trained model itself, and the epoch log. ``on_epoch`` is called
+    with each epoch's row as the epoch ends, so a caller keeps the epochs
+    that a run finished before it raised.
 
     Architecture is input -> hidden... -> K. Seeding: the config seed is
     split into one stream for weight init and one for batch construction.
@@ -393,5 +437,6 @@ def fit(
                 wall_ms=wall_ms,
             )
         )
+        on_epoch(metrics[-1])
     train_config = asdict(cfg, dict_factory=_json_fields)
     return Checkpoint(model, ind_set.normalization, train_config, _rng_digest(rng)), metrics

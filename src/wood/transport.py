@@ -27,7 +27,8 @@ from .errors import InputError, NumericError
 PROB_SUM_TOL = 1e-9
 
 # The gradient's stand-in for a zero scaling entry (off the support of r2),
-# and the least normal float64, below which a kernel entry keeps too few bits.
+# and the least normal float64, below which a kernel or r2 entry keeps too
+# few bits.
 LOG_FLOOR = 1e-300
 _TINY = np.finfo(np.float64).tiny
 
@@ -264,8 +265,8 @@ def sinkhorn_batch(r1, r2, C, cfg: SinkhornConfig) -> TransportResult:
     problem ``(B, K, K)``. Every problem runs the scaled iteration and keeps
     its own iteration count and convergence flag; problems are never
     coupled, so each row of the result equals a B=1 call bitwise. Problems
-    whose scalings over/underflow, or whose kernel ``exp(-lam * C)`` has a
-    subnormal entry, are re-solved together in the log domain
+    whose scalings over/underflow, or whose kernel ``exp(-lam * C)`` or
+    ``r2`` has a subnormal entry, are re-solved together in the log domain
     (``domain`` reads ``"log"``), or raise NumericError naming the first of
     them when ``cfg.log_domain`` is false. Non-convergence within
     ``max_iter`` is reported by ``converged``, not raised.
@@ -317,10 +318,13 @@ def _sinkhorn_batch(R1, R2, C, cfg: SinkhornConfig) -> TransportResult:
     # nonnegative, so a finite total proves every one finite.
     if not math.isfinite(value.sum()):
         failed |= ~np.isfinite(value)
-    # A subnormal kernel entry leaves log v too few bits for the dual
-    # gradient, so its problem is re-solved in the log domain too.
+    # A subnormal kernel entry, or a subnormal entry of r2, leaves log v too
+    # few bits for the dual gradient, so its problem is re-solved in the log
+    # domain too.
     if kernel.min(initial=1.0) < _TINY:
         failed |= ((kernel > 0.0) & (kernel < _TINY)).any(axis=(1, 2))
+    if r2.min(initial=1.0, where=pos2) < _TINY:
+        failed |= (pos2 & (r2 < _TINY)).any(axis=(1, 2))
     if np.count_nonzero(failed):
         rows = np.flatnonzero(failed)
         if not cfg.log_domain:

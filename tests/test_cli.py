@@ -116,7 +116,8 @@ class TestTrainEvaluateScore:
 
     def test_train_outputs(self, artifacts):
         _, _, run_dir = artifacts
-        assert (run_dir / "checkpoint.json").exists()
+        outputs = ["checkpoint.json", "checkpoint.json.params", "metrics.csv", "run_config.txt"]
+        assert sorted(path.name for path in run_dir.iterdir()) == outputs
         metrics = (run_dir / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "epoch,ce_term,ood_term,total,alpha_M,m,wall_ms"
         assert len(metrics) == 4
@@ -334,8 +335,8 @@ class TestUndecodableBytes:
 
 
 class TestTwoProcessScore:
-    """``score`` over the two-process threshold: the checkpoint loads here
-    while a forked child parses the second byte range of ``--features`` (of
+    """``score`` over the two-process threshold: the checkpoint loads first,
+    then a forked child parses the second byte range of ``--features`` (of
     ``--ind`` for ``evaluate``), and the errors are those of one process, in
     its order."""
 
@@ -422,7 +423,7 @@ class TestTwoProcessScore:
             capsys, *inputs, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "o")
         )
         assert err.startswith(f"data error: {checkpoint}: "), err
-        assert len(two_cpus) == ("bad row" in features)
+        assert not two_cpus  # the checkpoint fails before the file loads
         assert not (tmp_path / "o").exists()
 
 
@@ -1179,17 +1180,17 @@ def test_fuzzed_csv_one_line_and_documented_exit(fuzz_files, command, ind, ood, 
         assert not out.exists()
     if side_by_side:
         assert beside_run == (code, lines)
-        # The checkpoint loads beside the first file that loads, and outweighs
-        # it, so that file's cut is the first line end of its rows.
-        first = ood if command == "score" else ind
-        assert os.path.getsize(checkpoint) > len(first)
-        want = len(io.StringIO(first, newline=None).readlines()[1:]) >= 2
-        # evaluate's --ood file loads unless --ind failed, and its cut is the
-        # first line end from the middle of its rows.
+        # The checkpoint loads before the files. evaluate's --ood file loads
+        # unless --ind failed, and each file that loads is cut at the first
+        # line end from the middle of its rows.
+        loaded = [ood] if command == "score" else [ind]
         if command == "evaluate" and not (code and lines[0].startswith(f"data error: {ind_csv}")):
-            raw = ood.encode("latin-1")
+            loaded.append(ood)
+        want = 0
+        for text in loaded:
+            raw = text.encode("latin-1")
             body = _past_line_end(raw, 0)
-            want += _past_line_end(raw, max(body, (body + len(raw)) // 2)) < len(raw)
+            want += _past_line_end(raw, (body + len(raw)) // 2) < len(raw)
         assert len(forks) == want
         if code:
             assert not beside_out.exists()
@@ -1271,8 +1272,9 @@ def test_readme_quickstart_runs():
 
 def test_diverged_train_keeps_its_settings(tmp_path):
     # The run that most needs explaining is one that diverges: in its own
-    # process, it exits 3 with one line and leaves its settings, but no
-    # checkpoint, under --out.
+    # process, it exits 3 with one line and leaves its settings and the
+    # epochs it finished (here none: the header alone), but no checkpoint,
+    # under --out.
     ind_csv = gen_blobs(tmp_path / "data", n=30)
     out = tmp_path / "run"
     argv = ["train", "--ind", str(ind_csv), "--b-ood", "0", "--epochs", "5", "--lr", "1e300"]
@@ -1283,8 +1285,34 @@ def test_diverged_train_keeps_its_settings(tmp_path):
     assert result.returncode == 3
     err = result.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("numeric error: model diverged: "), err
-    assert [path.name for path in out.iterdir()] == ["run_config.txt"]
+    assert sorted(path.name for path in out.iterdir()) == ["metrics.csv", "run_config.txt"]
     assert "lr=1e+300\nmomentum=0.9\n" in (out / "run_config.txt").read_text(encoding="utf-8")
+    header = "epoch,ce_term,ood_term,total,alpha_M,m,wall_ms\n"
+    assert (out / "metrics.csv").read_text(encoding="ascii") == header
+
+
+def test_diverged_train_keeps_the_epochs_it_finished(tmp_path):
+    # One batch per epoch, at a learning rate that diverges after a few
+    # epochs: the failed run's metrics.csv holds the lines of a run that
+    # stops at the epochs it finished, wall_ms aside.
+    ind_csv = gen_blobs(tmp_path / "data", n=30)
+    argv = ["train", "--ind", str(ind_csv), "--b-ood", "0", "--b-ind", "90", "--hidden", "8"]
+    argv += ["--lr", "4e153"]
+    failed, stopped = tmp_path / "failed", tmp_path / "stopped"
+    code, err = _run_captured([*argv, "--epochs", "6", "--out", str(failed)])
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("numeric error: model diverged: "), err
+    assert sorted(path.name for path in failed.iterdir()) == ["metrics.csv", "run_config.txt"]
+
+    def without_wall_ms(out):
+        lines = (out / "metrics.csv").read_text(encoding="ascii").splitlines()
+        return [line.rsplit(",", 1)[0] for line in lines]
+
+    kept = without_wall_ms(failed)
+    finished = len(kept) - 1
+    assert 1 <= finished < 6
+    assert _run_captured([*argv, "--epochs", str(finished), "--out", str(stopped)])[0] == 0
+    assert kept == without_wall_ms(stopped)
 
 
 @pytest.mark.skipif(

@@ -389,7 +389,7 @@ def _loader_agrees_with_line_loop(csv_path, data):
         return role, None, loaded
     # The data rows as a text-mode file iterates them.
     lines = [line.rstrip("\n") for line in io.StringIO(text, newline=None)][1:]
-    fast = _parse_rows_fast(csv_path, lambda: None, 0)
+    fast = _parse_rows_fast(csv_path)
     status, parsed = _outcome(lambda: _parse_rows(csv_path, lines, dim, has_label))
     if fast is not None:
         assert status == "ok"
@@ -441,7 +441,7 @@ def _cuts(raw, offsets):
 @contextlib.contextmanager
 def _two_processes(cut_from):
     """Every file over one byte parses in two processes, as if on two CPUs,
-    with the cut searched for from ``cut_from(body, size, first_bytes)``;
+    with the cut searched for from ``cut_from(body, size)``;
     yields the list of forks."""
     real_fork = os.fork
     forks = []
@@ -464,7 +464,7 @@ def test_split_reader_agrees_with_line_loop(csv_path, data):
     # often lands in the child's range.
     offsets = []
 
-    def cut_from(body, size, first_bytes):
+    def cut_from(body, size):
         offsets.append(data.draw(st.integers(body, size), label="cut from"))
         return offsets[-1]
 
@@ -495,11 +495,11 @@ def test_a_cut_at_any_offset_gives_the_one_process_outcome(tmp_path, body):
     offsets = range(len(header), len(raw))
     forks = 0
     for offset in offsets:
-        with _two_processes(lambda body, size, first_bytes: offset) as forked:
+        with _two_processes(lambda body, size: offset) as forked:
             split = _outcome(lambda: load_dataset_csv(path, Role.IND))
             forks += len(forked)
             # A file that loads is parsed by the C reader on both sides of the cut.
-            accepted = _parse_rows_fast(path, lambda: None, 0) is not None
+            accepted = _parse_rows_fast(path) is not None
         assert _same_outcome(split, whole), (offset, split, whole)
         assert accepted == (whole[0] == "ok")
     assert forks == _cuts(raw, offsets) > 0
@@ -533,7 +533,7 @@ def test_a_named_pipe_is_opened_once(tmp_path):
     # With no writer, opening the pipe would block: no byte range is looked
     # for in it, and the one-process load opens it once.
     with _deadline(10):
-        assert wood.data._ranges(fifo, 0) is None
+        assert wood.data._ranges(fifo) is None
     text = "f0,f1\n" + "0.5,1.0\n-2.25,7\n" * 10_000  # more than a pipe holds
     writer = threading.Thread(target=fifo.write_text, args=(text,))
     writer.start()
@@ -615,7 +615,7 @@ class TestTwoProcessParse:
         bad.write_text("\n".join(lines))
         # The child parses from row 1000 or 1001 on: rows 0 and 999 are this
         # process's, rows 1000 and 1999 the child's.
-        cut = wood.data._ranges(bad, 0)[3]
+        cut = wood.data._ranges(bad)[3]
         first_child_row = bad.read_bytes()[:cut].count(b"\n") - 1
         assert (row >= first_child_row) == (row >= 1000)
         with pytest.raises(InputError) as info:

@@ -702,6 +702,182 @@ class TestCheckpoint:
         np.testing.assert_array_equal(forward(model, x).probs, forward(restored, x).probs)
 
 
+def sidecar_parts(path):
+    """The digest line, the header line and the parameter block of the
+    sidecar saved beside the checkpoint ``path``."""
+    digest, header, block = path.with_name(path.name + ".params").read_bytes().split(b"\n", 2)
+    return digest, header, block
+
+
+def write_sidecar(path, header, block, digest=None):
+    """Write the sidecar of ``path`` from its parts, sealed with the digest
+    that :func:`save_checkpoint` computes unless ``digest`` is given."""
+    rest = header + b"\n" + block
+    if digest is None:
+        digest = hashlib.sha256(path.read_bytes() + rest).hexdigest().encode("ascii")
+    path.with_name(path.name + ".params").write_bytes(digest + b"\n" + rest)
+
+
+def json_only_load(path):
+    """:func:`load_checkpoint` of ``path`` with its sidecar moved away."""
+    sidecar = path.with_name(path.name + ".params")
+    kept = sidecar.with_name("kept")
+    sidecar.rename(kept)
+    try:
+        return load_checkpoint(path)
+    finally:
+        kept.rename(sidecar)
+
+
+def same_checkpoint(a, b):
+    return (
+        a.model.layer_dims == b.model.layer_dims
+        and a.model.params.tobytes() == b.model.params.tobytes()
+        and (a.normalization, a.train_config, a.rng_digest)
+        == (b.normalization, b.train_config, b.rng_digest)
+    )
+
+
+def header_with(header, **fields):
+    return json.dumps({**json.loads(header), **fields}, sort_keys=True).encode("ascii")
+
+
+# Each defect of a sidecar: a function of its digest line, header line and
+# block that gives the sidecar's parts, and whether the digest is sealed over
+# the new parts. Every one makes load_checkpoint parse the checkpoint's text.
+SIDECAR_DEFECTS = {
+    "truncated block": (lambda d, h, b: (d, h, b[:-8]), False),
+    "truncated block, sealed": (lambda d, h, b: (d, h, b[:-8]), True),
+    "extra bytes": (lambda d, h, b: (d, h, b + bytes(8)), False),
+    "extra bytes, sealed": (lambda d, h, b: (d, h, b + bytes(8)), True),
+    "a partial float, sealed": (lambda d, h, b: (d, h, b + b"\0"), True),
+    "wrong digest": (lambda d, h, b: (hashlib.sha256(h).hexdigest().encode(), h, b), False),
+    "non-hex digest": (lambda d, h, b: (b"z" * 64, h, b), False),
+    "upper-case digest": (lambda d, h, b: (d.upper(), h, b), False),
+    "header not JSON, sealed": (lambda d, h, b: (d, h[:-1], b), True),
+    "header not an object, sealed": (lambda d, h, b: (d, b"[1, 2]", b), True),
+    "field check fails, sealed": (lambda d, h, b: (d, header_with(h, rng_digest=5), b), True),
+    "layer_dims of another size, sealed": (
+        lambda d, h, b: (d, header_with(h, layer_dims=[3, 5, 2], n_classes=2), b),
+        True,
+    ),
+    "unsupported version, sealed": (
+        lambda d, h, b: (d, header_with(h, format_version=2), b),
+        True,
+    ),
+    "NaN entry, sealed": (lambda d, h, b: (d, h, np.float64(math.nan).tobytes() + b[8:]), True),
+    "infinite entry, sealed": (
+        lambda d, h, b: (d, h, b[:-8] + np.float64(-math.inf).tobytes()),
+        True,
+    ),
+}
+
+
+class TestSidecar:
+    """``save_checkpoint`` writes ``<checkpoint>.params`` beside the checkpoint,
+    and ``load_checkpoint`` takes the parameters from it where it matches,
+    with the result of parsing the checkpoint's text."""
+
+    def save(self, tmp_path, layer_dims=(3, 4, 2), seed=42):
+        model = init(layer_dims, seed=seed)
+        path = tmp_path / "ckpt.json"
+        cfg = TrainConfig(epochs=2, seed=seed)
+        normalization = {"kind": "pixel_scale", "scale": 255.0}
+        save_checkpoint(make_checkpoint(model, normalization, cfg, f"digest-{seed}"), path)
+        return path
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        n_classes=st.integers(2, 5),
+        data=st.data(),
+    )
+    def test_sidecar_load_equals_the_json_load(self, tmp_path_factory, widths, n_classes, data):
+        model = init((*widths, n_classes), seed=0)
+        special = st.sampled_from(
+            [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+             1.7976931348623157e308]
+        )
+        value = st.one_of(special, st.floats(allow_nan=False, allow_infinity=False))
+        size = model.params.size
+        model.params[:] = data.draw(st.lists(value, min_size=size, max_size=size))
+        path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
+        save_checkpoint(make_checkpoint(model, {"kind": "identity"}, rng_digest="d"), path)
+        # The sidecar load parses no weight or bias text.
+        with mock.patch.object(wood.trainer, "_numbers", side_effect=AssertionError):
+            loaded = load_checkpoint(path)
+        assert loaded.model.params.tobytes() == model.params.tobytes()
+        assert same_checkpoint(loaded, json_only_load(path))
+
+    @pytest.mark.parametrize("defect", ["missing", *SIDECAR_DEFECTS])
+    def test_a_defect_falls_back_to_the_json_load(self, tmp_path, defect):
+        path = self.save(tmp_path)
+        expected = json_only_load(path)
+        if defect == "missing":
+            path.with_name(path.name + ".params").unlink()
+        else:
+            change, sealed = SIDECAR_DEFECTS[defect]
+            digest, header, block = change(*sidecar_parts(path))
+            write_sidecar(path, header, block, None if sealed else digest)
+        numbers = mock.patch.object(wood.trainer, "_numbers", wraps=wood.trainer._numbers)
+        with numbers as parsed:
+            loaded = load_checkpoint(path)
+        assert parsed.called
+        assert same_checkpoint(loaded, expected)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"rng_digest": 5},
+            {"format_version": 2},
+            {"layer_dims": [3, 5, 2]},
+            {"biases": [[0.0, 0.0, 0.0, math.nan], [0.0, 0.0]]},
+            {"n_classes": 3},
+        ],
+    )
+    def test_an_edited_checkpoint_with_its_old_sidecar_raises_the_json_error(
+        self, tmp_path, edit
+    ):
+        path = self.save(tmp_path)
+        edit_json(path, **edit)
+        with pytest.raises(InputError) as with_sidecar:
+            load_checkpoint(path)
+        with pytest.raises(InputError) as without:
+            json_only_load(path)
+        assert str(with_sidecar.value) == str(without.value)
+        assert str(with_sidecar.value).startswith(f"{path}: ")
+
+    def test_saving_over_a_pair_replaces_both_files(self, tmp_path):
+        self.save(tmp_path, layer_dims=(5, 7, 3), seed=1)
+        path = self.save(tmp_path, layer_dims=(3, 4, 2), seed=2)
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        self.save(fresh, layer_dims=(3, 4, 2), seed=2)
+        for name in ["ckpt.json", "ckpt.json.params"]:
+            assert (tmp_path / name).read_bytes() == (fresh / name).read_bytes()
+        assert same_checkpoint(load_checkpoint(path), json_only_load(path))
+
+    def test_two_processes_write_the_sidecar_of_one(self, tmp_path):
+        model = init((40, 30, 3), seed=0)
+        ckpt = make_checkpoint(model, {"kind": "identity"}, rng_digest="digest")
+        sidecars = []
+        for cpus in ({0, 1}, {0}):
+            path = tmp_path / f"{len(cpus)}" / "ckpt.json"
+            path.parent.mkdir()
+            real_fork, forks = os.fork, []
+            with (
+                mock.patch.object(wood.trainer, "_SPLIT_PARAMS", 1),
+                mock.patch.object(os, "sched_getaffinity", return_value=cpus, create=True),
+                mock.patch.object(os, "fork", lambda: forks.append(None) or real_fork()),
+            ):
+                save_checkpoint(ckpt, path)
+            assert len(forks) == (len(cpus) == 2)
+            sidecars.append((path.parent / "ckpt.json.params").read_bytes())
+        assert sidecars[0] == sidecars[1]
+        with pytest.raises(ChildProcessError):  # every child was waited for
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestTrainConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(InputError):

@@ -437,9 +437,8 @@ class TestSinkhornGradient:
         weights=st.lists(
             st.one_of(
                 st.floats(0.01, 1.0),
-                # Zero and tiny entries. Subnormal ones are left out: a scaled
-                # iterate built from them keeps too few bits for the bound.
-                st.sampled_from([0.0, 1e-300, 1e-250, 1e-100, 1e-20]),
+                # Zero, tiny and subnormal entries.
+                st.sampled_from([0.0, 5e-324, 1e-320, 1e-310, 1e-300, 1e-250, 1e-100, 1e-20]),
             ),
             min_size=2,
             max_size=50,
@@ -472,6 +471,20 @@ class TestSinkhornGradient:
         got = center_gradient(grad[support])
         want = center_gradient(m[c][support] + np.log(f[support]) / lam)
         assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max()), res.domain
+
+    def test_subnormal_entry_of_r2_is_solved_in_the_log_domain(self):
+        # A scaled iterate built from a subnormal entry of r2 keeps too few
+        # bits of log v: this gradient was 1.4e-5 off the closed form.
+        cfg = SinkhornConfig(lam=1.0)
+        f = np.array([0.5, 0.5, 1e-320])
+        m = binary_matrix(3)
+        res = solve_one(one_hot(0, 3), f, m, cfg)
+        assert res.domain == "log"
+        got = center_gradient(sinkhorn_gradient(res, cfg))
+        want = center_gradient(m[0] + np.log(f) / cfg.lam)
+        assert np.abs(got - want).max() <= 1e-9
+        with pytest.raises(NumericError, match="scaled domain on problem 0"):
+            solve_one(one_hot(0, 3), f, m, SinkhornConfig(lam=1.0, log_domain=False))
 
     def test_sign_moving_mass_off_label(self):
         # Label one-hot on the row side; pushing softmax mass away from the
