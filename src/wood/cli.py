@@ -71,14 +71,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tnr_value(text: str) -> float:
-    value = float(text)
+    value = _finite_float(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"--tnr must be in (0, 1), got {value}")
     return value
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {value}")
     return value
@@ -594,6 +597,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (InputError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        # A setting the run cannot honour, such as a cost matrix larger than memory.
+        print("data error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

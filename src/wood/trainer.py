@@ -231,13 +231,14 @@ _SPLIT_PARAMS = 20_000
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write ``ckpt`` as the text of ``json.dumps(payload, sort_keys=True,
-    separators=(",", ":"))`` and a newline. The parameters are cut in two at
-    the first weight-matrix row that starts at or after half of them, in the
-    JSON order: the biases, then the rows of each weight matrix. Each half
-    renders its final bytes, one encoder call per 64 rows of a matrix. At least
-    ``_SPLIT_PARAMS`` parameters render the two halves in two processes
-    (:func:`wood._split.beside`); where no child is forked, one process
-    renders both halves in turn.
+    separators=(",", ":"))`` and a newline. ``weights`` sorts after every
+    other key, so its rows end the text. They render in chunks of up to 16
+    rows of one matrix, one encoder call each, and the chunks are cut in two
+    at the first chunk boundary where the parameters before it, in the JSON
+    order (the biases, then the rows of each matrix), reach half of them.
+    At least ``_SPLIT_PARAMS`` parameters render the two halves in two
+    processes (:func:`wood._split.beside`); where no child is forked, one
+    process renders both halves in turn.
 
     Then write the sidecar ``<path>.params``, which :func:`load_checkpoint`
     reads instead of parsing the parameters' text: a line with the hex
@@ -247,54 +248,36 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     model, weights = ckpt.model, ckpt.model.weights
     dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     fields = {
-        "format_version": dump(CHECKPOINT_VERSION),
-        "layer_dims": dump(list(model.layer_dims)),
-        "activation": dump(ACTIVATION),
-        "normalization": dump(ckpt.normalization),
-        "n_classes": dump(model.n_classes),
-        "train_config": dump(ckpt.train_config),
-        "rng_digest": dump(ckpt.rng_digest),
-        "biases": dump([b.tolist() for b in model.biases]),
-        # The encoder escapes every control character, so a NUL marks where
-        # the weight rows go.
-        "weights": "[\0]",
+        "format_version": CHECKPOINT_VERSION,
+        "layer_dims": list(model.layer_dims),
+        "activation": ACTIVATION,
+        "normalization": ckpt.normalization,
+        "n_classes": model.n_classes,
+        "train_config": ckpt.train_config,
+        "rng_digest": ckpt.rng_digest,
     }
-    text = "{" + ",".join(f"{dump(key)}:{fields[key]}" for key in sorted(fields)) + "}\n"
-    head, tail = text.split("\0")
-    # The biases are at most half the parameters, and the last row is no
-    # longer than they are, so the cut falls in the rows and leaves one at least.
-    size = model.params.size
-    half, start = size // 2, sum(b.size for b in model.biases)
-    for cut, w in enumerate(weights):
-        row = max(0, -((start - half) // w.shape[1]))  # ceil((half - start) / fan_out)
-        if row < len(w):
-            break
-        start += w.size
+    head = dump({**fields, "biases": [b.tolist() for b in model.biases]})[:-1] + ',"weights":[['
+    # One encoder call per chunk of up to 16 rows of a matrix: 16 and 64 rows
+    # cost the same per float, and about 4% less than one call per matrix.
+    chunks = [(i, a) for i, w in enumerate(weights) for a in range(0, len(w), 16)]
+    # Their cumulative sums: the parameters before each chunk, biases first, then all.
+    sizes = [sum(b.size for b in model.biases)] + [weights[i][a : a + 16].size for i, a in chunks]
+    cut = int(np.searchsorted(np.cumsum(sizes), model.params.size // 2))
 
-    def render(slices) -> bytes:
-        # Rows lo:hi of matrix i for each (i, lo, hi), with the comma before
-        # them and without the bracket that the cut leaves to the other half.
-        # A call of 64 rows costs the encoder about 4% less per float than one
-        # call for the whole slice.
-        texts = []
-        for i, lo, hi in slices:
-            for a in range(lo, hi, 64):
-                b = min(a + 64, hi)
-                rows = dump(weights[i][a:b].tolist())
-                if a or i:
-                    rows = "," + rows[1 if a else 0 :]
-                texts.append(rows if b == len(weights[i]) else rows[:-1])
-        return "".join(texts).encode("ascii")
+    def render(part) -> bytes:
+        # Each chunk's rows without the brackets around them, after a comma
+        # inside a matrix and after "],[" that starts each later matrix.
+        return "".join(
+            ("," if a else "],[" if i else "") + dump(weights[i][a : a + 16].tolist())[1:-1]
+            for i, a in part
+        ).encode("ascii")
 
-    first = [(i, 0, len(w)) for i, w in enumerate(weights[:cut])] + [(cut, 0, row)] * (row > 0)
-    second = [(i, row if i == cut else 0, len(w)) for i, w in enumerate(weights) if i >= cut]
-    halves = beside(lambda: render(first), lambda: render(second), size >= _SPLIT_PARAMS)
-    parts = (head.encode("ascii"), *halves, tail.encode("ascii"))
+    big = model.params.size >= _SPLIT_PARAMS
+    halves = beside(lambda: render(chunks[:cut]), lambda: render(chunks[cut:]), big)
+    parts = (head.encode("ascii"), *halves, b"]]}\n")
     with open(path, "wb") as file:
         file.writelines(parts)
-    del fields["weights"], fields["biases"]
-    header = "{" + ",".join(f"{dump(key)}:{fields[key]}" for key in sorted(fields)) + "}\n"
-    rest = (header.encode("ascii"), model.params.astype("<f8", copy=False))
+    rest = (dump(fields).encode("ascii") + b"\n", model.params.astype("<f8", copy=False))
     digest = hashlib.sha256()
     for part in (*parts, *rest):
         digest.update(part)
@@ -378,12 +361,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if computed.hexdigest().encode("ascii") == digest:
             header, _, block = rest.partition(b"\n")
             return _checkpoint(path, json.loads(header), np.frombuffer(block, "<f8"))
-    except (OSError, ValueError, InputError):
+    except (OSError, ValueError, RecursionError, InputError):
         pass  # a missing or unusable sidecar: the text decides
     try:
         payload = json.loads(read_text(path, "ascii", raw))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: corrupt checkpoint at byte {exc.pos}: {exc.msg}") from exc
+    except RecursionError:
+        raise InputError(f"{path}: corrupt checkpoint: nested too deeply to parse") from None
     return _checkpoint(path, payload)
 
 

@@ -252,6 +252,17 @@ class TestConfigFile:
         # Settings are validated before anything is written.
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, flag", [("lr", "--lr"), ("lam", "--lambda")])
+    def test_text_that_is_no_number_names_no_function(self, key, flag, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=abc\n")
+        out = tmp_path / "r"
+        err = data_error_line(
+            capsys, "train", "--ind", "ind.csv", "--config", str(cfg), "--out", str(out)
+        )
+        assert err == f"data error: config key {key}: argument {flag}: expected a number, got 'abc'"
+        assert not out.exists()
+
     def test_defaults_are_the_library_defaults(self, tmp_path):
         ind_csv = gen_blobs(tmp_path / "d", n=5)
         ood_csv = gen_ring(tmp_path / "d2", n=10)
@@ -281,6 +292,26 @@ class TestBenchScore:
         lines = (tmp_path / "bench.csv").read_text().splitlines()
         assert lines[0] == "K,binary_ms,dynamic_ms,ratio"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (MemoryError(), "data error: out of memory"),
+            (
+                MemoryError("Unable to allocate 74.5 GiB for an array"),
+                "data error: out of memory: Unable to allocate 74.5 GiB for an array",
+            ),
+        ],
+    )
+    def test_out_of_memory_is_one_data_error(self, error, line, tmp_path, capsys):
+        # A stand-in for a K x K cost matrix larger than memory; no test
+        # allocates one, as a machine that overcommits would page instead.
+        out = tmp_path / "out"
+        with mock.patch.object(wood.cli, "scores", side_effect=error):
+            code = run_cli("bench-score", "--k", "4", "--repeats", "1", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_timed_calls_run_without_gc(self, enabled):
@@ -815,6 +846,14 @@ class TestBlockedScoring:
 
 
 EVALUATE = ["evaluate", "--checkpoint", "c.json", "--ind", "i.csv", "--ood", "o.csv"]
+# Each command with its required flags but --out.
+REQUIRED = {
+    "gen-data": ["gen-data", "--kind", "blobs"],
+    "train": ["train", "--ind", "ind.csv"],
+    "evaluate": EVALUATE,
+    "score": ["score", "--checkpoint", "c.json", "--features", "f.csv"],
+    "bench-score": ["bench-score"],
+}
 
 
 class TestUsageErrors:
@@ -842,6 +881,29 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("usage error:")
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("gen-data", "--sep"),
+            ("gen-data", "--noise"),
+            ("train", "--lr"),
+            ("train", "--lambda"),
+            ("evaluate", "--lambda"),
+            ("evaluate", "--tnr"),
+            ("evaluate", "--calib-frac"),
+            ("score", "--lambda"),
+            ("score", "--epsilon"),
+            ("score", "--tnr"),
+            ("bench-score", "--lambda"),
+        ],
+    )
+    def test_text_that_is_no_number_names_no_function(self, command, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(*REQUIRED[command], flag, "abc", "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"usage error: argument {flag}: expected a number, got 'abc'"]
+        assert not out.exists()
 
 
 class TestCheckpointScoreConfig:
@@ -1012,6 +1074,20 @@ class TestCheckpointValidation:
             "--out", str(tmp_path / "out"),
         )
         assert "unsupported activation 'tanh'" in err
+
+    @pytest.mark.parametrize("opening", ["[", '{"a":'])
+    def test_deeply_nested_checkpoint_is_a_data_error(self, opening, tmp_path, capsys):
+        # Too deep for the JSON decoder's recursion, which must not escape.
+        ind_csv = gen_blobs(tmp_path / "data", n=10)
+        path = tmp_path / "deep.json"
+        path.write_text(opening * 100_000)
+        out = tmp_path / "out"
+        err = data_error_line(
+            capsys, "score", "--checkpoint", str(path), "--features", str(ind_csv),
+            "--out", str(out),
+        )
+        assert err == f"data error: {path}: corrupt checkpoint: nested too deeply to parse"
+        assert not out.exists()
 
 
 # Each optional flag of each subcommand with a small valid value. The fuzz

@@ -1,8 +1,6 @@
 """Batch construction, training mechanics, and checkpoint persistence."""
 
-import bisect
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -519,22 +517,52 @@ class TestFitMetrics:
 
 
 def cut_place(layer_dims) -> str:
-    """Where :func:`save_checkpoint` cuts the parameters of ``layer_dims`` in
-    two: at the first vector, in the JSON order of the biases and then the
-    rows of each weight matrix, that starts at or after half of them."""
+    """Where :func:`save_checkpoint` cuts the weight rows of ``layer_dims`` in
+    two: before the first chunk (up to 16 rows of one matrix) that the
+    parameters before it, in the JSON order of the biases and then the rows
+    of each weight matrix, reach half of; or after the last row."""
     pairs = list(zip(layer_dims[:-1], layer_dims[1:]))
-    sizes = [fan_out for _, fan_out in pairs]
-    sizes += [fan_out for fan_in, fan_out in pairs for _ in range(fan_in)]
-    starts = list(itertools.accumulate(sizes[:-1], initial=0))
-    row = bisect.bisect_left(starts, sum(sizes) // 2) - len(pairs)
-    assert row >= 0, "the biases are never cut"
-    for i, (fan_in, _) in enumerate(pairs):
-        if row < fan_in:
-            if row:
-                return "inside the first matrix" if i == 0 else "inside a later matrix"
-            return "between two matrices" if i else "at the first weight row"
-        row -= fan_in
-    raise AssertionError("the second half is never empty")
+    before = sum(fan_out for _, fan_out in pairs)
+    half = (before + sum(fan_in * fan_out for fan_in, fan_out in pairs)) // 2
+    for i, (fan_in, fan_out) in enumerate(pairs):
+        for row in range(0, fan_in, 16):
+            if before >= half:
+                if row:
+                    return "inside the first matrix" if i == 0 else "inside a later matrix"
+                return "between two matrices" if i else "at the first weight row"
+            before += min(16, fan_in - row) * fan_out
+    return "after the last weight row"
+
+
+def checkpoint_payload(ckpt) -> dict:
+    """The JSON object that :func:`save_checkpoint` writes for ``ckpt``."""
+    model = ckpt.model
+    return {
+        "format_version": 1,
+        "layer_dims": list(model.layer_dims),
+        "weights": [w.tolist() for w in model.weights],
+        "biases": [b.tolist() for b in model.biases],
+        "activation": "relu",
+        "normalization": ckpt.normalization,
+        "n_classes": model.n_classes,
+        "train_config": ckpt.train_config,
+        "rng_digest": ckpt.rng_digest,
+    }
+
+
+def save_on_cpus(ckpt, path, cpus) -> int:
+    """Save ``ckpt`` to ``path`` with every checkpoint over the two-process
+    threshold and ``cpus`` as this process's CPUs; return the forks made."""
+    real_fork, forks = os.fork, []
+    with (
+        mock.patch.object(wood.trainer, "_SPLIT_PARAMS", 1),
+        mock.patch.object(os, "sched_getaffinity", return_value=cpus, create=True),
+        mock.patch.object(os, "fork", lambda: forks.append(None) or real_fork()),
+    ):
+        save_checkpoint(ckpt, path)
+    with pytest.raises(ChildProcessError):  # every child was waited for
+        os.waitpid(-1, os.WNOHANG)
+    return len(forks)
 
 
 class TestCheckpoint:
@@ -600,40 +628,45 @@ class TestCheckpoint:
             model.params[data.draw(st.integers(0, size - 1))] = non_finite
         ckpt = make_checkpoint(model, {"kind": "identity"}, rng_digest="digest")
         path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
-        real_fork, forks = os.fork, []
-        with (
-            mock.patch.object(wood.trainer, "_SPLIT_PARAMS", 1),
-            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True),
-            mock.patch.object(os, "fork", lambda: forks.append(None) or real_fork()),
-        ):
-            save_checkpoint(ckpt, path)
-        with pytest.raises(ChildProcessError):  # every child was waited for
-            os.waitpid(-1, os.WNOHANG)
-        assert len(forks) == 1
-        payload = {
-            "format_version": 1,
-            "layer_dims": list(model.layer_dims),
-            "weights": [w.tolist() for w in model.weights],
-            "biases": [b.tolist() for b in model.biases],
-            "activation": "relu",
-            "normalization": ckpt.normalization,
-            "n_classes": model.n_classes,
-            "train_config": ckpt.train_config,
-            "rng_digest": ckpt.rng_digest,
-        }
-        expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        assert path.read_text(encoding="ascii") == expected
+        assert save_on_cpus(ckpt, path, {0, 1}) == 1
+        expected = json.dumps(checkpoint_payload(ckpt), sort_keys=True, separators=(",", ":"))
+        assert path.read_text(encoding="ascii") == expected + "\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        layer_dims=st.lists(st.integers(1, 70), min_size=2, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        special=st.lists(st.sampled_from([-0.0, 5e-324, 1e22, math.nan, -math.inf]), max_size=3),
+    )
+    def test_chunked_rendering_is_json_dumps(self, tmp_path_factory, layer_dims, seed, special):
+        # Matrices of 1 to 70 rows: shorter than a 16-row chunk, as long as
+        # one, or several chunks long.
+        model = init(layer_dims, seed=seed)
+        rng = np.random.default_rng(seed)
+        model.params[rng.integers(0, model.params.size, len(special))] = special
+        ckpt = make_checkpoint(model, {"kind": "identity"}, rng_digest="digest")
+        base = tmp_path_factory.mktemp("ckpt")
+        paths = [base / "two" / "ckpt.json", base / "one" / "ckpt.json"]
+        for path, cpus in zip(paths, ({0, 1}, {0})):
+            path.parent.mkdir()
+            assert save_on_cpus(ckpt, path, cpus) == (len(cpus) == 2)
+        expected = json.dumps(checkpoint_payload(ckpt), sort_keys=True, separators=(",", ":"))
+        assert paths[0].read_text(encoding="ascii") == expected + "\n"
+        for name in ["ckpt.json", "ckpt.json.params"]:
+            assert (paths[0].parent / name).read_bytes() == (paths[1].parent / name).read_bytes()
 
     @pytest.mark.parametrize(
         "layer_dims, place, non_finite",
         [
             ((1, 1, 3), "at the first weight row", False),
             ((2, 4, 4), "between two matrices", False),
-            ((4, 3, 2), "inside the first matrix", False),
-            ((1, 2, 3, 4), "inside a later matrix", True),
-            # A 300-row matrix cut at row 150, so both halves render 64 rows
-            # at a time from a row that is not a multiple of 64.
+            ((40, 3, 2), "inside the first matrix", False),
+            ((1, 40, 3, 2), "inside a later matrix", True),
+            # 19 chunks, the last of 12 rows, cut at row 160.
             ((300, 3, 2), "inside the first matrix", False),
+            # One chunk, and the biases alone are less than half: the child
+            # renders no row.
+            ((16, 100), "after the last weight row", False),
         ],
     )
     def test_split_at_each_kind_of_cut(self, tmp_path, layer_dims, place, non_finite):
@@ -645,27 +678,9 @@ class TestCheckpoint:
             model.weights[-1][-1, -1] = -math.inf
         ckpt = make_checkpoint(model, {"kind": "identity"}, rng_digest="digest")
         path = tmp_path / "ckpt.json"
-        real_fork, forks = os.fork, []
-        with (
-            mock.patch.object(wood.trainer, "_SPLIT_PARAMS", 1),
-            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True),
-            mock.patch.object(os, "fork", lambda: forks.append(None) or real_fork()),
-        ):
-            save_checkpoint(ckpt, path)
-        assert len(forks) == 1
-        payload = {
-            "format_version": 1,
-            "layer_dims": list(layer_dims),
-            "weights": [w.tolist() for w in model.weights],
-            "biases": [b.tolist() for b in model.biases],
-            "activation": "relu",
-            "normalization": {"kind": "identity"},
-            "n_classes": layer_dims[-1],
-            "train_config": ckpt.train_config,
-            "rng_digest": "digest",
-        }
-        expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        assert path.read_text(encoding="ascii") == expected
+        assert save_on_cpus(ckpt, path, {0, 1}) == 1
+        expected = json.dumps(checkpoint_payload(ckpt), sort_keys=True, separators=(",", ":"))
+        assert path.read_text(encoding="ascii") == expected + "\n"
 
     def test_truncated_file(self, tmp_path):
         _, path = self.make(tmp_path)
@@ -756,6 +771,7 @@ SIDECAR_DEFECTS = {
     "upper-case digest": (lambda d, h, b: (d.upper(), h, b), False),
     "header not JSON, sealed": (lambda d, h, b: (d, h[:-1], b), True),
     "header not an object, sealed": (lambda d, h, b: (d, b"[1, 2]", b), True),
+    "header nested too deeply, sealed": (lambda d, h, b: (d, b"[" * 100_000, b), True),
     "field check fails, sealed": (lambda d, h, b: (d, header_with(h, rng_digest=5), b), True),
     "layer_dims of another size, sealed": (
         lambda d, h, b: (d, header_with(h, layer_dims=[3, 5, 2], n_classes=2), b),
@@ -864,18 +880,9 @@ class TestSidecar:
         for cpus in ({0, 1}, {0}):
             path = tmp_path / f"{len(cpus)}" / "ckpt.json"
             path.parent.mkdir()
-            real_fork, forks = os.fork, []
-            with (
-                mock.patch.object(wood.trainer, "_SPLIT_PARAMS", 1),
-                mock.patch.object(os, "sched_getaffinity", return_value=cpus, create=True),
-                mock.patch.object(os, "fork", lambda: forks.append(None) or real_fork()),
-            ):
-                save_checkpoint(ckpt, path)
-            assert len(forks) == (len(cpus) == 2)
+            assert save_on_cpus(ckpt, path, cpus) == (len(cpus) == 2)
             sidecars.append((path.parent / "ckpt.json.params").read_bytes())
         assert sidecars[0] == sidecars[1]
-        with pytest.raises(ChildProcessError):  # every child was waited for
-            os.waitpid(-1, os.WNOHANG)
 
 
 class TestTrainConfigValidation:
