@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -51,12 +52,10 @@ class TrainConfig:
     score: ScoreConfig = field(default_factory=ScoreConfig)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise InputError(f"epochs must be >= 1, got {self.epochs}")
-        if self.b_ind < 1:
-            raise InputError(f"b_ind must be >= 1, got {self.b_ind}")
-        if self.b_ood < 0:
-            raise InputError(f"b_ood must be >= 0, got {self.b_ood}")
+        for name, least in (("epochs", 1), ("b_ind", 1), ("b_ood", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
         # lr == 0 is allowed as a diagnostic no-op update.
         if not 0.0 <= self.lr < math.inf:
             raise InputError(f"lr must be finite and nonnegative, got {self.lr}")

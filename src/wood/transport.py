@@ -16,6 +16,7 @@ sums ``r2``, i.e. ``P @ 1 = r1`` and ``P.T @ 1 = r2``. The Sinkhorn scaling
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -81,21 +82,19 @@ class SinkhornConfig:
     ``lam`` is the inverse regularization weight (larger = closer to the
     exact distance). Convergence is declared when the max-norm relative
     change of the column scaling ``v`` between sweeps (the change of
-    ``log v``, to first order) drops below ``tol``. When ``log_domain`` is
-    true, an over/underflow in the scaled iteration triggers an automatic
-    retry with log-sum-exp updates.
+    ``log v``, to first order) drops below ``tol``. ``max_iter``, an
+    integer, caps each problem's sweeps.
     """
 
     lam: float = 50.0
     max_iter: int = 1000
     tol: float = 1e-9
-    log_domain: bool = True
 
     def __post_init__(self):
         if not 0 < self.lam < np.inf:
             raise InputError(f"lam must be finite and positive, got {self.lam}")
-        if self.max_iter < 1:
-            raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise InputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not 0 < self.tol < np.inf:
             raise InputError(f"tol must be finite and positive, got {self.tol}")
 
@@ -141,13 +140,12 @@ def _iterate(sweep, fixed: list, state: list, cfg: SinkhornConfig):
     problem until it converges (``done``), fails (``bad``) or reaches
     ``cfg.max_iter``; return the final states, iteration counts and flags.
 
-    When every problem finishes on the same sweep, which is the usual case
-    (a one-hot first marginal settles on the second sweep), that sweep's
-    arrays are returned as they are; a sweep must therefore return fresh
-    arrays, which the caller may update. Otherwise the problems that finish
-    are copied out and the working arrays are compacted to the ones still
-    iterating, so a sweep does no per-problem bookkeeping. A ``fixed`` array
-    with a leading dimension of 1 is shared by all.
+    All problems sweep together until the last one finishes; each keeps the
+    state, count and flags of the sweep it finished on, so a sweep must
+    return fresh arrays. When every problem finishes on the same sweep,
+    which is the usual case (a one-hot first marginal settles on the second
+    sweep), that sweep's arrays are returned as they are, and the caller
+    may update them.
     """
     n = state[0].shape[0]
     final = None
@@ -158,29 +156,25 @@ def _iterate(sweep, fixed: list, state: list, cfg: SinkhornConfig):
         finished = done | bad
         if it == cfg.max_iter:
             finished[:] = True
-        count = np.count_nonzero(finished)
-        if final is None and count == n:
-            return state, np.full(n, it, dtype=np.intp), done, bad
-        if not count:
-            continue
         if final is None:
+            count = np.count_nonzero(finished)
+            if count == n:
+                return state, np.full(n, it, dtype=np.intp), done, bad
+            if not count:
+                continue
             final = [np.empty_like(s) for s in state]
             iterations = np.zeros(n, dtype=np.intp)
             converged = np.zeros(n, dtype=bool)
             failed = np.zeros(n, dtype=bool)
-            active = np.arange(n)
-        rows = active[finished]
+        # A problem still sweeping has no iteration count yet.
+        rows = finished & (iterations == 0)
         for out, s in zip(final, state):
-            out[rows] = s[finished]
+            out[rows] = s[rows]
         iterations[rows] = it
-        converged[rows] = done[finished]
-        failed[rows] = bad[finished]
-        keep = ~finished
-        active = active[keep]
-        if not active.size:
+        converged[rows] = done[rows]
+        failed[rows] = bad[rows]
+        if iterations.all():
             return final, iterations, converged, failed
-        fixed = [a if a.shape[0] == 1 else a[keep] for a in fixed]
-        state = [s[keep] for s in state]
 
 
 def _scaled_sweep(kernel, kernel_t, r1, r2, pos1, pos2, fill, v, tol):
@@ -267,9 +261,8 @@ def sinkhorn_batch(r1, r2, C, cfg: SinkhornConfig) -> TransportResult:
     coupled, so each row of the result equals a B=1 call bitwise. Problems
     whose scalings over/underflow, or whose kernel ``exp(-lam * C)`` or
     ``r2`` has a subnormal entry, are re-solved together in the log domain
-    (``domain`` reads ``"log"``), or raise NumericError naming the first of
-    them when ``cfg.log_domain`` is false. Non-convergence within
-    ``max_iter`` is reported by ``converged``, not raised.
+    (``domain`` reads ``"log"``). Non-convergence within ``max_iter`` is
+    reported by ``converged``, not raised.
     """
     R1 = as_prob_rows(r1, "r1")
     R2 = as_prob_rows(r2, "r2")
@@ -327,10 +320,6 @@ def _sinkhorn_batch(R1, R2, C, cfg: SinkhornConfig) -> TransportResult:
         failed |= (pos2 & (r2 < _TINY)).any(axis=(1, 2))
     if np.count_nonzero(failed):
         rows = np.flatnonzero(failed)
-        if not cfg.log_domain:
-            raise NumericError(
-                f"sinkhorn scaling over/underflow in scaled domain on problem {rows[0]}"
-            )
         redo = _log_domain(R1[rows], R2[rows], C if len(C) == 1 else C[rows], cfg, rows)
         for name, values in vars(redo).items():
             getattr(result, name)[rows] = values

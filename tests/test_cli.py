@@ -1,5 +1,6 @@
 """CLI contract: commands, exit codes, file outputs, determinism."""
 
+import argparse
 import contextlib
 import gc
 import io
@@ -978,6 +979,30 @@ class TestCheckpointScoreConfig:
         assert "matrix=binary" in run_config
         assert "eval_path=closed" in run_config
         assert "lam=50.0" in run_config
+
+    def test_a_checkpoint_with_the_log_domain_key_loads_as_one_without(self, binary_run, tmp_path):
+        # Checkpoints saved while SinkhornConfig had a log_domain switch store
+        # it in train_config; the loader reads no field of it, and neither
+        # file has a sidecar beside it.
+        _, checkpoint = binary_run
+        text = checkpoint.read_text()
+        assert '"log_domain"' not in text and text.count('"max_iter":') == 1
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        new.write_text(text)
+        old.write_text(text.replace('"max_iter":', '"log_domain":true,"max_iter":'))
+        loaded = []
+        for path in (new, old):
+            assert not Path(f"{path}.params").exists()
+            ckpt = load_checkpoint(path)
+            args = argparse.Namespace(checkpoint=path, matrix=None, eval_path=None, lam=None)
+            loaded.append((ckpt, wood.cli._checkpoint_score_config(args, ckpt)))
+        (ckpt_new, score_new), (ckpt_old, score_old) = loaded
+        assert ckpt_old.train_config["score"]["sinkhorn"].pop("log_domain") is True
+        assert ckpt_old.train_config == ckpt_new.train_config
+        assert score_old == score_new
+        assert ckpt_old.model.layer_dims == ckpt_new.model.layer_dims
+        assert ckpt_old.model.params.tobytes() == ckpt_new.model.params.tobytes()
+        assert ckpt_old.normalization == ckpt_new.normalization
 
 
 # A saved score setting that ``evaluate`` and ``score`` can run with.

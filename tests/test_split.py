@@ -7,7 +7,6 @@ import warnings
 
 import pytest
 
-import wood._split
 from wood._split import beside
 
 
@@ -86,32 +85,6 @@ class TestBeside:
             beside(here, there, True)
         assert time.monotonic() - started < 10
         _no_child_left()
-        assert not wood._split._inside
-
-    def test_a_split_in_either_job_runs_in_one_process(self, monkeypatch):
-        forks = _counted_forks(monkeypatch)
-        parent = os.getpid()
-        half = self.N // 2
-
-        def split():
-            return b"".join(beside(lambda: _numbers(0, half), lambda: _numbers(half, self.N), True))
-
-        def there():
-            # The child reports the forks that it has seen: the one that made
-            # it, and any that its split made. A failed child would have this
-            # run here instead.
-            assert os.getpid() != parent
-            return split() + b"|%d" % len(forks)
-
-        here, there_bytes = beside(split, there, True)
-        assert here == _numbers(0, self.N)
-        assert there_bytes == _numbers(0, self.N) + b"|1"
-        assert len(forks) == 1
-        _no_child_left()
-        # Outside a job, a split forks again.
-        assert split() == _numbers(0, self.N)
-        assert len(forks) == 2
-        _no_child_left()
 
     @pytest.mark.parametrize(
         "cpus, big, broken, error",
@@ -135,16 +108,15 @@ class TestBeside:
         calls = []
 
         def here():
-            calls.append(("here", os.getpid(), wood._split._inside))
+            calls.append(("here", os.getpid()))
             return "here"
 
         def there():
-            calls.append(("there", os.getpid(), wood._split._inside))
+            calls.append(("there", os.getpid()))
             return _numbers(0, self.N)
 
         assert beside(here, there, big) == ("here", _numbers(0, self.N))
-        assert calls == [("here", parent, False), ("there", parent, False)]
-        assert not wood._split._inside
+        assert calls == [("here", parent), ("there", parent)]
 
         def declined():
             raise ValueError("declined")
@@ -153,7 +125,6 @@ class TestBeside:
         with pytest.raises(ValueError, match="declined"):
             beside(declined, there, big)
         assert calls == []
-        assert not wood._split._inside
         _no_child_left()
 
     def test_fork_warning_does_not_escape(self, monkeypatch):

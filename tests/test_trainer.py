@@ -607,7 +607,7 @@ class TestCheckpoint:
         )
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_checkpoint(model, {"kind": "identity"}, rng_digest="digest"), path)
-        digest = "577d58688a2b39caff817a38d0c2b86f5e8e29e110d13a77fa5053845e67440e"
+        digest = "cdea4abded939cbe213a26234dbc95c9fe60572db03304332c2950e23d598359"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @settings(max_examples=60, deadline=None)
@@ -886,6 +886,19 @@ class TestSidecar:
 
 
 class TestTrainConfigValidation:
+    @pytest.mark.parametrize("value", [1.5, 2.0, "2", None, -1])
+    @pytest.mark.parametrize("name, least", [("epochs", 1), ("b_ind", 1), ("b_ood", 0), ("seed", 0)])
+    def test_counts_must_be_integers_in_range(self, name, least, value):
+        # A count that is not an integer would reach range(), np.empty or
+        # NumPy's generator, which raise a bare TypeError; a negative seed
+        # would make the generator raise a bare ValueError inside fit.
+        with pytest.raises(InputError, match=rf"^{name} must be an integer >= {least}, got {value!r}$"):
+            TrainConfig(**{"epochs": 1, name: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(2), b_ind=np.int32(5), b_ood=np.int64(0), seed=np.uint8(3))
+        assert (cfg.epochs, cfg.b_ind, cfg.b_ood, cfg.seed) == (2, 5, 0, 3)
+
     def test_rejects_bad_values(self):
         with pytest.raises(InputError):
             TrainConfig(epochs=0)
