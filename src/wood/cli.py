@@ -186,10 +186,6 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _score_config(matrix: str, eval_path: str, lam: float) -> ScoreConfig:
-    return ScoreConfig(CostKind(matrix), EvalPath(eval_path), SinkhornConfig(lam=lam))
-
-
 def _checkpoint_score_config(args, ckpt) -> ScoreConfig:
     """Score configuration for ``evaluate``/``score``: flags override the
     configuration the checkpoint was trained with. argparse has checked the
@@ -205,7 +201,7 @@ def _checkpoint_score_config(args, ckpt) -> ScoreConfig:
             for key, value in trained.items():
                 if getattr(args, key) is None:
                     setattr(args, key, value)
-        return _score_config(args.matrix, args.eval_path, args.lam)
+        return ScoreConfig(args.matrix, args.eval_path, SinkhornConfig(lam=args.lam))
     except (KeyError, TypeError, ValueError, InputError) as exc:
         raise InputError(f"{args.checkpoint}: malformed train_config.score: {exc}") from exc
 
@@ -232,20 +228,16 @@ def _prepare_out(args) -> Path:
     return out_dir
 
 
-def _dataset_from_args(path: str, role: Role, dim: int | None = None, dim_of: str = "") -> Dataset:
+def _dataset_from_args(path: str, role: Role, dim=None, dim_of="", n_classes=None) -> Dataset:
     """Load a dataset CSV; with ``dim``, its rows must be that wide, as set by
-    ``dim_of`` (the file or checkpoint that the error names)."""
+    ``dim_of`` (the file or checkpoint that the error names), and with
+    ``n_classes`` an InD file's labels must be below it."""
     if not path.endswith(".csv"):
         raise InputError(f"expected a .csv dataset, got {path}")
-    ds = load_dataset_csv(path, role=role)
-    if dim is not None:
-        _check_dim(ds, path, dim, dim_of)
-    return ds
-
-
-def _check_dim(ds: Dataset, path: str, dim: int, dim_of: str) -> None:
-    if ds.dim != dim:
+    ds = load_dataset_csv(path, role=role, n_classes=n_classes)
+    if dim is not None and ds.dim != dim:
         raise InputError(f"{path}: feature dim {ds.dim} does not match {dim_of} dim {dim}")
+    return ds
 
 
 def _with_checkpoint(args, path: str, role: Role):
@@ -256,12 +248,8 @@ def _with_checkpoint(args, path: str, role: Role):
     before the file's."""
     ckpt = load_checkpoint(args.checkpoint)
     model, score_cfg = ckpt.model, _checkpoint_score_config(args, ckpt)
-    ds = _dataset_from_args(path, role)
-    if role is Role.IND and ds.n_classes > model.n_classes:
-        raise InputError(
-            f"{path}: label {ds.n_classes - 1} is out of range for {model.n_classes} classes"
-        )
-    _check_dim(ds, path, model.input_dim, f"{args.checkpoint} input")
+    dim_of = f"{args.checkpoint} input"
+    ds = _dataset_from_args(path, role, model.input_dim, dim_of, model.n_classes)
     return model, score_cfg, ds
 
 
@@ -334,7 +322,7 @@ def _cmd_train(args) -> int:
         lr=args.lr,
         momentum=args.momentum,
         seed=args.seed,
-        score=_score_config(args.matrix, args.eval_path, args.lam),
+        score=ScoreConfig(args.matrix, args.eval_path, SinkhornConfig(lam=args.lam)),
     )
     ind_set = _dataset_from_args(args.ind, Role.IND)
     ood_set = None
@@ -466,8 +454,8 @@ def _cmd_bench_score(args) -> int:
     summary = []
     for k in args.k:
         f = rng.dirichlet(np.ones(k))[None, :]
-        binary_cfg = _score_config("binary", "sinkhorn", args.lam)
-        dynamic_cfg = _score_config("dynamic", "sinkhorn", args.lam)
+        binary_cfg = ScoreConfig("binary", "sinkhorn", SinkhornConfig(lam=args.lam))
+        dynamic_cfg = ScoreConfig("dynamic", "sinkhorn", SinkhornConfig(lam=args.lam))
         scores(f, binary_cfg)  # warmup
         scores(f, dynamic_cfg)
         binary_ms, dynamic_ms = _median_call_ms(

@@ -20,7 +20,7 @@ from stat import S_ISREG
 import numpy as np
 
 from ._split import beside
-from .errors import InputError
+from .errors import InputError, _array, _labels, _setting, _settings
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -46,7 +46,7 @@ class Dataset:
         n_classes: int | None = None,
         normalization: dict | None = None,
     ):
-        features = np.asarray(features, dtype=np.float64)
+        features = _array(features, "features")
         if features.ndim != 2:
             raise InputError(f"features must be 2-D, got shape {features.shape}")
         if not np.all(np.isfinite(features)):
@@ -60,25 +60,19 @@ class Dataset:
         else:
             if labels is None:
                 raise InputError("InD dataset requires labels")
-            given = np.asarray(labels)
-            # A fractional, NaN or out-of-range label changes on the cast,
-            # which the comparison below catches.
-            with np.errstate(invalid="ignore"):
-                labels = given.astype(np.int64, copy=False)
+            labels = _labels(labels)
             if labels.shape != (features.shape[0],):
                 raise InputError(
                     f"labels shape {labels.shape} does not match {features.shape[0]} samples"
                 )
-            changed = np.flatnonzero(labels != given)
-            if changed.size:
-                row = int(changed[0])
-                raise InputError(f"label {given.tolist()[row]!r} in row {row} is not an integer")
             if np.any(labels < 0):
                 raise InputError("labels must be nonnegative class indices")
             if n_classes is None and labels.size == 0:
                 raise InputError("InD dataset has no rows to infer n_classes from")
             self._labels = labels
-            self._n_classes = int(n_classes) if n_classes is not None else int(labels.max()) + 1
+            if n_classes is None:
+                n_classes = int(labels.max()) + 1
+            self._n_classes = _setting("n_classes", n_classes, "an integer >= 1")
             if np.any(labels >= self._n_classes):
                 raise InputError(
                     f"label {int(labels.max())} is out of range for {self._n_classes} classes"
@@ -129,14 +123,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 2:
-            raise InputError(f"need k >= 2 classes, got {self.k}")
-        if self.n_per_class < 1:
-            raise InputError(f"need n_per_class >= 1, got {self.n_per_class}")
-        if self.dim < 2:
-            raise InputError(f"need dim >= 2, got {self.dim}")
-        if self.separation <= 0 or self.noise <= 0:
-            raise InputError("separation and noise must be positive")
+        _settings(self, k="an integer >= 2", n_per_class="an integer >= 1", dim="an integer >= 2")
+        _settings(self, separation="finite and positive", noise="finite and positive")
+        _settings(self, seed="an integer >= 0")
 
 
 def _blob_centers(k: int, dim: int, separation: float) -> np.ndarray:
@@ -308,13 +297,14 @@ def read_text(path: str | Path, encoding: str, raw: bytes | None = None) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def load_dataset_csv(path: str | Path, role: Role) -> Dataset:
+def load_dataset_csv(path: str | Path, role: Role, n_classes: int | None = None) -> Dataset:
     """Load a dataset CSV written by :func:`save_dataset_csv`.
 
     The file is ASCII text: a header ``f0,...,f{d-1}`` (``d >= 1``) with an
     optional last column ``label``, then one row per line, no blank lines.
     Feature cells are what ``float()`` accepts and labels what ``int()``
-    accepts. Every ``InputError`` names the file, and a bad row ``path:line``.
+    accepts; an InD file's labels lie below ``n_classes`` where it is given.
+    Every ``InputError`` names the file, and a bad row ``path:line``.
 
     A file of at least ``_SPLIT_BYTES`` bytes has its rows cut at a line end
     into two byte ranges, the second parsed in a forked child
@@ -331,7 +321,7 @@ def load_dataset_csv(path: str | Path, role: Role) -> Dataset:
         parsed = _parse_rows(path, lines, dim, has_label)
     features, labels = parsed
     try:
-        return Dataset(features, labels if role is Role.IND else None, role)
+        return Dataset(features, labels if role is Role.IND else None, role, n_classes)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 

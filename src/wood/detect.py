@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _array, _setting
 
 HISTOGRAM_BINS = 50
 
 
 def _as_scores(scores, name: str) -> np.ndarray:
-    arr = np.asarray(scores, dtype=np.float64)
+    arr = _array(scores, name)
     if arr.ndim != 1 or arr.size == 0:
         raise InputError(f"{name} must be a non-empty 1-D score list")
     if not np.all(np.isfinite(arr)):
@@ -36,8 +36,7 @@ def calibrate(ind_scores, tnr_target: float = 0.95) -> float:
     statistic so the achieved TNR is always >= the target.
     """
     arr = _as_scores(ind_scores, "ind_scores")
-    if not 0.0 < tnr_target < 1.0:
-        raise InputError(f"tnr_target must be in (0, 1), got {tnr_target}")
+    tnr_target = _setting("tnr_target", tnr_target, "in (0, 1)")
     epsilon = float(np.quantile(arr, tnr_target))
     achieved = float(np.mean(arr <= epsilon))
     if achieved < tnr_target:
@@ -107,7 +106,7 @@ def evaluate(calib_scores, ind_scores, ood_scores, tnr_target: float = 0.95) -> 
         n_ind=int(ind.size),
         n_ood=int(ood.size),
         epsilon=epsilon,
-        tnr_target=tnr_target,
+        tnr_target=float(tnr_target),
         tn_count=tn_count,
         fn_count=fn_count,
         bin_edges=edges,

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, _setting
 from .transport import (
     CostKind,
     SinkhornConfig,
@@ -37,17 +37,25 @@ class EvalPath(Enum):
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """Cost-matrix family plus evaluation route for the OOD score."""
+    """Cost-matrix family plus evaluation route for the OOD score, each a member or its value."""
 
     matrix_kind: CostKind = CostKind.DYNAMIC
     evaluation: EvalPath = EvalPath.CLOSED_FORM
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
 
+    def __post_init__(self):
+        for name, choice in (("matrix_kind", CostKind), ("evaluation", EvalPath)):
+            try:
+                object.__setattr__(self, name, choice(getattr(self, name)))
+            except ValueError as exc:
+                raise InputError(f"{name}: {exc}") from None
+        if not isinstance(self.sinkhorn, SinkhornConfig):
+            raise InputError(f"sinkhorn must be a SinkhornConfig, got {self.sinkhorn!r}")
+
 
 def binary_matrix(n_classes: int) -> np.ndarray:
     """``(K, K)`` costs: unit cost for any class change, zero for staying put."""
-    if n_classes < 2:
-        raise InputError(f"binary matrix needs K >= 2, got {n_classes}")
+    n_classes = _setting("n_classes", n_classes, "an integer >= 2")
     return np.ones((n_classes, n_classes)) - np.eye(n_classes)
 
 

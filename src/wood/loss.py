@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _labels, _setting
 from .geometry import EvalPath, ScoreConfig, _score_rows
 from .transport import CostKind, as_prob_rows, sinkhorn_gradient
 
@@ -57,12 +57,11 @@ def loss_and_grad(
     gradient from the plan the score evaluation already solved.
     """
     P = as_prob_rows(probs)
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = _labels(labels)
     n, k = P.shape
     if n == 0:
         raise InputError("batch must contain at least one sample")
-    if beta < 0:
-        raise InputError(f"beta must be nonnegative, got {beta}")
+    beta = _setting("beta", beta, "finite and nonnegative")
     if labels.ndim != 1 or labels.shape[0] > n:
         raise InputError(f"labels of shape {labels.shape} do not fit {n} rows")
     out_of_range = (labels < 0) | (labels >= k)

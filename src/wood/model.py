@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _array, _setting
 
 
 def _layer_dims(layer_dims) -> tuple[int, ...]:
-    """``layer_dims`` as ints: an input and an output width at least, each >= 1."""
-    dims = tuple(int(d) for d in layer_dims)
+    """``layer_dims`` as plain ints: an input and an output width at least, each >= 1."""
+    dims = tuple(_setting("a layer size", d, "an integer") for d in layer_dims)
     if len(dims) < 2:
         raise InputError("layer_dims needs at least input and output sizes")
     if any(d < 1 for d in dims):
@@ -83,6 +83,8 @@ def init(layer_dims, seed) -> MlpModel:
     Deterministic for a fixed ``seed`` (int or numpy SeedSequence).
     """
     dims = _layer_dims(layer_dims)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _setting("seed", seed, "an integer >= 0")
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -115,7 +117,7 @@ def _stable_softmax(logits: np.ndarray) -> np.ndarray:
 def forward(model: MlpModel, x) -> ForwardTrace:
     """Run the network on one sample (d,) or a batch (n, d), allocating one
     array per layer: ReLU and softmax overwrite their inputs."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _array(x, "x")
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != model.input_dim:
@@ -161,7 +163,7 @@ def backward(model: MlpModel, trace: ForwardTrace, grad_probs) -> ParamGrads:
     ``dz = p * (g - <g, p>)`` per row, so any constant shift of ``g``
     produces exactly zero parameter gradients.
     """
-    g = np.asarray(grad_probs, dtype=np.float64)
+    g = _array(grad_probs, "grad_probs")
     if g.ndim == 1:
         g = g[None, :]
     if g.shape != trace.probs.shape:

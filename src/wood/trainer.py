@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -26,7 +25,7 @@ import numpy as np
 
 from ._split import beside
 from .data import Dataset, read_text
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, _settings
 from .geometry import ScoreConfig
 from .loss import LossValue, _loss_and_grad
 from .model import MlpModel, ParamGrads, _backward, _flat_layers, _forward, init
@@ -52,17 +51,12 @@ class TrainConfig:
     score: ScoreConfig = field(default_factory=ScoreConfig)
 
     def __post_init__(self):
-        for name, least in (("epochs", 1), ("b_ind", 1), ("b_ood", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
-                raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+        _settings(self, epochs="an integer >= 1", b_ind="an integer >= 1", b_ood="an integer >= 0")
         # lr == 0 is allowed as a diagnostic no-op update.
-        if not 0.0 <= self.lr < math.inf:
-            raise InputError(f"lr must be finite and nonnegative, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InputError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0.0 <= self.beta < math.inf:
-            raise InputError(f"beta must be finite and nonnegative, got {self.beta}")
+        _settings(self, seed="an integer >= 0", lr="finite and nonnegative")
+        _settings(self, momentum="in [0, 1)", beta="finite and nonnegative")
+        if not isinstance(self.score, ScoreConfig):
+            raise InputError(f"score must be a ScoreConfig, got {self.score!r}")
 
 
 @dataclass

@@ -16,13 +16,12 @@ sums ``r2``, i.e. ``P @ 1 = r1`` and ``P.T @ 1 = r2``. The Sinkhorn scaling
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, _array, _settings
 
 # Absolute tolerance on sum(p) == 1 for probability vectors.
 PROB_SUM_TOL = 1e-9
@@ -53,7 +52,7 @@ def as_prob_rows(values, name: str = "probs") -> np.ndarray:
     labels). The checks run once over the whole array; the error names the
     first row that fails.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _array(values, name)
     if arr.ndim != 2:
         raise InputError(f"{name} must be 2-D (n, K), got shape {arr.shape}")
     if arr.shape[1] < 2:
@@ -91,12 +90,8 @@ class SinkhornConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not 0 < self.lam < np.inf:
-            raise InputError(f"lam must be finite and positive, got {self.lam}")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise InputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not 0 < self.tol < np.inf:
-            raise InputError(f"tol must be finite and positive, got {self.tol}")
+        _settings(self, lam="finite and positive", max_iter="an integer >= 1")
+        _settings(self, tol="finite and positive")
 
 
 @dataclass
@@ -269,7 +264,7 @@ def sinkhorn_batch(r1, r2, C, cfg: SinkhornConfig) -> TransportResult:
     if R1.shape != R2.shape:
         raise InputError(f"marginals disagree: {R1.shape} vs {R2.shape}")
     n, k = R1.shape
-    C = np.asarray(C, dtype=np.float64)
+    C = _array(C, "cost")
     if C.shape not in ((k, k), (n, k, k)):
         raise InputError(f"cost of shape {C.shape} does not fit {n} problems with K={k}")
     if not (np.isfinite(C).all() and (C >= 0.0).all()):

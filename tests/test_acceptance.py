@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wood.geometry
 from wood.cli import main as cli_main
 from wood.data import Role, SyntheticKind, SyntheticSpec, load_idx_pair, synth
 from wood.detect import calibrate, evaluate
@@ -338,6 +339,27 @@ def test_c09_complexity_trend(tmp_path):
             ratio = float(cells[3])
             print(f"  K={k}: binary/dynamic ratio {ratio:.1f} (need >= {k / 2})")
             assert ratio >= k / 2.0
+
+
+@pytest.mark.parametrize("k", [10, 50, 100])
+def test_c09_solve_counts(k, monkeypatch):
+    # The claim behind c09's timing gate, counted instead of timed: a Sinkhorn
+    # score solves K transport problems per row with binary costs and one
+    # with dynamic costs.
+    solve = wood.geometry._sinkhorn_batch
+    solved = []
+
+    def counting_solve(R1, R2, C, cfg):
+        solved.append(R1.shape[0])
+        return solve(R1, R2, C, cfg)
+
+    monkeypatch.setattr(wood.geometry, "_sinkhorn_batch", counting_solve)
+    probs = np.random.default_rng(k).dirichlet(np.ones(k), size=3)
+    with criterion(9, f"binary/dynamic solve counts at K={k}"):
+        for kind, per_row in ((CostKind.BINARY, k), (CostKind.DYNAMIC, 1)):
+            solved.clear()
+            scores(probs, ScoreConfig(kind, EvalPath.SINKHORN))
+            assert sum(solved) == per_row * len(probs)
 
 
 def test_c10_determinism_and_persistence(synthetic_run, tmp_path):

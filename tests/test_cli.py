@@ -682,6 +682,50 @@ class TestScoringCommands:
         assert not out.exists()
 
 
+class TestHeldOutCalibration:
+    """``evaluate`` calibrates on ``round(calib_frac * n)`` InD rows that its
+    seed's permutation picks, and reports on the rest."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        model = init((2, 3, 3), seed=0)
+        checkpoint = tmp_path / "checkpoint.json"
+        write_checkpoint(checkpoint, model)
+        rng = np.random.default_rng(11)
+        ind_csv, ood_csv = tmp_path / "ind.csv", tmp_path / "ood.csv"
+        save_dataset_csv(Dataset(rng.normal(0, 2, (30, 2)), np.arange(30) % 3, Role.IND), ind_csv)
+        save_dataset_csv(Dataset(rng.normal(0, 2, (9, 2)), None, Role.OOD), ood_csv)
+        return model, checkpoint, ind_csv, ood_csv
+
+    def report(self, inputs, tmp_path, *flags):
+        _, checkpoint, ind_csv, ood_csv = inputs
+        out = tmp_path / "out"
+        code = run_cli("evaluate", "--checkpoint", str(checkpoint), "--ind", str(ind_csv),
+                       "--ood", str(ood_csv), *flags, "--out", str(out))
+        assert code == 0
+        return (out / "report.txt").read_text()
+
+    def test_the_count_rounds_to_nearest(self, inputs, tmp_path):
+        # 0.39 * 30 = 11.7 rows: 12 held out, where rounding down would hold out 11.
+        report = self.report(inputs, tmp_path, "--calib-frac", "0.39")
+        assert "n_calibration: 12\n" in report
+        assert "n_ind: 18\n" in report
+
+    def test_the_held_out_rows_are_pinned_for_a_seed(self, inputs, tmp_path):
+        # np.random.default_rng(7).permutation(30) starts with these six rows.
+        held_out = [12, 14, 4, 28, 22, 24]
+        model, _, ind_csv, ood_csv = inputs
+        report = self.report(inputs, tmp_path, "--calib-frac", "0.2", "--seed", "7")
+        ind = load_dataset_csv(ind_csv, Role.IND)
+        ind_values, _ = scores(forward(model, ind.features).probs, ScoreConfig())
+        ood_values, _ = scores(forward(model, load_dataset_csv(ood_csv, Role.OOD).features).probs,
+                               ScoreConfig())
+        rest = np.setdiff1d(np.arange(30), held_out)
+        want = report_text(evaluate(ind_values[held_out], ind_values[rest], ood_values, 0.95))
+        accuracy = float(np.mean(forward(model, ind.features).probs.argmax(axis=1) == ind.labels))
+        assert report == want + f"n_calibration: 6\nind_accuracy: {accuracy!r}\n"
+
+
 def per_block_reference(model, x, block, cfg):
     """Scores, argmin classes and predicted classes of ``x``, one forward
     pass per block of ``block`` rows."""

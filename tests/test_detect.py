@@ -146,6 +146,13 @@ class TestEvaluate:
         report = evaluate([1.0, 1.0], [1.0, 1.0], [1.0], 0.95)
         assert report.hist_ind.sum() == 2
 
+    def test_constant_scores_bin_one_unit_up(self):
+        # Every score equal: the bins span [score, score + 1], so all counts
+        # fall in the first bin.
+        report = evaluate([0.25] * 3, [0.25] * 4, [0.25] * 2, 0.95)
+        assert (report.bin_edges[0], report.bin_edges[-1]) == (0.25, 1.25)
+        assert (report.hist_ind[0], report.hist_ood[0]) == (4, 2)
+
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             evaluate([], [], [1.0], 0.95)

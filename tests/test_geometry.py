@@ -77,6 +77,35 @@ def exact_to_onehot(f, label, kind):
     return forced_transport(label, f, M)
 
 
+class TestScoreConfigFields:
+    @pytest.mark.parametrize("kind", [CostKind.BINARY, "binary"])
+    def test_binary_closed_form_by_member_or_value(self, kind):
+        # 1 - max f; the dynamic 1 - sum(f**2) would read 0.62.
+        values, classes = scores([[0.2, 0.3, 0.5]], ScoreConfig(kind))
+        assert (values[0], classes[0]) == (0.5, 2)
+
+    def test_values_are_stored_as_members(self):
+        cfg = ScoreConfig("binary", "sinkhorn")
+        assert cfg.matrix_kind is CostKind.BINARY and cfg.evaluation is EvalPath.SINKHORN
+        assert cfg == ScoreConfig(CostKind.BINARY, EvalPath.SINKHORN)
+
+    @pytest.mark.parametrize(
+        "kwargs, line",
+        [
+            ({"matrix_kind": "bin"}, "matrix_kind: 'bin' is not a valid CostKind"),
+            ({"matrix_kind": EvalPath.SINKHORN},
+             "matrix_kind: <EvalPath.SINKHORN: 'sinkhorn'> is not a valid CostKind"),
+            ({"evaluation": "closed_form"}, "evaluation: 'closed_form' is not a valid EvalPath"),
+            ({"evaluation": None}, "evaluation: None is not a valid EvalPath"),
+            ({"sinkhorn": 50.0}, "sinkhorn must be a SinkhornConfig, got 50.0"),
+        ],
+    )
+    def test_anything_else_is_one_input_error_naming_the_field(self, kwargs, line):
+        with pytest.raises(InputError) as caught:
+            ScoreConfig(**kwargs)
+        assert str(caught.value) == line
+
+
 class TestWassersteinToOnehot:
     def test_uniform_dynamic_k10(self):
         f = np.full(10, 0.1)

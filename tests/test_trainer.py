@@ -895,6 +895,10 @@ class TestTrainConfigValidation:
         with pytest.raises(InputError, match=rf"^{name} must be an integer >= {least}, got {value!r}$"):
             TrainConfig(**{"epochs": 1, name: value})
 
+    def test_score_must_be_a_score_config(self):
+        with pytest.raises(InputError, match="^score must be a ScoreConfig, got 'binary'$"):
+            TrainConfig(epochs=1, score="binary")
+
     def test_numpy_integer_counts_are_accepted(self):
         cfg = TrainConfig(epochs=np.int64(2), b_ind=np.int32(5), b_ood=np.int64(0), seed=np.uint8(3))
         assert (cfg.epochs, cfg.b_ind, cfg.b_ood, cfg.seed) == (2, 5, 0, 3)

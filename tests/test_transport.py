@@ -62,6 +62,13 @@ class TestProbVector:
     def test_allows_one_hot_zeros(self):
         as_prob_rows([[0.0, 1.0, 0.0]])
 
+    def test_sum_tolerance_is_one_in_a_billion(self):
+        # PROB_SUM_TOL is 1e-9: a row that sums to 1 + 5e-10 is a simplex
+        # point, one that sums to 1 + 3e-9 is not.
+        as_prob_rows([[0.5, 0.5 + 5e-10]])
+        with pytest.raises(InputError, match=r"^probs row 1 must sum to 1, got 1\.000000003"):
+            as_prob_rows([[0.5, 0.5], [0.5, 0.5 + 3e-9]])
+
 
 class TestCostMatrix:
     """Cost validation at the solver boundary."""
