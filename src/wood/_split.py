@@ -39,9 +39,12 @@ def beside(here, there, big: bool) -> tuple:
     bytes, but on the 25k-row ``score`` benchmark files on two vCPUs it took
     222-238 ms at 2 BLAS threads against 140-168 ms with all of it here. At 1
     thread it took 117-123 ms against 164-177 ms, so the loss is the two
-    processes' BLAS threads contending for the two CPUs, and NumPy has no
-    public control of the thread count (:func:`wood._blas.blas_info` reads
-    it from the bundled OpenBLAS, and sets nothing)."""
+    processes' BLAS threads contending for the two CPUs. ``score`` and
+    ``evaluate`` now run at one thread (:func:`wood._blas.one_thread`); a
+    later prototype that, at one thread, forked the forward pass of half the
+    blocks read no gain on those files over 5 pairs (score 188k rows/s
+    against 191k without the child, evaluate 262k against 261k), so the
+    forward pass stays here."""
     if not (
         big
         and hasattr(os, "fork")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._blas import blas_info
+from ._blas import blas_info, one_thread
 from ._split import beside
 from .data import (
     Dataset,
@@ -193,16 +193,19 @@ def _checkpoint_score_config(args, ckpt) -> ScoreConfig:
     try:
         if None in (args.matrix, args.eval_path, args.lam):
             saved = ckpt.train_config["score"]
+            lam = saved["sinkhorn"]["lam"]
             trained = {
                 "matrix": CostKind(saved["matrix_kind"]).value,
                 "eval_path": EvalPath(saved["evaluation"]).value,
-                "lam": float(saved["sinkhorn"]["lam"]),
+                # A JSON number, read as the float a flag gives; anything
+                # else, a bool or a string too, fails SinkhornConfig's check.
+                "lam": float(lam) if type(lam) in (int, float) else lam,
             }
             for key, value in trained.items():
                 if getattr(args, key) is None:
                     setattr(args, key, value)
         return ScoreConfig(args.matrix, args.eval_path, SinkhornConfig(lam=args.lam))
-    except (KeyError, TypeError, ValueError, InputError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InputError) as exc:
         raise InputError(f"{args.checkpoint}: malformed train_config.score: {exc}") from exc
 
 
@@ -356,6 +359,7 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+@one_thread()
 def _cmd_evaluate(args) -> int:
     if not args.calib_on_eval and not 0.0 < args.calib_frac < 1.0:
         raise InputError(f"calib_frac must lie in (0, 1), got {args.calib_frac!r}")
@@ -399,6 +403,7 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+@one_thread()
 def _cmd_score(args) -> int:
     model, score_cfg, ds = _with_checkpoint(args, args.features, Role.OOD)
     values, classes, _ = _score_blocks(model, ds, args.features, score_cfg)

@@ -52,7 +52,10 @@ class Dataset:
         if not np.all(np.isfinite(features)):
             raise InputError("features contain non-finite values")
         self.features = features
-        self.role = role
+        try:
+            self.role = role = Role(role)
+        except ValueError as exc:
+            raise InputError(f"role: {exc}") from None
         self.normalization = dict(normalization) if normalization else {"kind": "identity"}
         if role is Role.OOD:
             self._labels = None

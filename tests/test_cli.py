@@ -994,7 +994,10 @@ class TestCheckpointScoreConfig:
         expected = 1.0 - np.array([float(f @ f) for f in probs])
         np.testing.assert_array_equal(self.read_scores(out), expected)
 
-    @pytest.mark.parametrize("lam, shown", [(0, "0.0"), ("nan", "nan")])
+    @pytest.mark.parametrize(
+        "lam, shown",
+        [(0, "0.0"), (float("nan"), "nan"), ("nan", "'nan'"), (True, "True"), ("5", "'5'")],
+    )
     def test_bad_saved_lambda_names_the_checkpoint(self, binary_run, lam, shown, tmp_path, capsys):
         ind_csv, checkpoint = binary_run
         payload = json.loads(checkpoint.read_text())
@@ -1010,6 +1013,21 @@ class TestCheckpointScoreConfig:
         assert not out.exists()
         # A --lambda flag replaces the saved value, so the checkpoint still scores.
         assert run_cli(*argv, "--lambda", "5", "--out", str(out)) == 0
+
+    def test_saved_lambda_beyond_the_float_range_is_one_data_error(
+        self, binary_run, tmp_path, capsys
+    ):
+        ind_csv, checkpoint = binary_run
+        payload = json.loads(checkpoint.read_text())
+        payload["train_config"]["score"]["sinkhorn"]["lam"] = 10**400
+        checkpoint.write_text(json.dumps(payload))
+        assert data_error_line(
+            capsys, "score", "--checkpoint", str(checkpoint), "--features", str(ind_csv),
+            "--out", str(tmp_path / "out"),
+        ) == (
+            f"data error: {checkpoint}: malformed train_config.score:"
+            " int too large to convert to float"
+        )
 
     def test_evaluate_echoes_trained_config(self, binary_run, tmp_path):
         ind_csv, checkpoint = binary_run
@@ -1488,6 +1506,106 @@ def test_run_config_records_the_blas_thread_count(tmp_path):
         checkpoints[threads].add((out / "checkpoint.json").read_bytes())
     assert recorded == {"1": {"blas_threads=1"}, "2": {"blas_threads=2"}}
     assert [len(found) for found in checkpoints.values()] == [1, 1]
+
+
+class TestOneBlasThread:
+    """``score`` and ``evaluate`` run at one BLAS thread and then restore the
+    process's count, so their outputs do not depend on it."""
+
+    @pytest.fixture
+    def lib(self):
+        """The bundled OpenBLAS; the process's thread count is restored after the test."""
+        if wood._blas._openblas() is None:
+            pytest.skip("NumPy loaded no bundled OpenBLAS")
+        lib = wood._blas._openblas()[1]
+        before = lib.scipy_openblas_get_num_threads64_()
+        yield lib
+        lib.scipy_openblas_set_num_threads64_(before)
+
+    @pytest.fixture
+    def wide(self, tmp_path):
+        """``(model, checkpoint, InD file, OOD file)``: a 784-8-3 model and
+        200-row files, products that OpenBLAS splits across two threads."""
+        model = init((784, 8, 3), seed=0)
+        model.params *= 4.0
+        x = np.random.default_rng(11).random((400, 784))
+        checkpoint, ind_csv, ood_csv = (tmp_path / name for name in ("c.json", "i.csv", "o.csv"))
+        write_checkpoint(checkpoint, model)
+        save_dataset_csv(Dataset(x[:200], np.arange(200) % 3, Role.IND), ind_csv)
+        save_dataset_csv(Dataset(x[200:], None, Role.OOD), ood_csv)
+        return model, checkpoint, ind_csv, ood_csv
+
+    def run(self, command, wide, out):
+        """The scoring outputs of ``command`` on ``wide``, by file name."""
+        _, checkpoint, ind_csv, ood_csv = wide
+        inputs = dataset_flags(command, ind_csv, ood_csv)
+        argv = [command, "--checkpoint", str(checkpoint), *inputs, "--out", str(out)]
+        assert _run_captured(argv) == (0, [])
+        names = ["scores.csv"] if command == "score" else ["report.txt", "hist_ind.csv",
+                                                            "hist_ood.csv"]
+        return {name: (out / name).read_bytes() for name in names}
+
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_outputs_do_not_depend_on_the_thread_count(self, command, wide, lib, tmp_path):
+        model, _, ind_csv, _ = wide
+        x = load_dataset_csv(ind_csv, Role.IND).features
+        outputs, probs = [], []
+        for threads in (1, 2):
+            lib.scipy_openblas_set_num_threads64_(threads)
+            probs.append(forward(model, x).probs)
+            out = tmp_path / f"out{threads}"
+            outputs.append(self.run(command, wide, out))
+            assert blas_info()["threads"] == threads
+            assert (out / "run_config.txt").read_text().splitlines()[-1] == "blas_threads=1"
+        assert (probs[0] != probs[1]).any()  # the model's bits do depend on the count
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    @pytest.mark.parametrize("outcome, code", [("ok", 0), ("data", 2), ("numeric", 3)])
+    def test_the_count_is_restored(self, command, outcome, code, lib, tmp_path, monkeypatch):
+        inputs = gen_blobs(tmp_path / "data", n=10), gen_ring(tmp_path / "data", n=10)
+        if outcome == "data":  # rows wider than the model's input
+            inputs = (tmp_path / "wide.csv",) * 2
+            inputs[0].write_text("f0,f1,f2,label\n0.5,1.0,2.0,0\n")
+        checkpoint = tmp_path / "checkpoint.json"
+        write_checkpoint(checkpoint)
+        inside = []
+
+        def scores_noting_the_count(probs, cfg):
+            inside.append(lib.scipy_openblas_get_num_threads64_())
+            if outcome == "numeric":
+                raise NumericError("sinkhorn failed to converge on row 0")
+            return scores(probs, cfg)
+
+        monkeypatch.setattr("wood.cli.scores", scores_noting_the_count)
+        lib.scipy_openblas_set_num_threads64_(2)
+        argv = [command, "--checkpoint", str(checkpoint), *dataset_flags(command, *inputs)]
+        assert _run_captured([*argv, "--out", str(tmp_path / "out")])[0] == code
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+        assert set(inside) == (set() if outcome == "data" else {1})
+
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_without_openblas_the_process_count_is_used(self, command, wide, lib, tmp_path,
+                                                        monkeypatch):
+        # With no handle the scope sets nothing: the model runs at the
+        # process's count, and at one thread writes the bytes of a run with
+        # the handle.
+        lib.scipy_openblas_set_num_threads64_(1)
+        found = self.run(command, wide, tmp_path / "found")
+        monkeypatch.setattr("wood._blas._openblas", lambda: None)
+        inside = []
+        monkeypatch.setattr("wood.cli.scores", lambda probs, cfg: (
+            inside.append(lib.scipy_openblas_get_num_threads64_()) or scores(probs, cfg)))
+        for threads in (1, 2):
+            lib.scipy_openblas_set_num_threads64_(threads)
+            out = tmp_path / f"none{threads}"
+            none = self.run(command, wide, out)
+            lines = (out / "run_config.txt").read_text().splitlines()
+            assert lines[-3:] == ["blas_library=None", "blas_version=None", "blas_threads=None"]
+        assert none.keys() == found.keys()
+        assert set(inside) == {1, 2}
+        lib.scipy_openblas_set_num_threads64_(1)
+        assert self.run(command, wide, tmp_path / "none") == found
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "evaluate", "score", "bench-score"])

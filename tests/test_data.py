@@ -261,6 +261,28 @@ class TestIdx:
         assert ds.normalization == {"kind": "pixel_scale", "scale": 255.0}
 
 
+class TestDatasetRole:
+    @pytest.mark.parametrize("role", [Role.OOD, "ood"])
+    def test_ood_by_member_or_value_drops_labels(self, role, tmp_path):
+        ds = Dataset(np.zeros((2, 2)), [0, 1], role)
+        assert ds.role is Role.OOD
+        with pytest.raises(InputError, match="OOD datasets carry no labels"):
+            ds.labels
+        save_dataset_csv(ds, tmp_path / "ood.csv")
+        assert (tmp_path / "ood.csv").read_text().splitlines()[0] == "f0,f1"
+
+    def test_ind_by_value(self):
+        ds = Dataset(np.zeros((2, 2)), [0, 1], "ind")
+        assert ds.role is Role.IND and ds.n_classes == 2
+
+    @pytest.mark.parametrize("role, shown", [("x", "'x'"), (None, "None"), (1, "1"),
+                                             (SyntheticKind.RING, "<SyntheticKind.RING: 'ring'>")])
+    def test_anything_else_is_one_error_naming_role(self, role, shown):
+        with pytest.raises(InputError) as caught:
+            Dataset(np.zeros((2, 2)), [0, 1], role)
+        assert str(caught.value) == f"role: {shown} is not a valid Role"
+
+
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):
         ds = synth(blob_spec(n_per_class=10))
